@@ -26,7 +26,8 @@ import numpy as np
 from .expsum import ExpSumApprox, approximate_hamiltonian
 from .model import HamiltonianSpec, Interval, boundary_bound, dense_matrix, \
     extensivity_constant, restrict, spec_digest
-from .oracle import DEFAULT_DENSE_CAP, DenseCapError, dense_exp, relative_error
+from .oracle import DEFAULT_DENSE_CAP, DenseCapError, dense_exp, relative_error, \
+    schatten_from_spectrum
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, CompressionPolicy, hamiltonian_mpo
 from .merge import build_merge_mpo, merge_spec_for, tail_prefactor, \
@@ -511,8 +512,11 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
     if measure and dense_ok:
         reference = dense_exp(dense_matrix(spec, cap=dense_cap), -budget.beta)
         approx = m_final.densify(cap=dense_cap)
+        ref_sv = np.linalg.svd(reference, compute_uv=False)
+        diff_sv = np.linalg.svd(reference - approx, compute_uv=False)
         for p in pnorms:
-            measured[_pkey(p)] = relative_error(reference, approx, p)
+            measured[_pkey(p)] = (schatten_from_spectrum(diff_sv, p)
+                                  / schatten_from_spectrum(ref_sv, p))
         if not real_time:  # tr exp(-iHt) can vanish; only thermal traces compared
             ref_trace = complex(np.trace(reference))
             measured["trace"] = abs(complex(m_final.trace()) - ref_trace) / abs(ref_trace)

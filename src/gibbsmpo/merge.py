@@ -15,6 +15,11 @@ whose error obeys ||Psi - Psi~|| <= c0 * 2^-m0 whenever
 |b0| <= 1/(24*g*k^2), with c0 = exp(gt / (6*g*k^2)) for any uniform bound
 gt on the boundary-interaction norm.  The certification helpers measure
 those bounds densely at oracle scale.
+
+The dense evaluator applies Horner's rule in H_AB to streamed partial
+Taylor sums in H_A + H_B: O(m0) matrix products and a constant number of
+dense matrices at any order.  Per-order terms, whose norms the
+certification reports, are still summed literally.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from .model import HamiltonianSpec, Interval, boundary_bound, dense_matrix, \
     extensivity_constant, restrict, spec_digest
-from .oracle import DEFAULT_DENSE_CAP, dense_exp
+from .oracle import DEFAULT_DENSE_CAP, DenseCapError, dense_exp
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, BondCapError, CompressionPolicy, \
     hamiltonian_mpo
@@ -126,37 +131,68 @@ def merge_operator_dense(ms: MergeOperatorSpec,
 
 
 def _dense_power_tables(ms: MergeOperatorSpec, up_to: int, cap: int):
-    h_ab = dense_matrix(ms.spec_ab, cap=cap)
-    h_sum = dense_matrix(ms.spec_sum, cap=cap)
-    dim = h_ab.shape[0]
-    pow_ab = [np.eye(dim, dtype=complex)]
-    pow_sum = [np.eye(dim, dtype=complex)]
-    for _ in range(up_to):
-        pow_ab.append(pow_ab[-1] @ h_ab)
-        pow_sum.append(pow_sum[-1] @ h_sum)
+    """Powers 0..up_to of H_AB and H_A+H_B; order 0 needs no Hamiltonian."""
+    dim = ms.spec_ab.d ** ms.spec_ab.n
+    if dim > cap:
+        raise DenseCapError(f"dense dimension {dim} exceeds cap {cap}")
+    eye = np.eye(dim, dtype=complex)
+    pow_ab, pow_sum = [eye], [eye]
+    if up_to > 0:
+        h_ab = dense_matrix(ms.spec_ab, cap=cap)
+        h_sum = dense_matrix(ms.spec_sum, cap=cap)
+        for _ in range(up_to):
+            pow_ab.append(pow_ab[-1] @ h_ab)
+            pow_sum.append(pow_sum[-1] @ h_sum)
     return pow_ab, pow_sum
+
+
+def _order_term(pow_ab, pow_sum, beta0: complex, m: int) -> np.ndarray:
+    """Literal order-m term sum_{s1+s2=m} c(s1, s2) H_AB^s1 (H_A+H_B)^s2."""
+    out = np.zeros_like(pow_ab[0])
+    for s1 in range(m + 1):
+        out += _taylor_coefficient(beta0, s1, m - s1) * (pow_ab[s1] @ pow_sum[m - s1])
+    return out
 
 
 def truncated_merge_dense(ms: MergeOperatorSpec,
                           cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Dense evaluation of the order-m0 truncated merge operator."""
-    pow_ab, pow_sum = _dense_power_tables(ms, ms.order, cap)
-    out = np.zeros_like(pow_ab[0])
-    for m in range(ms.order + 1):
-        for s1 in range(m + 1):
-            out += _taylor_coefficient(ms.beta0, s1, m - s1) * (
-                pow_ab[s1] @ pow_sum[m - s1])
-    return out
+    """Dense evaluation of the order-m0 truncated merge operator.
+
+    Grouping the double sum by the power of H_AB gives
+
+        Psi~ = sum_{j<=m0} (-b0 H_AB)^j / j! * P_{m0-j},
+
+    with P_k the order-k partial Taylor sum of exp(b0 (H_A+H_B)).  Horner's
+    rule in H_AB, A_j = P_{m0-j} + (-b0/(j+1)) H_AB A_{j+1} from
+    A_{m0} = P_0 = 1, consumes the P_k in ascending order, so they are
+    streamed alongside: 2*m0 products and a constant number of live
+    dim x dim matrices at any order.  The result is A_0.  A real step with
+    real Hamiltonian matrices runs in real arithmetic, where a product
+    costs a quarter of a complex one.
+    """
+    h_ab = dense_matrix(ms.spec_ab, cap=cap)
+    h_sum = dense_matrix(ms.spec_sum, cap=cap)
+    beta0 = complex(ms.beta0)
+    if beta0.imag == 0.0 and not (h_ab.imag.any() or h_sum.imag.any()):
+        h_ab, h_sum, beta0 = h_ab.real.copy(), h_sum.real.copy(), beta0.real
+    acc = np.eye(h_ab.shape[0], dtype=h_ab.dtype)  # A_{m0-k}
+    term = acc.copy()     # T_k = (b0 (H_A+H_B))^k / k!
+    partial = acc.copy()  # P_k = T_0 + ... + T_k
+    for k in range(1, ms.order + 1):
+        term = h_sum @ term
+        term *= beta0 / k
+        partial += term
+        acc = h_ab @ acc
+        acc *= -beta0 / (ms.order - k + 1)
+        acc += partial
+    return acc.astype(complex, copy=False)
 
 
 def merge_order_term_dense(ms: MergeOperatorSpec, m: int,
                            cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Dense order-m contribution to the merge-operator expansion."""
     pow_ab, pow_sum = _dense_power_tables(ms, m, cap)
-    out = np.zeros_like(pow_ab[0])
-    for s1 in range(m + 1):
-        out += _taylor_coefficient(ms.beta0, s1, m - s1) * (pow_ab[s1] @ pow_sum[m - s1])
-    return out
+    return _order_term(pow_ab, pow_sum, ms.beta0, m)
 
 
 def certify_merge_truncation(ms: MergeOperatorSpec, *,
@@ -185,10 +221,7 @@ def certify_merge_truncation(ms: MergeOperatorSpec, *,
     orders = []
     pow_ab, pow_sum = _dense_power_tables(ms, max_order_terms, cap)
     for m in range(max_order_terms + 1):
-        term = np.zeros_like(pow_ab[0])
-        for s1 in range(m + 1):
-            term += _taylor_coefficient(ms.beta0, s1, m - s1) * (
-                pow_ab[s1] @ pow_sum[m - s1])
+        term = _order_term(pow_ab, pow_sum, ms.beta0, m)
         norm_m = float(np.linalg.norm(term, ord=2))
         order_bound = (2.0 * comm_scale * abs(ms.beta0)) ** m * math.exp(gtilde / comm_scale)
         orders.append({"m": m, "norm": norm_m, "bound": order_bound,

@@ -35,14 +35,28 @@ def gibbs_dense(spec: HamiltonianSpec, beta: complex,
 
 
 def schatten_norm(op: np.ndarray, p: float) -> float:
-    """[tr |op|^p]^(1/p) from singular values; p = inf is the operator norm.
+    """[tr |op|^p]^(1/p); p = inf is the operator norm.
+
+    p = 2 is the Frobenius norm and needs no SVD; it is rescaled by the
+    largest entry so large operators do not overflow.
+    """
+    if p == 2:
+        top = float(np.abs(op).max()) if op.size else 0.0
+        if top == 0.0:
+            return 0.0
+        return top * float(np.linalg.norm(op / top))
+    return schatten_from_spectrum(np.linalg.svd(op, compute_uv=False), p)
+
+
+def schatten_from_spectrum(sv: np.ndarray, p: float) -> float:
+    """Schatten-p norm from singular values sorted in descending order.
 
     The sum is rescaled by the largest singular value so large p (as needed
-    for powered-norm arguments) does not overflow.
+    for powered-norm arguments) does not overflow.  One spectrum serves
+    every p.
     """
     if p != np.inf and p < 1:
         raise ValueError(f"Schatten order must be >= 1 or inf, got {p}")
-    sv = np.linalg.svd(op, compute_uv=False)
     top = float(sv[0]) if sv.size else 0.0
     if p == np.inf or top == 0.0:
         return top

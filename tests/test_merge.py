@@ -1,6 +1,7 @@
 """Merge-operator truncation: bounds, cancellation identities, MPO assembly."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -24,6 +25,7 @@ from gibbsmpo.model import (
     HamiltonianSpec,
     Interval,
     boundary_bound,
+    dense_matrix,
     extensivity_constant,
     power_law_ising,
 )
@@ -141,6 +143,48 @@ def test_zero_beta0_exact_identity():
 
 
 # ---------------------------------------------------------------------------
+# streamed Horner evaluation
+# ---------------------------------------------------------------------------
+
+def literal_merge(ms):
+    """sum_{s1+s2<=m0} (-b0 H_AB)^s1/s1! (b0 (H_A+H_B))^s2/s2!, term by term."""
+    h_ab, h_sum = dense_matrix(ms.spec_ab), dense_matrix(ms.spec_sum)
+    mp = np.linalg.matrix_power
+    out = np.zeros_like(h_ab)
+    for s1 in range(ms.order + 1):
+        for s2 in range(ms.order + 1 - s1):
+            out += (mp(-ms.beta0 * h_ab, s1) @ mp(ms.beta0 * h_sum, s2)
+                    / (math.factorial(s1) * math.factorial(s2)))
+    return out
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 12])
+@pytest.mark.parametrize("phase", [1.0, 1j])
+def test_horner_matches_literal_double_sum(order, phase):
+    spec = chain(6)
+    ms = merge_spec_for(spec, Interval(1, 2), Interval(3, 6),
+                        phase * window(spec), order)
+    ref = literal_merge(ms)
+    got = truncated_merge_dense(ms)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("phase", [1.0, 1j])
+def test_horner_holds_constant_number_of_matrices(phase):
+    # the literal sum held 2*(m0+1) power tables (~60 matrices at order 29)
+    spec = chain(8)
+    ms = half_merge(spec, phase * window(spec), 29)
+    matrix_bytes = 256 * 256 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        truncated_merge_dense(ms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * matrix_bytes, peak / matrix_bytes
+
+
+# ---------------------------------------------------------------------------
 # truncation bound and per-order decay
 # ---------------------------------------------------------------------------
 
@@ -162,6 +206,23 @@ def test_truncation_bound_order_sweep(n):
         ms = half_merge(spec, window(spec), order)
         rep = certify_merge_truncation(ms, gtilde=gt, max_order_terms=0)
         assert rep["ok"], (order, rep["measured_error"], rep["error_bound"])
+
+
+def test_certify_without_order_terms_builds_no_tables(monkeypatch):
+    # two Hamiltonians each for the exact and the truncated operator only
+    import gibbsmpo.merge as merge_mod
+    calls = []
+    real = merge_mod.dense_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(merge_mod, "dense_matrix", counting)
+    spec = chain(4)
+    certify_merge_truncation(half_merge(spec, window(spec), 4),
+                             max_order_terms=0)
+    assert len(calls) == 4
 
 
 def test_per_order_decay_at_window_boundary():

@@ -79,6 +79,7 @@ def test_schatten_norm_ordering():
 def test_schatten_large_p_stable():
     a = np.diag([1e150, 1.0])
     assert schatten_norm(a, 200.0) == pytest.approx(1e150)
+    assert schatten_norm(np.full((2, 2), 1e200), 2) == pytest.approx(2e200)
 
 
 def test_relative_error_basics():
