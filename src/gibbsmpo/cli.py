@@ -37,10 +37,10 @@ EXIT_VERIFY = 5
 
 _RUN_KEYS = {"mode", "beta", "beta_steps", "time", "epsilon", "compress",
              "pnorms", "dense_cap", "max_bond", "engine", "two_local",
-             "override_order", "seed"}
+             "override_order"}
 _VERIFY_KEYS = {"checks", "fast", "expect_fail", "seed"}
-_SWEEP_KEYS = {"kind", "n", "alpha", "orders", "epsilons", "max_steps",
-               "epsilon", "beta_steps", "override_order", "two_local"}
+_SWEEP_KEYS = {"kind", "orders", "epsilons", "max_steps", "epsilon",
+               "beta_steps", "override_order", "two_local"}
 _TOP_KEYS = {"format", "model", "run", "verify", "sweep"}
 
 
@@ -348,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="run the pipeline and write artifacts")
     p_build.add_argument("--config", required=True)
     p_build.add_argument("--out", default=None)
-    p_build.add_argument("--seed", type=int, default=None)
     p_build.add_argument("--cap-dense", type=int, default=None)
     p_build.add_argument("--compress", default=None,
                          help="none, tol=REAL or maxbond=INT")
@@ -366,7 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid runs emitting JSONL rows")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_fit = sub.add_parser("fit", help="fit the exponential kernel series")

@@ -3,7 +3,9 @@
 The thermal operator exp(-beta*H) is built in four stages.  (1) Exact
 high-temperature operators exp(-b0*H_leaf) on two-site leaf blocks.
 (2) log2(n) merge layers, each joining adjacent blocks with a truncated
-merge operator.  (3) The result approximates exp(-b0*H) with a relative
+merge operator.  The dense and MPO engines share this one layer loop; they
+differ only in the block type (dense matrix or MPO) and hence in how a
+pair is merged.  (3) The result approximates exp(-b0*H) with a relative
 error eps0' that obeys the per-layer recursion e_q = a2*d0 + a1*e_{q-1}.
 (4) Raising it to the integer power Q = beta/b0 reaches the target
 temperature with relative error at most 5*Q*eps0' in every Schatten norm.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,8 +32,8 @@ from .oracle import DEFAULT_DENSE_CAP, DenseCapError, dense_exp, relative_error,
     schatten_from_spectrum
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, CompressionPolicy, hamiltonian_mpo
-from .merge import build_merge_mpo, merge_spec_for, tail_prefactor, \
-    truncated_merge_dense, truncation_order_for
+from .merge import MAX_TAYLOR_ORDER, build_merge_mpo, merge_spec_for, \
+    tail_prefactor, truncated_merge_dense, truncation_order_for
 
 
 class BudgetError(ValueError):
@@ -76,35 +78,17 @@ class ErrorBudget:
     final_bond_ledger: int
 
     def to_dict(self) -> dict:
-        out = {
-            "epsilon": self.epsilon,
-            "beta_real": self.beta.real,
-            "beta_imag": self.beta.imag,
-            "beta_abs": self.beta_abs,
-            "steps": self.steps,
-            "beta0_real": self.beta0.real,
-            "beta0_imag": self.beta0.imag,
-            "merge_tol": self.merge_tol,
-            "order": self.order,
-            "num_layers": self.num_layers,
-            "ham_tol": self.ham_tol,
-            "mpo_target": self.mpo_target,
-            "extensivity": self.extensivity,
-            "boundary_norm": self.boundary_norm,
-            "locality": self.locality,
-            "tail_prefactor": self.tail_prefactor,
-            "merge_gain": self.merge_gain,
-            "merge_offset": self.merge_offset,
-            "high_temp_error": self.high_temp_error,
-            "powered_error": self.powered_error,
-            "total_predicted": self.total_predicted,
-            "two_local_path": self.two_local_path,
-            "real_time": self.real_time,
-            "ham_bond": self.ham_bond,
-            "merge_bond_ledger_log10": _log10_int(self.merge_bond_ledger),
-            "high_temp_bond_ledger_log10": _log10_int(self.high_temp_bond_ledger),
-            "final_bond_ledger_log10": _log10_int(self.final_bond_ledger),
-        }
+        """Flat view; complex fields split, bond ledgers given as log10."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "complex":
+                out[f"{f.name}_real"] = value.real
+                out[f"{f.name}_imag"] = value.imag
+            elif f.name.endswith("_ledger"):
+                out[f"{f.name}_log10"] = _log10_int(value)
+            else:
+                out[f.name] = value
         return out
 
 
@@ -242,6 +226,21 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
 # pipeline stages
 # ---------------------------------------------------------------------------
 
+def _block_exp(run_spec: HamiltonianSpec, interval: Interval, beta0: complex,
+               cap: int | None = None) -> np.ndarray:
+    """Dense exp(-b0*H) of one block: a leaf operator or a layer reference."""
+    local = restrict(run_spec, interval)
+    h = dense_matrix(local, cap=local.d ** local.n if cap is None else cap)
+    return dense_exp(h, -beta0)
+
+
+def _as_mpo(op: np.ndarray | MPO, d: int) -> MPO:
+    """An MPO passes through; a dense block is refactorized exactly."""
+    if isinstance(op, MPO):
+        return op
+    return mpo_ops.from_dense(op, int(round(math.log(op.shape[0], d))), d)
+
+
 def leaf_gibbs_mpos(run_spec: HamiltonianSpec, beta0: complex,
                     plan: MergePlan) -> list[tuple[Interval, MPO]]:
     """Exact thermal MPOs of the leaf blocks (dense exponential per leaf).
@@ -250,13 +249,11 @@ def leaf_gibbs_mpos(run_spec: HamiltonianSpec, beta0: complex,
     trivial tensor-train refactorization with bond at most d^leaf_size; the
     leaf layer therefore carries no approximation error.
     """
-    out = []
-    for leaf in plan.layers[0]:
-        local = restrict(run_spec, leaf)
-        h = dense_matrix(local, cap=local.d ** local.n)
-        out.append((leaf, mpo_ops.from_dense(dense_exp(h, -beta0),
-                                             local.n, local.d)))
-    return out
+    return [(leaf, _as_mpo(_block_exp(run_spec, leaf, beta0), run_spec.d))
+            for leaf in plan.layers[0]]
+
+
+Block = tuple[Interval, "np.ndarray | MPO"]  # dense on the dense engine
 
 
 @dataclass
@@ -266,47 +263,42 @@ class LayerDiagnostics:
     errors: list[float] = field(default_factory=list)       # max rel S2 error
     bond_profiles: list[list[int]] = field(default_factory=list)
     discarded_weight: float = 0.0
-    measured: bool = True
 
 
-def _block_reference(run_spec, interval, beta0, dense_cap):
-    local = restrict(run_spec, interval)
-    return dense_exp(dense_matrix(local, cap=dense_cap), -beta0)
-
-
-def _measure_layer(blocks, run_spec, beta0, dense_cap, as_dense):
-    worst = 0.0
-    for interval, payload in blocks:
-        ref = _block_reference(run_spec, interval, beta0, dense_cap)
-        got = payload if as_dense else payload.densify(cap=dense_cap)
-        worst = max(worst, relative_error(ref, got, 2))
-    return worst
-
-
-def merge_layer(blocks: list[tuple[Interval, MPO]], run_spec: HamiltonianSpec,
+def merge_layer(blocks: list[Block], run_spec: HamiltonianSpec,
                 beta0: complex, order: int,
                 policy: CompressionPolicy | None = None, *,
                 dense_cap: int = DEFAULT_DENSE_CAP,
                 max_bond: int = DEFAULT_MAX_BOND,
-                force: bool = False) -> tuple[list[tuple[Interval, MPO]], float]:
-    """Join adjacent block pairs with truncated merge operators (MPO engine).
+                force: bool = False) -> tuple[list[Block], float]:
+    """Join adjacent block pairs with truncated merge operators.
 
-    Returns the next layer and the cumulative discarded compression weight
-    (0 for lossless policies).  An odd trailing block passes through.
+    Dense blocks are merged by the dense evaluator and a Kronecker product;
+    MPO blocks by the merge MPO and an exact (or, under a truncating
+    policy, zip-up) product.  Returns the next layer and the cumulative
+    discarded compression weight (0 for lossless policies).  An odd
+    trailing block passes through.
     """
-    nxt: list[tuple[Interval, MPO]] = []
+    nxt = []
     discarded = 0.0
     for i in range(0, len(blocks) - 1, 2):
-        (iva, ma), (ivb, mb) = blocks[i], blocks[i + 1]
+        (iva, a), (ivb, b) = blocks[i], blocks[i + 1]
         ms = merge_spec_for(run_spec, iva, ivb, beta0, order)
-        psi = build_merge_mpo(ms, policy=policy, dense_cap=dense_cap,
-                              max_bond=max_bond, force=force)
-        pair = mpo_ops.concat(ma, mb)
-        if policy is not None and not policy.lossless:
-            merged, w = mpo_ops.multiply_compressed(psi, pair, policy)
-            discarded += w
+        if not isinstance(a, MPO):
+            if not ms.certified_regime() and not force:
+                raise ValueError(f"|beta0|={abs(beta0):.3e} outside the "
+                                 "certified window; pass force=True to run "
+                                 "anyway")
+            merged = truncated_merge_dense(ms, cap=dense_cap) @ np.kron(a, b)
         else:
-            merged = mpo_ops.multiply(psi, pair, max_bond=max_bond)
+            psi = build_merge_mpo(ms, policy=policy, dense_cap=dense_cap,
+                                  max_bond=max_bond, force=force)
+            pair = mpo_ops.concat(a, b)
+            if policy is not None and not policy.lossless:
+                merged, w = mpo_ops.multiply_compressed(psi, pair, policy)
+                discarded += w
+            else:
+                merged = mpo_ops.multiply(psi, pair, max_bond=max_bond)
         nxt.append((Interval(iva.lo, ivb.hi), merged))
     if len(blocks) % 2 == 1:
         nxt.append(blocks[-1])
@@ -323,10 +315,12 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
                         measure: bool = True) -> tuple[MPO, LayerDiagnostics]:
     """Run leaves plus all merge layers; returns the merged-chain MPO.
 
-    engine "dense" evaluates block operators densely and refactorizes them
-    into exact MPOs (bonds equal true cut ranks); it requires the chain to
-    fit the dense cap and a lossless policy, and is numerically identical
-    to the uncompressed MPO arithmetic.  engine "mpo" runs the literal MPO
+    Both engines run the same layer loop and differ only in the block type,
+    hence in how a pair is merged.  engine "dense" keeps dense block
+    operators and refactorizes each into an exact MPO (bonds equal true cut
+    ranks); it requires the chain to fit the dense cap and a lossless
+    policy, and is numerically identical to the uncompressed MPO
+    arithmetic.  engine "mpo" keeps MPO blocks and runs the literal MPO
     pipeline (mandatory for truncating policies).  "auto" picks "dense"
     when admissible, else "mpo".
     """
@@ -335,31 +329,19 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
     engine = _resolve_engine(engine, run_spec, policy, dense_cap)
     diag = LayerDiagnostics()
     beta0 = budget.beta0
-    dense_ok = run_spec.d ** run_spec.n <= dense_cap
+    measure = measure and run_spec.d ** run_spec.n <= dense_cap
 
-    if engine == "dense":
-        blocks = [(leaf, _block_reference(run_spec, leaf, beta0, dense_cap))
-                  for leaf in plan.layers[0]]
-        _record_layer(diag, blocks, run_spec, beta0, dense_cap, measure, True)
-        for _ in range(1, plan.num_layers):
-            blocks = _merge_layer_dense(blocks, run_spec, beta0, budget.order,
-                                        dense_cap, force)
-            _record_layer(diag, blocks, run_spec, beta0, dense_cap, measure, True)
-        interval, dense = blocks[0]
-        return mpo_ops.from_dense(dense, run_spec.n, run_spec.d), diag
-
-    blocks = leaf_gibbs_mpos(run_spec, beta0, plan)
-    _record_layer(diag, blocks, run_spec, beta0, dense_cap,
-                  measure and dense_ok, False)
+    blocks = leaf_gibbs_mpos(run_spec, beta0, plan) if engine == "mpo" else [
+        (leaf, _block_exp(run_spec, leaf, beta0)) for leaf in plan.layers[0]]
+    as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap, measure)
     for _ in range(1, plan.num_layers):
         blocks, w = merge_layer(blocks, run_spec, beta0, budget.order, policy,
                                 dense_cap=dense_cap, max_bond=max_bond,
                                 force=force)
         diag.discarded_weight += w
-        _record_layer(diag, blocks, run_spec, beta0, dense_cap,
-                      measure and dense_ok, False)
-    diag.measured = measure and dense_ok
-    return blocks[0][1], diag
+        as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap,
+                                measure)
+    return as_mpos[0][1], diag
 
 
 def _resolve_engine(engine: str, run_spec, policy, dense_cap) -> str:
@@ -378,35 +360,17 @@ def _resolve_engine(engine: str, run_spec, policy, dense_cap) -> str:
     return "dense" if (dense_ok and lossless) else "mpo"
 
 
-def _merge_layer_dense(blocks, run_spec, beta0, order, dense_cap, force):
-    nxt = []
-    for i in range(0, len(blocks) - 1, 2):
-        (iva, da), (ivb, db) = blocks[i], blocks[i + 1]
-        ms = merge_spec_for(run_spec, iva, ivb, beta0, order)
-        if not ms.certified_regime() and not force:
-            raise ValueError(f"|beta0|={abs(beta0):.3e} outside the certified "
-                             "window; pass force=True to run anyway")
-        psi = truncated_merge_dense(ms, cap=dense_cap)
-        nxt.append((Interval(iva.lo, ivb.hi), psi @ np.kron(da, db)))
-    if len(blocks) % 2 == 1:
-        nxt.append(blocks[-1])
-    return nxt
-
-
-def _record_layer(diag, blocks, run_spec, beta0, dense_cap, measure, as_dense):
+def _record_layer(diag, blocks, run_spec, beta0, dense_cap, measure):
+    """Log one layer's error and bond maxima; return its blocks as MPOs."""
     if measure:
-        diag.errors.append(_measure_layer(blocks, run_spec, beta0, dense_cap,
-                                          as_dense))
-    profiles = []
-    for _, payload in blocks:
-        if as_dense:
-            interval_mpo = mpo_ops.from_dense(
-                payload, int(round(math.log(payload.shape[0], run_spec.d))),
-                run_spec.d)
-            profiles.append(list(interval_mpo.bond_profile))
-        else:
-            profiles.append(list(payload.bond_profile))
-    diag.bond_profiles.append([max(p) for p in profiles])
+        diag.errors.append(max(
+            relative_error(_block_exp(run_spec, iv, beta0, dense_cap),
+                           op.densify(cap=dense_cap) if isinstance(op, MPO)
+                           else op, 2)
+            for iv, op in blocks))
+    as_mpos = [(iv, _as_mpo(op, run_spec.d)) for iv, op in blocks]
+    diag.bond_profiles.append([max(m.bond_profile) for _, m in as_mpos])
+    return as_mpos
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +441,7 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
     notes: list[str] = []
     certified = True
     if override_order is not None:
-        if not 0 <= override_order <= 60:
+        if not 0 <= override_order <= MAX_TAYLOR_ORDER:
             raise ValueError(f"override order {override_order} out of range")
         if override_order < budget.order:
             certified = False

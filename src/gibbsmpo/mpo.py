@@ -267,12 +267,11 @@ def scale(a: MPO, c: complex) -> MPO:
     return MPO(cores)
 
 
-def power(a: MPO, q: int, policy: CompressionPolicy | None = None,
-          max_bond: int = DEFAULT_MAX_BOND) -> MPO:
-    """Left-folded q-th operator power with optional per-step compression.
+def power(a: MPO, q: int, *, max_bond: int = DEFAULT_MAX_BOND) -> MPO:
+    """Left-folded exact q-th operator power.
 
-    Without compression the bond profile is the q-fold elementwise power;
-    exceeding ``max_bond`` fails fast with the analytic estimate attached.
+    The bond profile is the q-fold elementwise power; exceeding
+    ``max_bond`` fails fast with the analytic estimate attached.
     """
     if q < 1:
         raise ValueError(f"exponent must be a positive integer, got {q}")
@@ -285,8 +284,6 @@ def power(a: MPO, q: int, policy: CompressionPolicy | None = None,
             raise BondCapError(
                 f"{exc}; uncompressed power would reach bond {estimate}",
                 estimate=estimate) from exc
-        if policy is not None and not policy.is_none:
-            out, _ = compress(out, policy)
     return out
 
 

@@ -48,7 +48,7 @@ def test_build_writes_artifacts(tmp_path):
 
 
 def test_build_reports_are_deterministic(tmp_path):
-    cfg = write_config(tmp_path, demo_config(n=6, seed=7))
+    cfg = write_config(tmp_path, demo_config(n=6))
     reports = []
     for sub in ("a", "b"):
         out = tmp_path / sub
@@ -102,6 +102,25 @@ def test_build_bad_flag_values_exit_config(tmp_path):
     assert main(["build", "--config", cfg, "--pnorms", "1,zero"]) \
         == EXIT_CONFIG
     assert main(["build", "--config", cfg, "--pnorms", "0.5"]) == EXIT_CONFIG
+
+
+def test_removed_seed_and_sweep_keys_are_rejected(tmp_path):
+    # the model section alone fixes the chain and a build is deterministic,
+    # so neither a seed nor sweep-level n/alpha is accepted
+    seeded = demo_config()
+    seeded["run"]["seed"] = 7
+    assert main(["build", "--config",
+                 write_config(tmp_path, seeded, "seeded.json")]) == EXIT_CONFIG
+    sweep = {"format": 1,
+             "model": {"name": "power_law_ising", "n": 4, "alpha": 3.0},
+             "sweep": {"kind": "order", "n": 4}}
+    assert main(["sweep", "--config",
+                 write_config(tmp_path, sweep, "sweep.json")]) == EXIT_CONFIG
+    cfg = write_config(tmp_path, demo_config())
+    for command in ("build", "sweep"):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--config", cfg, "--seed", "1"])
+        assert err.value.code == EXIT_CONFIG
 
 
 def test_build_cap_error_exit_code(tmp_path):

@@ -28,6 +28,7 @@ from gibbsmpo.model import (
     power_law_ising,
     restrict,
 )
+from gibbsmpo import mpo as mpo_module
 from gibbsmpo.mpo import BondCapError, CompressionPolicy, concat, multiply
 from gibbsmpo.oracle import dense_exp, partition_function, relative_error
 
@@ -201,6 +202,40 @@ def test_engines_agree_at_forced_low_order():
     assert np.abs(m_mpo.densify() - ref).max() < 1e-10 * np.abs(ref).max()
 
 
+def test_merge_layer_dense_blocks_match_mpo_blocks():
+    # the shared layer loop merges either block type; both must give the
+    # same operator
+    spec = chain(4)
+    budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2)
+    mpos = leaf_gibbs_mpos(run_spec, budget.beta0, build_merge_plan(4))
+    dense = [(iv, m.densify()) for iv, m in mpos]
+    (iv_d, got_dense), = merge_layer(dense, run_spec, budget.beta0,
+                                     budget.order)[0]
+    (iv_m, got_mpo), = merge_layer(mpos, run_spec, budget.beta0,
+                                   budget.order)[0]
+    assert iv_d == iv_m == Interval(1, 4)
+    assert isinstance(got_dense, np.ndarray)
+    ref = got_mpo.densify()
+    assert np.abs(got_dense - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_dense_engine_refactorizes_each_block_once(monkeypatch):
+    # one from_dense per block of the plan (4 + 2 + 1 at n=8) plus one for
+    # the powered result; the top block's MPO is not rebuilt
+    calls = []
+    original = mpo_module.from_dense
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mpo_module, "from_dense", counting)
+    spec = chain(8)
+    _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
+    assert report.engine == "dense" and report.budget.steps == 5
+    assert len(calls) == 8
+
+
 def test_high_temp_diagnostics_layers():
     spec = chain(8)
     budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2)
@@ -314,6 +349,29 @@ def test_zero_evolution_returns_identity():
         m, report = builder(spec, arg, 1e-2)
         assert np.abs(m.densify() - np.eye(16)).max() == 0.0
         assert report.measured["pinf"] == 0.0
+
+
+BUDGET_KEYS = {
+    "epsilon", "beta_real", "beta_imag", "beta_abs", "steps", "beta0_real",
+    "beta0_imag", "merge_tol", "order", "num_layers", "ham_tol", "mpo_target",
+    "extensivity", "boundary_norm", "locality", "tail_prefactor",
+    "merge_gain", "merge_offset", "high_temp_error", "powered_error",
+    "total_predicted", "two_local_path", "real_time", "ham_bond",
+    "merge_bond_ledger_log10", "high_temp_bond_ledger_log10",
+    "final_bond_ledger_log10",
+}
+
+
+@pytest.mark.parametrize("beta_steps", [0, 1])
+def test_budget_report_keys(beta_steps):
+    spec = chain(4)
+    _, report = build_gibbs_mpo(spec, beta_steps * window(spec), 1e-2)
+    budget = report.to_dict()["budget"]
+    assert len(BUDGET_KEYS) == 27
+    assert set(budget) == BUDGET_KEYS
+    assert budget["beta_real"] == report.budget.beta.real
+    assert budget["beta0_imag"] == report.budget.beta0.imag
+    assert isinstance(budget["steps"], int)
 
 
 def test_zero_hamiltonian_identity_for_all_times():
