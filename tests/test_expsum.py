@@ -15,6 +15,8 @@ from gibbsmpo.expsum import (
     node_spacing,
     ExpSumApprox,
 )
+from gibbsmpo import expsum, gibbs, verify
+from gibbsmpo.gibbs import build_gibbs_mpo, plan_budget
 from gibbsmpo.model import dense_matrix, nearest_neighbor_ising, power_law_ising
 
 
@@ -87,6 +89,16 @@ def test_certified_error_below_frozen_constant(alpha, eps):
     assert series.certified_sup_error <= kernel_error_constant(alpha) * eps
 
 
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+def test_grid_certification_matches_one_shot(alpha, eps):
+    series = fit(alpha, eps, r_max=2.0 ** 10)
+    npts = 16 * (2 ** 10 - 1) + 1  # default grid step 2**-4
+    r = 1.0 + series.grid_step * np.arange(npts)
+    kernel = np.exp(-np.multiply.outer(r, series.rates)) @ series.weights
+    assert series.certified_sup_error == np.max(np.abs(r ** (-alpha) - kernel))
+
+
 def test_kernel_values_on_integer_separations():
     series = fit(3.0, 1e-3)
     r = np.arange(1, 50, dtype=float)
@@ -115,6 +127,43 @@ def test_replacement_norm_bound_dense():
         assert series is not None
         dev = np.linalg.norm(h - dense_matrix(approx), ord=2)
         assert dev <= tol
+
+
+def test_plan_certifies_kernel_on_chain_distances():
+    # kernel target 0.0235 at alpha=3 lies where the frozen constant fails:
+    # the first 25-term fit misses the pair allowance on r = 1..7
+    # (8.28e-3 > 8.24e-3), so the plan must refit
+    spec = power_law_ising(8, 3.0)
+    budget, _, series = plan_budget(spec, 4 * verify.base_step(spec), 10 ** (-4 / 3))
+    r = np.arange(1, 8, dtype=float)
+    err = np.max(np.abs(r ** -3.0 - series.kernel(r)))
+    assert err <= budget.ham_tol / (spec.pair_weight_sum() * 64)
+
+
+def test_build_certifies_kernel_without_grid(monkeypatch):
+    fits, returned = [], []
+    fit_original = expsum.fit_kernel
+    approx_original = gibbs.approximate_hamiltonian
+
+    def recording_fit(*args, certify=True, **kwargs):
+        fits.append(certify)
+        return fit_original(*args, certify=certify, **kwargs)
+
+    def recording_approx(*args, **kwargs):
+        out = approx_original(*args, **kwargs)
+        returned.append(out[1])
+        return out
+
+    monkeypatch.setattr(expsum, "fit_kernel", recording_fit)
+    monkeypatch.setattr(gibbs, "approximate_hamiltonian", recording_approx)
+    n = 6
+    spec = power_law_ising(n, 3.0)
+    build_gibbs_mpo(spec, verify.base_step(spec), 1e-2)
+    assert fits == [False]
+    (series,) = returned
+    assert series.r_max == n - 1 and series.grid_step == 1.0
+    r = np.arange(1, n, dtype=float)
+    assert series.certified_sup_error == np.max(np.abs(r ** -3.0 - series.kernel(r)))
 
 
 def test_replacement_rejects_silly_tolerances():
