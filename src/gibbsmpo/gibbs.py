@@ -320,7 +320,7 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
     operators and refactorizes each into an exact MPO (bonds equal true cut
     ranks); it requires the chain to fit the dense cap and a lossless
     policy, and is numerically identical to the uncompressed MPO
-    arithmetic.  engine "mpo" keeps MPO blocks and runs the literal MPO
+    arithmetic.  engine "mpo" keeps MPO blocks and runs the MPO
     pipeline (mandatory for truncating policies).  "auto" picks "dense"
     when admissible, else "mpo".
     """
@@ -467,7 +467,7 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
                                        measure=measure)
     t_power = time.perf_counter()
     m_final, extra_discard = _power_step(m_base, budget.steps, policy, engine,
-                                         run_spec, dense_cap, max_bond)
+                                         dense_cap, max_bond)
     diag.discarded_weight += extra_discard
     t_measure = time.perf_counter()
 
@@ -538,14 +538,14 @@ def _trivial_identity_run(spec, epsilon, real_time, policy):
 
 
 def _power_step(m_base: MPO, steps: int, policy: CompressionPolicy,
-                engine: str, run_spec, dense_cap, max_bond):
+                engine: str, dense_cap, max_bond):
     """Left-folded Q-th power of the merged-chain MPO."""
     if steps == 1:
         return m_base, 0.0
     if engine == "dense":
         dense = m_base.densify(cap=dense_cap)
         powered = np.linalg.matrix_power(dense, steps)
-        return mpo_ops.from_dense(powered, run_spec.n, run_spec.d), 0.0
+        return mpo_ops.from_dense(powered, m_base.n, m_base.d), 0.0
     if policy.lossless:
         return mpo_ops.power(m_base, steps, max_bond=max_bond), 0.0
     out = m_base

@@ -16,10 +16,10 @@ whose error obeys ||Psi - Psi~|| <= c0 * 2^-m0 whenever
 gt on the boundary-interaction norm.  The certification helpers measure
 those bounds densely at oracle scale.
 
-The dense evaluator applies Horner's rule in H_AB to streamed partial
-Taylor sums in H_A + H_B: O(m0) matrix products and a constant number of
-dense matrices at any order.  Per-order terms, whose norms the
-certification reports, are still summed literally.
+Both evaluators apply Horner's rule in H_AB to streamed partial Taylor
+sums in H_A + H_B: 2*m0 products of dense matrices or of MPOs, and a
+constant number of live operators at any order.  Per-order terms, whose
+norms the certification reports, are still summed literally.
 """
 
 from __future__ import annotations
@@ -263,17 +263,18 @@ def _sum_hamiltonian_mpo(ms: MergeOperatorSpec) -> MPO:
 
 
 def assembly_bond_profile(ms: MergeOperatorSpec) -> tuple[int, ...]:
-    """Exact bond profile of the uncompressed term-by-term assembly."""
+    """Exact bond profile of the uncompressed Horner assembly.
+
+    sum_{j+s<=m0} pa[c]^j * ps[c]^s at each interior cut c, with pa and ps
+    the bond profiles of H_AB and H_A + H_B.
+    """
     pa = hamiltonian_mpo(ms.spec_ab).bond_profile
     ps = _sum_hamiltonian_mpo(ms).bond_profile
-    nsites = ms.spec_ab.n
-    total = [1] * (nsites + 1)  # the zero seed of the accumulating sum
-    for m in range(ms.order + 1):
-        for s1 in range(m + 1):
-            s2 = m - s1
-            for c in range(1, nsites):
-                total[c] += pa[c] ** s1 * ps[c] ** s2
-    return tuple(total)
+    m0 = ms.order
+    inner = [sum(pa[c] ** j * ps[c] ** s
+                 for j in range(m0 + 1) for s in range(m0 + 1 - j))
+             for c in range(1, ms.spec_ab.n)]
+    return (1, *inner, 1)
 
 
 def bond_ledger(ms: MergeOperatorSpec) -> int:
@@ -292,10 +293,10 @@ def build_merge_mpo(ms: MergeOperatorSpec, *,
     """MPO of the truncated merge operator on the joined block.
 
     Routes:
-      * "mpo": literal term-by-term assembly from the Hamiltonian MPOs via
-        exact multiply/add/scale (the algorithm as analyzed); bond profile
-        follows the assembly ledger exactly unless a truncating policy is
-        given.
+      * "mpo": Horner assembly from the Hamiltonian MPOs via exact
+        multiply/add/scale (2*m0 products); the bond profile is exactly
+        :func:`assembly_bond_profile`, within the :func:`bond_ledger`
+        bound, unless a compressing policy is given.
       * "dense": dense evaluation followed by an exact tensor-train
         refactorization; identical operator, bonds equal to true cut ranks.
         Only available inside the dense cap.
@@ -337,33 +338,31 @@ def build_merge_mpo(ms: MergeOperatorSpec, *,
 
 def _assemble_merge_mpo(ms: MergeOperatorSpec, policy: CompressionPolicy | None,
                         max_bond: int) -> MPO:
-    """Literal assembly: cached powers of the two Hamiltonian MPOs."""
-    n, d = ms.spec_ab.n, ms.spec_ab.d
-    h_ab = hamiltonian_mpo(ms.spec_ab)
-    h_sum = _sum_hamiltonian_mpo(ms)
+    """The recurrence of :func:`truncated_merge_dense` on Hamiltonian MPOs.
+
+    2*m0 products, H_AB on the left.  Under any policy but "none" (tol=0
+    included) each product is a zip-up and each sum is recompressed.
+    """
     compressing = policy is not None and not policy.is_none
 
-    def grow(x: MPO, factor: MPO) -> MPO:
+    def times(h: MPO, x: MPO, coef: complex) -> MPO:
         if compressing:
-            return mpo_ops.multiply_compressed(x, factor, policy)[0]
-        return mpo_ops.multiply(x, factor, max_bond=max_bond)
+            prod = mpo_ops.multiply_compressed(h, x, policy)[0]
+        else:
+            prod = mpo_ops.multiply(h, x, max_bond=max_bond)
+        return mpo_ops.scale(prod, coef)
 
-    def shrink(x: MPO) -> MPO:
-        if compressing:
-            return mpo_ops.compress(x, policy)[0]
-        return x
+    def plus(x: MPO, y: MPO) -> MPO:
+        out = mpo_ops.add(x, y, max_bond=max_bond)
+        return mpo_ops.compress(out, policy)[0] if compressing else out
 
-    # powers of H_AB, grown incrementally and reused across orders
-    pow_ab: list[MPO] = [mpo_ops.identity_mpo(n, d)]
-    for _ in range(ms.order):
-        pow_ab.append(grow(pow_ab[-1], h_ab))
-    out = mpo_ops.zero_mpo(n, d)
-    for s1 in range(ms.order + 1):
-        prod = pow_ab[s1]  # running product H_AB^s1 * (H_A+H_B)^s2
-        for s2 in range(ms.order + 1 - s1):
-            if s2 > 0:
-                prod = grow(prod, h_sum)
-            coef = _taylor_coefficient(ms.beta0, s1, s2)
-            out = shrink(mpo_ops.add(out, mpo_ops.scale(prod, coef),
-                                     max_bond=max_bond))
-    return out
+    h_ab = hamiltonian_mpo(ms.spec_ab)
+    h_sum = _sum_hamiltonian_mpo(ms)
+    acc = term = partial = mpo_ops.identity_mpo(ms.spec_ab.n, ms.spec_ab.d)
+    for k in range(1, ms.order + 1):
+        # the H_AB product first frees the previous A before P_k grows
+        acc = times(h_ab, acc, -ms.beta0 / (ms.order - k + 1))
+        term = times(h_sum, term, ms.beta0 / k)
+        partial = plus(partial, term)
+        acc = plus(acc, partial)
+    return acc

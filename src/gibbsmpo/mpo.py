@@ -142,9 +142,6 @@ class MPO:
             acc = acc @ np.einsum("lssr->lr", core)
         return complex(acc[0, 0])
 
-    def copy(self) -> "MPO":
-        return MPO([c.copy() for c in self.cores])
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -173,12 +170,11 @@ def random_mpo(n: int, d: int, bond: int, seed: int | None = None,
     return MPO(cores)
 
 
-def from_dense(op: np.ndarray, n: int, d: int, rel_tol: float = 0.0) -> MPO:
+def from_dense(op: np.ndarray, n: int, d: int) -> MPO:
     """Exact tensor-train factorization of a dense operator.
 
     Sequential SVDs keep every singular value above the numerical-zero
-    threshold (plus an optional relative truncation ``rel_tol`` on each
-    spectrum), so the default reproduces the operator to machine precision
+    threshold, so the result reproduces the operator to machine precision
     with bonds equal to the true cut ranks.
     """
     dim = d ** n
@@ -193,8 +189,6 @@ def from_dense(op: np.ndarray, n: int, d: int, rel_tol: float = 0.0) -> MPO:
     for j in range(n - 1):
         u, s, vh = np.linalg.svd(rest, full_matrices=False)
         cutoff = (s[0] if s.size else 0.0) * max(rest.shape) * _EPS
-        if rel_tol > 0.0 and s.size:
-            cutoff = max(cutoff, s[0] * rel_tol)
         keep = max(1, int(np.count_nonzero(s > cutoff)))
         cores.append(u[:, :keep].reshape(left, d, d, keep))
         rest = (s[:keep, None] * vh[:keep]).reshape(keep * d * d, -1)

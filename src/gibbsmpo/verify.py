@@ -87,7 +87,7 @@ def check_per_order_decay(ns=(4, 6), max_m: int = 10) -> dict:
 def check_decoupled_identity(n: int = 6, order: int = 7) -> dict:
     """With no cut-crossing terms the merge operator is the identity.
 
-    The binomial cancellation holds at every order; the literal MPO
+    The binomial cancellation holds at every order; the Horner MPO
     assembly is exercised at a low order (its uncompressed bonds grow fast)
     and the dense route at ``order``.
     """
@@ -200,7 +200,12 @@ def check_real_time(n: int = 6, times=(0.25, 0.5, 1.0),
 
 def check_kernel_certification(alphas=(2.5, 3.0, 4.0),
                                epsilons=(1e-2, 1e-3, 1e-4)) -> dict:
-    """Grid sup error of the fitted kernel stays below the frozen constant."""
+    """Grid sup error of the fitted kernel stays below the frozen constant.
+
+    Only at the listed ``epsilons``: at alpha=3 the constants fail for
+    targets in about [0.023, 0.029] and [0.092, 0.21].  Builds do not rely
+    on them; they certify each series on the chain's own distances.
+    """
     import warnings
 
     rows = []

@@ -1,11 +1,13 @@
 """CLI surface: exit codes, artifacts, determinism, sweeps, fit."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import gibbsmpo
 from gibbsmpo.cli import (
     EXIT_BUDGET,
     EXIT_CAP,
@@ -307,7 +309,11 @@ def test_bundled_demo_build_runs(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_console_script_help():
+    # the child imports the same package as the tests, installed or not
+    src = os.path.dirname(os.path.dirname(gibbsmpo.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "gibbsmpo.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "build" in proc.stdout and "verify" in proc.stdout

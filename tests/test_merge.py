@@ -167,6 +167,15 @@ def test_horner_matches_literal_double_sum(order, phase):
     ref = literal_merge(ms)
     got = truncated_merge_dense(ms)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the MPO route runs the same recurrence; its exact bonds grow like
+    # D_H^m0, so higher orders compress to roundoff on the way
+    if order <= 2:
+        got, rel = build_merge_mpo(ms, route="mpo").densify(), 1e-13
+    else:
+        policy = CompressionPolicy(mode="tolerance", tolerance=1e-24)
+        got = build_merge_mpo(ms, route="mpo", policy=policy).densify()
+        rel = 1e-11
+    assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("phase", [1.0, 1j])
@@ -315,9 +324,10 @@ def test_real_time_merge_routes_agree():
     assert rep["measured_error"] <= rep["error_bound"]
 
 
-def test_assembly_profile_matches_and_obeys_ledger():
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_assembly_profile_matches_and_obeys_ledger(order):
     spec = chain(4, hx=0.0)
-    ms = half_merge(spec, window(spec), 3)
+    ms = half_merge(spec, window(spec), order)
     built = build_merge_mpo(ms, route="mpo")
     predicted = assembly_bond_profile(ms)
     assert built.bond_profile == predicted
@@ -351,3 +361,23 @@ def test_compressed_assembly_stays_close():
     built = build_merge_mpo(ms, route="mpo", policy=policy)
     assert np.abs(built.densify() - ref).max() < 1e-8
     assert max(built.bond_profile) <= max(assembly_bond_profile(ms))
+
+
+def test_lossy_assembly_makes_two_products_per_order(monkeypatch):
+    # Horner: one H_A+H_B and one H_AB zip-up per order
+    import gibbsmpo.mpo as mpo_mod
+    calls = []
+    real = mpo_mod.multiply_compressed
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mpo_mod, "multiply_compressed", counting)
+    spec = chain(4)
+    ms = half_merge(spec, window(spec), 8)
+    policy = CompressionPolicy(mode="tolerance", tolerance=1e-10)
+    built = build_merge_mpo(ms, route="mpo", policy=policy)
+    assert len(calls) == 2 * 8
+    # dropped weight 1e-10 per cut: amplitude errors of order sqrt(1e-10)
+    assert np.abs(built.densify() - truncated_merge_dense(ms)).max() < 1e-5
