@@ -104,7 +104,6 @@ class MergePlan:
     """Binary block tree: layer q tiles the chain, layer q+1 joins pairs."""
 
     n: int
-    leaf_size: int
     layers: tuple[tuple[Interval, ...], ...]
 
     @property
@@ -112,12 +111,11 @@ class MergePlan:
         return len(self.layers)
 
 
-def build_merge_plan(n: int, leaf_size: int = 2) -> MergePlan:
-    """Halving tree over [1, n]; odd blocks are carried up unmerged."""
+def build_merge_plan(n: int) -> MergePlan:
+    """Halving tree over two-site leaves; odd blocks carry up unmerged."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    leaves = tuple(Interval(lo, min(lo + leaf_size - 1, n))
-                   for lo in range(1, n + 1, leaf_size))
+    leaves = tuple(Interval(lo, min(lo + 1, n)) for lo in range(1, n + 1, 2))
     layers = [leaves]
     while len(layers[-1]) > 1:
         prev = layers[-1]
@@ -126,7 +124,7 @@ def build_merge_plan(n: int, leaf_size: int = 2) -> MergePlan:
         if len(prev) % 2 == 1:
             nxt.append(prev[-1])
         layers.append(tuple(nxt))
-    return MergePlan(n=n, leaf_size=leaf_size, layers=tuple(layers))
+    return MergePlan(n=n, layers=tuple(layers))
 
 
 def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
@@ -194,8 +192,7 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
 
     a1, a2 = recursion_constants(g, k, gtilde)
     c0 = tail_prefactor(g, k, gtilde)
-    num_leaves = -(-spec.n // 2)
-    q0 = 1 + (num_leaves - 1).bit_length() if num_leaves > 1 else 1
+    q0 = build_merge_plan(spec.n).num_layers
     merge_tol = beta0_abs * mpo_target / (
         5.0 * beta_abs * a2 * spec.n ** math.log2(2.0 * a1))
     order = truncation_order_for(merge_tol, g, k, gtilde)
@@ -245,9 +242,9 @@ def leaf_gibbs_mpos(run_spec: HamiltonianSpec, beta0: complex,
                     plan: MergePlan) -> list[tuple[Interval, MPO]]:
     """Exact thermal MPOs of the leaf blocks (dense exponential per leaf).
 
-    Leaf blocks have at most ``leaf_size`` sites, so the conversion is a
-    trivial tensor-train refactorization with bond at most d^leaf_size; the
-    leaf layer therefore carries no approximation error.
+    Leaf blocks have at most two sites, so the conversion is a trivial
+    tensor-train refactorization with bond at most d^2; the leaf layer
+    therefore carries no approximation error.
     """
     return [(leaf, _as_mpo(_block_exp(run_spec, leaf, beta0), run_spec.d))
             for leaf in plan.layers[0]]
@@ -267,17 +264,17 @@ class LayerDiagnostics:
 
 def merge_layer(blocks: list[Block], run_spec: HamiltonianSpec,
                 beta0: complex, order: int,
-                policy: CompressionPolicy | None = None, *,
+                policy: CompressionPolicy = CompressionPolicy(), *,
                 dense_cap: int = DEFAULT_DENSE_CAP,
                 max_bond: int = DEFAULT_MAX_BOND,
                 force: bool = False) -> tuple[list[Block], float]:
     """Join adjacent block pairs with truncated merge operators.
 
-    Dense blocks are merged by the dense evaluator and a Kronecker product;
-    MPO blocks by the merge MPO and an exact (or, under a truncating
-    policy, zip-up) product.  Returns the next layer and the cumulative
-    discarded compression weight (0 for lossless policies).  An odd
-    trailing block passes through.
+    Dense blocks are merged by the dense evaluator and a Kronecker product,
+    MPO blocks by the merge MPO and :func:`~gibbsmpo.mpo.product`.  Returns
+    the next layer and the discarded compression weight: 0 on dense blocks
+    and under "none", at roundoff level under tol=0.  An odd trailing block
+    passes through.
     """
     nxt = []
     discarded = 0.0
@@ -293,12 +290,9 @@ def merge_layer(blocks: list[Block], run_spec: HamiltonianSpec,
         else:
             psi = build_merge_mpo(ms, policy=policy, dense_cap=dense_cap,
                                   max_bond=max_bond, force=force)
-            pair = mpo_ops.concat(a, b)
-            if policy is not None and not policy.lossless:
-                merged, w = mpo_ops.multiply_compressed(psi, pair, policy)
-                discarded += w
-            else:
-                merged = mpo_ops.multiply(psi, pair, max_bond=max_bond)
+            merged, w = mpo_ops.product(psi, mpo_ops.concat(a, b), policy,
+                                        max_bond=max_bond)
+            discarded += w
         nxt.append((Interval(iva.lo, ivb.hi), merged))
     if len(blocks) % 2 == 1:
         nxt.append(blocks[-1])
@@ -307,7 +301,7 @@ def merge_layer(blocks: list[Block], run_spec: HamiltonianSpec,
 
 def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
                         plan: MergePlan | None = None,
-                        policy: CompressionPolicy | None = None, *,
+                        policy: CompressionPolicy = CompressionPolicy(), *,
                         engine: str = "auto",
                         dense_cap: int = DEFAULT_DENSE_CAP,
                         max_bond: int = DEFAULT_MAX_BOND,
@@ -347,17 +341,16 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
 def _resolve_engine(engine: str, run_spec, policy, dense_cap) -> str:
     if engine not in ("auto", "dense", "mpo"):
         raise ValueError(f"unknown engine {engine!r}")
-    lossless = policy is None or policy.lossless
     dense_ok = run_spec.d ** run_spec.n <= dense_cap
     if engine == "dense":
         if not dense_ok:
             raise DenseCapError(f"dense engine needs d^n <= {dense_cap}")
-        if not lossless:
+        if not policy.lossless:
             raise ValueError("dense engine cannot apply a truncating policy")
         return "dense"
     if engine == "mpo":
         return "mpo"
-    return "dense" if (dense_ok and lossless) else "mpo"
+    return "dense" if (dense_ok and policy.lossless) else "mpo"
 
 
 def _record_layer(diag, blocks, run_spec, beta0, dense_cap, measure):
@@ -539,19 +532,17 @@ def _trivial_identity_run(spec, epsilon, real_time, policy):
 
 def _power_step(m_base: MPO, steps: int, policy: CompressionPolicy,
                 engine: str, dense_cap, max_bond):
-    """Left-folded Q-th power of the merged-chain MPO."""
-    if steps == 1:
-        return m_base, 0.0
-    if engine == "dense":
-        dense = m_base.densify(cap=dense_cap)
-        powered = np.linalg.matrix_power(dense, steps)
+    """Q-th power of the merged-chain MPO and its discarded weight.
+
+    A dense matrix power on the dense engine, else a left fold of
+    :func:`~gibbsmpo.mpo.product`.
+    """
+    if engine == "dense" and steps > 1:
+        powered = np.linalg.matrix_power(m_base.densify(cap=dense_cap), steps)
         return mpo_ops.from_dense(powered, m_base.n, m_base.d), 0.0
-    if policy.lossless:
-        return mpo_ops.power(m_base, steps, max_bond=max_bond), 0.0
-    out = m_base
-    discarded = 0.0
+    out, discarded = m_base, 0.0
     for _ in range(steps - 1):
-        out, w = mpo_ops.multiply_compressed(out, m_base, policy)
+        out, w = mpo_ops.product(out, m_base, policy, max_bond=max_bond)
         discarded += w
     return out, discarded
 

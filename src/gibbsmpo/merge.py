@@ -250,8 +250,8 @@ def certify_merge_truncation(ms: MergeOperatorSpec, *,
 # MPO assembly
 # ---------------------------------------------------------------------------
 
-def _sum_hamiltonian_mpo(ms: MergeOperatorSpec) -> MPO:
-    """MPO of H_A + H_B as H_A (x) 1 + 1 (x) H_B (keeps decay channels)."""
+def _hamiltonian_mpos(ms: MergeOperatorSpec) -> tuple[MPO, MPO]:
+    """MPOs of H_AB and H_A (x) 1 + 1 (x) H_B (keeps decay channels)."""
     na, nb = len(ms.region_a), len(ms.region_b)
     joined = ms.spec_ab
     left = restrict(joined, Interval(1, na))
@@ -259,7 +259,15 @@ def _sum_hamiltonian_mpo(ms: MergeOperatorSpec) -> MPO:
     d = joined.d
     part_a = mpo_ops.concat(hamiltonian_mpo(left), mpo_ops.identity_mpo(nb, d))
     part_b = mpo_ops.concat(mpo_ops.identity_mpo(na, d), hamiltonian_mpo(right))
-    return mpo_ops.add(part_a, part_b)
+    return hamiltonian_mpo(joined), mpo_ops.add(part_a, part_b)
+
+
+def _assembly_profile(h_ab: MPO, h_sum: MPO, m0: int) -> tuple[int, ...]:
+    pa, ps = h_ab.bond_profile, h_sum.bond_profile
+    inner = [sum(pa[c] ** j * ps[c] ** s
+                 for j in range(m0 + 1) for s in range(m0 + 1 - j))
+             for c in range(1, len(pa) - 1)]
+    return (1, *inner, 1)
 
 
 def assembly_bond_profile(ms: MergeOperatorSpec) -> tuple[int, ...]:
@@ -268,24 +276,17 @@ def assembly_bond_profile(ms: MergeOperatorSpec) -> tuple[int, ...]:
     sum_{j+s<=m0} pa[c]^j * ps[c]^s at each interior cut c, with pa and ps
     the bond profiles of H_AB and H_A + H_B.
     """
-    pa = hamiltonian_mpo(ms.spec_ab).bond_profile
-    ps = _sum_hamiltonian_mpo(ms).bond_profile
-    m0 = ms.order
-    inner = [sum(pa[c] ** j * ps[c] ** s
-                 for j in range(m0 + 1) for s in range(m0 + 1 - j))
-             for c in range(1, ms.spec_ab.n)]
-    return (1, *inner, 1)
+    return _assembly_profile(*_hamiltonian_mpos(ms), ms.order)
 
 
 def bond_ledger(ms: MergeOperatorSpec) -> int:
     """Analytic bond bound (m0+1)^2 * D_H^m0 for the truncated merge MPO."""
-    d_h = max(hamiltonian_mpo(ms.spec_ab).max_bond,
-              _sum_hamiltonian_mpo(ms).max_bond)
-    return (ms.order + 1) ** 2 * d_h ** ms.order
+    h_ab, h_sum = _hamiltonian_mpos(ms)
+    return (ms.order + 1) ** 2 * max(h_ab.max_bond, h_sum.max_bond) ** ms.order
 
 
 def build_merge_mpo(ms: MergeOperatorSpec, *,
-                    policy: CompressionPolicy | None = None,
+                    policy: CompressionPolicy = CompressionPolicy(),
                     route: str = "auto",
                     dense_cap: int = DEFAULT_DENSE_CAP,
                     max_bond: int = DEFAULT_MAX_BOND,
@@ -293,16 +294,17 @@ def build_merge_mpo(ms: MergeOperatorSpec, *,
     """MPO of the truncated merge operator on the joined block.
 
     Routes:
-      * "mpo": Horner assembly from the Hamiltonian MPOs via exact
-        multiply/add/scale (2*m0 products); the bond profile is exactly
-        :func:`assembly_bond_profile`, within the :func:`bond_ledger`
-        bound, unless a compressing policy is given.
+      * "mpo": Horner assembly from the Hamiltonian MPOs, 2*m0 products by
+        :func:`~gibbsmpo.mpo.product`: exact under policy "none", with bond
+        profile :func:`assembly_bond_profile` within :func:`bond_ledger`;
+        any other policy (tol=0 included) rounds every product and sum.
       * "dense": dense evaluation followed by an exact tensor-train
-        refactorization; identical operator, bonds equal to true cut ranks.
-        Only available inside the dense cap.
-      * "auto": "mpo" when the uncompressed assembly fits ``max_bond``,
-        otherwise "dense" when the block fits the dense cap, otherwise a
-        :class:`~gibbsmpo.mpo.BondCapError` carrying the analytic ledger.
+        refactorization (bonds equal to true cut ranks), then compressed by
+        ``policy``.  Only available inside the dense cap.
+      * "auto": a lossy policy takes "dense" inside the dense cap, else
+        "mpo".  A lossless one takes "mpo" when the uncompressed assembly
+        fits ``max_bond``, otherwise "dense" inside the dense cap, otherwise
+        a :class:`~gibbsmpo.mpo.BondCapError` carrying the analytic ledger.
 
     Outside the certified |beta0| window the builder refuses unless
     ``force`` is set (certification reports then mark the run uncertified).
@@ -314,50 +316,39 @@ def build_merge_mpo(ms: MergeOperatorSpec, *,
     if route not in ("auto", "mpo", "dense"):
         raise ValueError(f"unknown route {route!r}")
     dim = ms.spec_ab.d ** ms.spec_ab.n
-    lossy = policy is not None and not policy.lossless
-    if route == "auto":
-        if not lossy and max(assembly_bond_profile(ms)) <= max_bond:
-            route = "mpo"
-        elif dim <= dense_cap:
-            route = "dense"
-        elif lossy:
-            route = "mpo"
-        else:
+    if route == "auto" and not policy.lossless:
+        route = "dense" if dim <= dense_cap else "mpo"
+    hams = None if route == "dense" else _hamiltonian_mpos(ms)
+    if route == "auto" and max(_assembly_profile(*hams, ms.order)) > max_bond:
+        if dim > dense_cap:
+            ledger = bond_ledger(ms)
             raise BondCapError(
-                f"uncompressed merge assembly needs bond ~{bond_ledger(ms)} "
+                f"uncompressed merge assembly needs bond ~{ledger} "
                 f"(> cap {max_bond}) and the block exceeds the dense cap",
-                estimate=bond_ledger(ms))
+                estimate=ledger)
+        route = "dense"
     if route == "dense":
         dense = truncated_merge_dense(ms, cap=dense_cap)
         built = mpo_ops.from_dense(dense, ms.spec_ab.n, ms.spec_ab.d)
-        if lossy:
-            built, _ = mpo_ops.compress(built, policy)
-        return built
-    return _assemble_merge_mpo(ms, policy=policy, max_bond=max_bond)
+        return mpo_ops.compress(built, policy)[0]
+    return _assemble_merge_mpo(ms, *hams, policy, max_bond)
 
 
-def _assemble_merge_mpo(ms: MergeOperatorSpec, policy: CompressionPolicy | None,
-                        max_bond: int) -> MPO:
+def _assemble_merge_mpo(ms: MergeOperatorSpec, h_ab: MPO, h_sum: MPO,
+                        policy: CompressionPolicy = CompressionPolicy(),
+                        max_bond: int = DEFAULT_MAX_BOND) -> MPO:
     """The recurrence of :func:`truncated_merge_dense` on Hamiltonian MPOs.
 
-    2*m0 products, H_AB on the left.  Under any policy but "none" (tol=0
-    included) each product is a zip-up and each sum is recompressed.
+    2*m0 products by :func:`~gibbsmpo.mpo.product`, H_AB on the left; each
+    sum is compressed by ``policy`` (a no-op under "none").
     """
-    compressing = policy is not None and not policy.is_none
-
     def times(h: MPO, x: MPO, coef: complex) -> MPO:
-        if compressing:
-            prod = mpo_ops.multiply_compressed(h, x, policy)[0]
-        else:
-            prod = mpo_ops.multiply(h, x, max_bond=max_bond)
+        prod, _ = mpo_ops.product(h, x, policy, max_bond=max_bond)
         return mpo_ops.scale(prod, coef)
 
     def plus(x: MPO, y: MPO) -> MPO:
-        out = mpo_ops.add(x, y, max_bond=max_bond)
-        return mpo_ops.compress(out, policy)[0] if compressing else out
+        return mpo_ops.compress(mpo_ops.add(x, y, max_bond=max_bond), policy)[0]
 
-    h_ab = hamiltonian_mpo(ms.spec_ab)
-    h_sum = _sum_hamiltonian_mpo(ms)
     acc = term = partial = mpo_ops.identity_mpo(ms.spec_ab.n, ms.spec_ab.d)
     for k in range(1, ms.order + 1):
         # the H_AB product first frees the previous A before P_k grows

@@ -38,11 +38,12 @@ class BondCapError(RuntimeError):
 class CompressionPolicy:
     """How (and whether) to truncate bonds.
 
-    mode "none" leaves operators untouched.  mode "tolerance" drops, at each
+    mode "none" is literal uncompressed arithmetic.  Any other mode rounds
+    every MPO product (:func:`product`).  mode "tolerance" drops, at each
     cut, the smallest singular values whose combined squared weight stays
     below ``tolerance`` relative to the total (tolerance 0 removes only
-    numerically zero modes, leaving the operator intact).  mode "maxbond"
-    keeps at most ``max_bond`` values per cut.
+    numerically zero modes: exact up to roundoff).  mode "maxbond" keeps
+    at most ``max_bond`` values per cut.
     """
 
     mode: str = "none"
@@ -63,7 +64,7 @@ class CompressionPolicy:
 
     @property
     def lossless(self) -> bool:
-        """True when applying the policy cannot change the operator."""
+        """True when the policy keeps the operator exact (up to roundoff)."""
         return self.mode == "none" or (self.mode == "tolerance" and self.tolerance == 0.0)
 
     @classmethod
@@ -337,8 +338,8 @@ def multiply_compressed(a: MPO, b: MPO, policy: CompressionPolicy) -> tuple[MPO,
     """Operator product with on-the-fly truncation (zip-up sweep).
 
     Avoids materializing the full product bond profile, so it stays usable
-    when the exact product would exceed memory.  Requires a truncating
-    policy; the result is an approximation whose discarded weight is
+    when the exact product would exceed memory.  Requires a policy other
+    than "none"; the result is an approximation whose discarded weight is
     returned for error accounting.
     """
     _check_compatible(a, b)
@@ -364,6 +365,19 @@ def multiply_compressed(a: MPO, b: MPO, policy: CompressionPolicy) -> tuple[MPO,
         carry = (s[:keep, None] * vh[:keep]).reshape(keep, ra, rb)
     out, extra = compress(MPO(cores), policy)
     return out, discarded + extra
+
+
+def product(a: MPO, b: MPO, policy: CompressionPolicy = CompressionPolicy(), *,
+            max_bond: int = DEFAULT_MAX_BOND) -> tuple[MPO, float]:
+    """Operator product a @ b under ``policy`` and its discarded weight.
+
+    The exact :func:`multiply` under "none", else (tol=0 included) the
+    zip-up :func:`multiply_compressed` of Stoudenmire & White, NJP 12,
+    055026 (2010).
+    """
+    if policy.is_none:
+        return multiply(a, b, max_bond=max_bond), 0.0
+    return multiply_compressed(a, b, policy)
 
 
 # ---------------------------------------------------------------------------

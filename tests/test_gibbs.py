@@ -29,7 +29,8 @@ from gibbsmpo.model import (
     restrict,
 )
 from gibbsmpo import mpo as mpo_module
-from gibbsmpo.mpo import BondCapError, CompressionPolicy, concat, multiply
+from gibbsmpo.mpo import DEFAULT_MAX_BOND, BondCapError, CompressionPolicy, \
+    concat, multiply
 from gibbsmpo.oracle import dense_exp, partition_function, relative_error
 
 
@@ -429,6 +430,42 @@ def test_mpo_engine_mode_none_fails_fast_beyond_caps():
         build_gibbs_mpo(spec, window(spec), 1e-2, engine="mpo",
                         max_bond=512, dense_cap=16, measure=False)
     assert err.value.estimate is None or err.value.estimate > 512
+
+
+def test_tol0_beyond_both_caps_fails_fast():
+    # tol=0 rounds but bounds nothing, so the auto route still refuses an
+    # assembly beyond the bond cap instead of attempting it
+    spec = chain(6)
+    with pytest.raises(BondCapError) as err:
+        build_gibbs_mpo(spec, 4 * window(spec), 1e-2,
+                        CompressionPolicy.parse("tol=0"), dense_cap=4,
+                        measure=False)
+    assert err.value.estimate > DEFAULT_MAX_BOND
+
+
+def test_tol0_mpo_engine_bonds_stay_within_cut_ranks():
+    # tol=0 rounds every MPO product, so no interior cut of the result can
+    # exceed the operator-space dimension d^(2*min(c, n-c))
+    spec = chain(4)
+    m, report = build_gibbs_mpo(spec, 2 * window(spec), 1e-2,
+                                CompressionPolicy.parse("tol=0"), engine="mpo",
+                                override_order=2)
+    assert report.engine == "mpo"
+    for c, bond in enumerate(m.bond_profile[1:-1], start=1):
+        assert bond <= spec.d ** (2 * min(c, spec.n - c))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_tol0_mpo_engine_matches_dense_engine_at_planned_order(n):
+    spec = chain(n)
+    beta = 4 * window(spec)
+    _, rounded = build_gibbs_mpo(spec, beta, 1e-2,
+                                 CompressionPolicy.parse("tol=0"), engine="mpo")
+    _, dense = build_gibbs_mpo(spec, beta, 1e-2)
+    assert (rounded.engine, dense.engine) == ("mpo", "dense")
+    assert rounded.certified and rounded.budget.steps > 1
+    for key in ("p1", "p2", "pinf", "trace"):
+        assert abs(rounded.measured[key] - dense.measured[key]) <= 1e-12
 
 
 def test_predictions_only_beyond_oracle_cap():

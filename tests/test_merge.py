@@ -353,6 +353,24 @@ def test_auto_route_beyond_both_caps_reports_estimate():
     assert err.value.estimate == bond_ledger(ms)
 
 
+def test_exact_auto_merge_builds_hamiltonian_mpos_once(monkeypatch):
+    # the route check and the assembly share H_AB and H_A + H_B
+    import gibbsmpo.merge as merge_mod
+    calls = []
+    real = merge_mod.hamiltonian_mpo
+
+    def counting(spec):
+        calls.append(spec.n)
+        return real(spec)
+
+    monkeypatch.setattr(merge_mod, "hamiltonian_mpo", counting)
+    spec = chain(4)
+    ms = half_merge(spec, window(spec), 3)
+    built = build_merge_mpo(ms)
+    assert sorted(calls) == [2, 2, 4]  # H_A, H_B and H_AB, once each
+    assert built.bond_profile == assembly_bond_profile(ms)
+
+
 def test_compressed_assembly_stays_close():
     spec = chain(5)
     ms = half_merge(spec, window(spec), 3)

@@ -27,6 +27,7 @@ from gibbsmpo.mpo import (
     multiply,
     multiply_compressed,
     power,
+    product,
     random_mpo,
     save_mpo,
     scale,
@@ -244,6 +245,13 @@ def test_multiply_compressed_tracks_error():
     assert max(lossy.bond_profile) <= 4
     with pytest.raises(ValueError):
         multiply_compressed(a, b, CompressionPolicy())
+    # product: literal multiply under "none", a rounded zip-up under tol=0
+    plain, w0 = product(a, b)
+    assert w0 == 0.0
+    assert all(np.array_equal(x, y)
+               for x, y in zip(plain.cores, multiply(a, b).cores))
+    rounded, _ = product(a, b, CompressionPolicy.parse("tol=0"))
+    assert np.linalg.norm(rounded.densify() - exact) < 1e-9 * np.linalg.norm(exact)
 
 
 # ---------------------------------------------------------------------------
