@@ -69,7 +69,6 @@ from .gibbs import (
     BudgetError,
     ErrorBudget,
     ErrorReport,
-    MergePlan,
     build_gibbs_mpo,
     build_high_temp_mpo,
     build_merge_plan,

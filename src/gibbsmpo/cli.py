@@ -38,9 +38,13 @@ EXIT_VERIFY = 5
 _RUN_KEYS = {"mode", "beta", "beta_steps", "time", "epsilon", "compress",
              "pnorms", "dense_cap", "max_bond", "engine", "two_local",
              "override_order"}
+_MODE_EXCLUDED_KEYS = {"thermal": {"time"},
+                       "real_time": {"beta", "beta_steps"}}
 _VERIFY_KEYS = {"checks", "fast", "expect_fail", "seed"}
-_SWEEP_KEYS = {"kind", "orders", "epsilons", "max_steps", "epsilon",
-               "beta_steps", "override_order", "two_local"}
+_SWEEP_KIND_KEYS = {"order": {"orders"}, "epsilon": {"epsilons", "beta_steps"},
+                    "steps": {"max_steps", "epsilon", "beta_steps",
+                              "override_order", "two_local"}}
+_SWEEP_KEYS = {"kind"}.union(*_SWEEP_KIND_KEYS.values())
 _TOP_KEYS = {"format", "model", "run", "verify", "sweep"}
 
 
@@ -112,8 +116,12 @@ def _cmd_build(args) -> int:
     spec = spec_from_config(cfg["model"])
     run = dict(cfg["run"])
     mode = run.get("mode", "thermal")
-    if mode not in ("thermal", "real_time"):
+    if not isinstance(mode, str) or mode not in _MODE_EXCLUDED_KEYS:
         raise ConfigError(f"unknown run mode {mode!r}")
+    unused = set(run) & _MODE_EXCLUDED_KEYS[mode]
+    if unused:
+        raise ConfigError(f"run keys {sorted(unused)} do nothing in mode "
+                          f"{mode!r}")
     try:
         epsilon = float(run.get("epsilon", 1e-2))
         policy = CompressionPolicy.parse(args.compress
@@ -210,17 +218,16 @@ def _cmd_sweep(args) -> int:
     spec = spec_from_config(cfg["model"])
     sweep = dict(cfg["sweep"])
     kind = sweep.get("kind")
+    if not isinstance(kind, str) or kind not in _SWEEP_KIND_KEYS:
+        raise ConfigError(f"unknown sweep kind {kind!r}")
+    unused = set(sweep) - {"kind"} - _SWEEP_KIND_KEYS[kind]
+    if unused:
+        raise ConfigError(f"sweep keys {sorted(unused)} do nothing in a "
+                          f"{kind!r} sweep")
     out_dir = Path(args.out or "gibbsmpo-out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows: list[dict] = []
-    if kind == "order":
-        rows = _sweep_order(spec, sweep)
-    elif kind == "epsilon":
-        rows = _sweep_epsilon(spec, sweep)
-    elif kind == "steps":
-        rows = _sweep_steps(spec, sweep)
-    else:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
+    rows = {"order": _sweep_order, "epsilon": _sweep_epsilon,
+            "steps": _sweep_steps}[kind](spec, sweep)
     path = out_dir / "sweep.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:

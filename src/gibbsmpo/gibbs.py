@@ -32,8 +32,9 @@ from .oracle import DEFAULT_DENSE_CAP, DenseCapError, dense_exp, relative_error,
     schatten_from_spectrum
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, CompressionPolicy, hamiltonian_mpo
-from .merge import MAX_TAYLOR_ORDER, build_merge_mpo, merge_spec_for, \
-    tail_prefactor, truncated_merge_dense, truncation_order_for
+from .merge import MAX_TAYLOR_ORDER, build_merge_mpo, certified_step, \
+    merge_bond_ledger, merge_spec_for, tail_prefactor, truncated_merge_dense, \
+    truncation_order_for
 
 
 class BudgetError(ValueError):
@@ -99,20 +100,9 @@ def _log10_int(value: int) -> float:
     return math.log10(value >> shift) + shift * math.log10(2.0)
 
 
-@dataclass(frozen=True)
-class MergePlan:
-    """Binary block tree: layer q tiles the chain, layer q+1 joins pairs."""
-
-    n: int
-    layers: tuple[tuple[Interval, ...], ...]
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-
-def build_merge_plan(n: int) -> MergePlan:
-    """Halving tree over two-site leaves; odd blocks carry up unmerged."""
+def build_merge_plan(n: int) -> tuple[tuple[Interval, ...], ...]:
+    """Layers of the halving tree over two-site leaves, leaves first (q0 of
+    them); each tiles the chain, and odd trailing blocks carry up unmerged."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     leaves = tuple(Interval(lo, min(lo + 1, n)) for lo in range(1, n + 1, 2))
@@ -124,7 +114,7 @@ def build_merge_plan(n: int) -> MergePlan:
         if len(prev) % 2 == 1:
             nxt.append(prev[-1])
         layers.append(tuple(nxt))
-    return MergePlan(n=n, layers=tuple(layers))
+    return tuple(layers)
 
 
 def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
@@ -180,7 +170,7 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
     if g <= 0.0:
         # zero Hamiltonian: a single exact step suffices
         g = 1.0
-    beta0_max = 1.0 / (24.0 * g * k * k)
+    beta0_max = certified_step(g, k)
     steps = max(1, math.ceil(beta_abs / beta0_max - 1e-12))
     if force_steps is not None:
         if force_steps < steps:
@@ -192,7 +182,7 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
 
     a1, a2 = recursion_constants(g, k, gtilde)
     c0 = tail_prefactor(g, k, gtilde)
-    q0 = build_merge_plan(spec.n).num_layers
+    q0 = len(build_merge_plan(spec.n))
     merge_tol = beta0_abs * mpo_target / (
         5.0 * beta_abs * a2 * spec.n ** math.log2(2.0 * a1))
     order = truncation_order_for(merge_tol, g, k, gtilde)
@@ -202,7 +192,7 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
     total_predicted = ham_component + powered_error * (1.0 + ham_component)
 
     d_h = hamiltonian_mpo(run_spec).max_bond
-    merge_ledger = (order + 1) ** 2 * max(d_h, 1) ** order
+    merge_ledger = merge_bond_ledger(order, d_h)
     high_temp_ledger = run_spec.d ** 2 * merge_ledger ** max(0, q0 - 1)
     budget = ErrorBudget(
         epsilon=epsilon, beta=beta_c, beta_abs=beta_abs, steps=steps,
@@ -238,16 +228,16 @@ def _as_mpo(op: np.ndarray | MPO, d: int) -> MPO:
     return mpo_ops.from_dense(op, int(round(math.log(op.shape[0], d))), d)
 
 
-def leaf_gibbs_mpos(run_spec: HamiltonianSpec, beta0: complex,
-                    plan: MergePlan) -> list[tuple[Interval, MPO]]:
-    """Exact thermal MPOs of the leaf blocks (dense exponential per leaf).
+def leaf_gibbs_mpos(run_spec: HamiltonianSpec,
+                    beta0: complex) -> list[tuple[Interval, MPO]]:
+    """Exact thermal MPOs of the chain's leaf blocks (dense exponential each).
 
     Leaf blocks have at most two sites, so the conversion is a trivial
     tensor-train refactorization with bond at most d^2; the leaf layer
     therefore carries no approximation error.
     """
     return [(leaf, _as_mpo(_block_exp(run_spec, leaf, beta0), run_spec.d))
-            for leaf in plan.layers[0]]
+            for leaf in build_merge_plan(run_spec.n)[0]]
 
 
 Block = tuple[Interval, "np.ndarray | MPO"]  # dense on the dense engine
@@ -282,10 +272,7 @@ def merge_layer(blocks: list[Block], run_spec: HamiltonianSpec,
         (iva, a), (ivb, b) = blocks[i], blocks[i + 1]
         ms = merge_spec_for(run_spec, iva, ivb, beta0, order)
         if not isinstance(a, MPO):
-            if not ms.certified_regime() and not force:
-                raise ValueError(f"|beta0|={abs(beta0):.3e} outside the "
-                                 "certified window; pass force=True to run "
-                                 "anyway")
+            ms.require_window(force)
             merged = truncated_merge_dense(ms, cap=dense_cap) @ np.kron(a, b)
         else:
             psi = build_merge_mpo(ms, policy=policy, dense_cap=dense_cap,
@@ -300,7 +287,6 @@ def merge_layer(blocks: list[Block], run_spec: HamiltonianSpec,
 
 
 def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
-                        plan: MergePlan | None = None,
                         policy: CompressionPolicy = CompressionPolicy(), *,
                         engine: str = "auto",
                         dense_cap: int = DEFAULT_DENSE_CAP,
@@ -309,26 +295,26 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
                         measure: bool = True) -> tuple[MPO, LayerDiagnostics]:
     """Run leaves plus all merge layers; returns the merged-chain MPO.
 
-    Both engines run the same layer loop and differ only in the block type,
-    hence in how a pair is merged.  engine "dense" keeps dense block
-    operators and refactorizes each into an exact MPO (bonds equal true cut
-    ranks); it requires the chain to fit the dense cap and a lossless
-    policy, and is numerically identical to the uncompressed MPO
-    arithmetic.  engine "mpo" keeps MPO blocks and runs the MPO
-    pipeline (mandatory for truncating policies).  "auto" picks "dense"
-    when admissible, else "mpo".
+    :func:`merge_layer` runs from the leaves until one block is left, so
+    the layers are those of :func:`build_merge_plan`.  Both engines run
+    this loop and differ only in the block type, hence in how a pair is
+    merged.  engine "dense" keeps dense block operators and refactorizes
+    each into an exact MPO (bonds equal true cut ranks); it requires the
+    chain to fit the dense cap and a lossless policy, and is numerically
+    identical to the uncompressed MPO arithmetic.  engine "mpo" keeps MPO
+    blocks and runs the MPO pipeline (mandatory for truncating policies).
+    "auto" picks "dense" when admissible, else "mpo".
     """
-    if plan is None:
-        plan = build_merge_plan(run_spec.n)
     engine = _resolve_engine(engine, run_spec, policy, dense_cap)
     diag = LayerDiagnostics()
     beta0 = budget.beta0
     measure = measure and run_spec.d ** run_spec.n <= dense_cap
 
-    blocks = leaf_gibbs_mpos(run_spec, beta0, plan) if engine == "mpo" else [
-        (leaf, _block_exp(run_spec, leaf, beta0)) for leaf in plan.layers[0]]
+    blocks = leaf_gibbs_mpos(run_spec, beta0) if engine == "mpo" else [
+        (leaf, _block_exp(run_spec, leaf, beta0))
+        for leaf in build_merge_plan(run_spec.n)[0]]
     as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap, measure)
-    for _ in range(1, plan.num_layers):
+    while len(blocks) > 1:
         blocks, w = merge_layer(blocks, run_spec, beta0, budget.order, policy,
                                 dense_cap=dense_cap, max_bond=max_bond,
                                 force=force)
@@ -452,9 +438,8 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
 
     engine = _resolve_engine(engine, run_spec, policy, dense_cap)
     force = override_order is not None
-    plan = build_merge_plan(run_spec.n)
     t_merge = time.perf_counter()
-    m_base, diag = build_high_temp_mpo(run_spec, budget, plan, policy,
+    m_base, diag = build_high_temp_mpo(run_spec, budget, policy,
                                        engine=engine, dense_cap=dense_cap,
                                        max_bond=max_bond, force=force,
                                        measure=measure)

@@ -18,8 +18,8 @@ those bounds densely at oracle scale.
 
 Both evaluators apply Horner's rule in H_AB to streamed partial Taylor
 sums in H_A + H_B: 2*m0 products of dense matrices or of MPOs, and a
-constant number of live operators at any order.  Per-order terms, whose
-norms the certification reports, are still summed literally.
+constant number of live operators at any order.  The per-order terms
+whose norms the certification reports follow one recurrence as well.
 """
 
 from __future__ import annotations
@@ -41,6 +41,16 @@ MAX_TAYLOR_ORDER = 60  # float factorials stay exact far below this; see notes
 
 class CertificationError(AssertionError):
     """A measured quantity violated its analytic bound."""
+
+
+def certified_step(g: float, k: int) -> float:
+    """Largest certified high-temperature step 1/(24*g*k^2)."""
+    return 1.0 / (24.0 * g * k * k)
+
+
+def merge_bond_ledger(order: int, bond: int) -> int:
+    """Analytic bond bound (m0+1)^2 * D^m0 of an order-m0 merge MPO."""
+    return (order + 1) ** 2 * max(bond, 1) ** order
 
 
 def tail_prefactor(g: float, k: int, gtilde: float) -> float:
@@ -97,7 +107,14 @@ class MergeOperatorSpec:
         k = self.spec_ab.k if k is None else k
         if g == 0.0:  # zero block Hamiltonian: every step size is exact
             return True
-        return abs(self.beta0) <= 1.0 / (24.0 * g * k * k) * (1 + 1e-12)
+        return abs(self.beta0) <= certified_step(g, k) * (1 + 1e-12)
+
+    def require_window(self, force: bool) -> None:
+        """Refuse a step outside the certified window unless ``force``."""
+        if not force and not self.certified_regime():
+            raise ValueError(
+                f"|beta0|={abs(self.beta0):.3e} is outside the certified "
+                "window 1/(24*g*k^2); pass force=True to build anyway")
 
 
 def merge_spec_for(spec: HamiltonianSpec, region_a: Interval, region_b: Interval,
@@ -117,11 +134,6 @@ def merge_spec_for(spec: HamiltonianSpec, region_a: Interval, region_b: Interval
 # dense evaluation (oracle scale)
 # ---------------------------------------------------------------------------
 
-def _taylor_coefficient(beta0: complex, s1: int, s2: int) -> complex:
-    return ((-1) ** s1) * beta0 ** (s1 + s2) / (
-        float(math.factorial(s1)) * float(math.factorial(s2)))
-
-
 def merge_operator_dense(ms: MergeOperatorSpec,
                          cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Exact merge operator from dense exponentials."""
@@ -130,28 +142,26 @@ def merge_operator_dense(ms: MergeOperatorSpec,
     return dense_exp(h_ab, -ms.beta0) @ dense_exp(h_sum, ms.beta0)
 
 
-def _dense_power_tables(ms: MergeOperatorSpec, up_to: int, cap: int):
-    """Powers 0..up_to of H_AB and H_A+H_B; order 0 needs no Hamiltonian."""
+def _order_terms(ms: MergeOperatorSpec, up_to: int, cap: int):
+    """Stream the order terms T_m = b0^m U_m, m = 0..up_to, of Psi.
+
+    Psi(x) = exp(-x H_AB) exp(x H_sum) obeys Psi' = Psi H_sum - H_AB Psi
+    (H_sum = H_A+H_B), so (m+1) U_{m+1} = U_m H_sum - H_AB U_m from U_0 = 1:
+    two products per order, two live matrices, no Hamiltonian at order 0.
+    """
     dim = ms.spec_ab.d ** ms.spec_ab.n
     if dim > cap:
         raise DenseCapError(f"dense dimension {dim} exceeds cap {cap}")
-    eye = np.eye(dim, dtype=complex)
-    pow_ab, pow_sum = [eye], [eye]
-    if up_to > 0:
-        h_ab = dense_matrix(ms.spec_ab, cap=cap)
-        h_sum = dense_matrix(ms.spec_sum, cap=cap)
-        for _ in range(up_to):
-            pow_ab.append(pow_ab[-1] @ h_ab)
-            pow_sum.append(pow_sum[-1] @ h_sum)
-    return pow_ab, pow_sum
-
-
-def _order_term(pow_ab, pow_sum, beta0: complex, m: int) -> np.ndarray:
-    """Literal order-m term sum_{s1+s2=m} c(s1, s2) H_AB^s1 (H_A+H_B)^s2."""
-    out = np.zeros_like(pow_ab[0])
-    for s1 in range(m + 1):
-        out += _taylor_coefficient(beta0, s1, m - s1) * (pow_ab[s1] @ pow_sum[m - s1])
-    return out
+    term = np.eye(dim, dtype=complex)
+    yield term
+    if up_to == 0:
+        return
+    h_ab = dense_matrix(ms.spec_ab, cap=cap)
+    h_sum = dense_matrix(ms.spec_sum, cap=cap)
+    for m in range(1, up_to + 1):
+        term = term @ h_sum - h_ab @ term
+        term *= ms.beta0 / m
+        yield term
 
 
 def truncated_merge_dense(ms: MergeOperatorSpec,
@@ -190,9 +200,11 @@ def truncated_merge_dense(ms: MergeOperatorSpec,
 
 def merge_order_term_dense(ms: MergeOperatorSpec, m: int,
                            cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Dense order-m contribution to the merge-operator expansion."""
-    pow_ab, pow_sum = _dense_power_tables(ms, m, cap)
-    return _order_term(pow_ab, pow_sum, ms.beta0, m)
+    """Dense order-m term b0^m sum_{s1+s2=m} (-H_AB)^s1 (H_A+H_B)^s2/(s1! s2!),
+    taken from the recurrence of :func:`_order_terms` (2*m products)."""
+    for term in _order_terms(ms, m, cap):
+        pass
+    return term
 
 
 def certify_merge_truncation(ms: MergeOperatorSpec, *,
@@ -205,8 +217,9 @@ def certify_merge_truncation(ms: MergeOperatorSpec, *,
     ``gtilde`` defaults to the joined block's own uniform boundary bound; a
     chain-level bound may be passed to match pipeline-wide constants.  With
     ``check`` the truncation bound is enforced (violations raise
-    :class:`CertificationError` carrying both values); per-order bounds are
-    always reported.
+    :class:`CertificationError` carrying both values); the norms of the
+    order terms 0..``max_order_terms``, streamed by :func:`_order_terms`,
+    are always reported against (2*C*|b0|)^m * exp(gt/C), C = 6*g*k^2.
     """
     g = extensivity_constant(ms.spec_ab)
     k = ms.spec_ab.k
@@ -219,9 +232,7 @@ def certify_merge_truncation(ms: MergeOperatorSpec, *,
         merge_operator_dense(ms, cap) - truncated_merge_dense(ms, cap), ord=2))
     bound = c0 * 2.0 ** (-ms.order)
     orders = []
-    pow_ab, pow_sum = _dense_power_tables(ms, max_order_terms, cap)
-    for m in range(max_order_terms + 1):
-        term = _order_term(pow_ab, pow_sum, ms.beta0, m)
+    for m, term in enumerate(_order_terms(ms, max_order_terms, cap)):
         norm_m = float(np.linalg.norm(term, ord=2))
         order_bound = (2.0 * comm_scale * abs(ms.beta0)) ** m * math.exp(gtilde / comm_scale)
         orders.append({"m": m, "norm": norm_m, "bound": order_bound,
@@ -282,7 +293,7 @@ def assembly_bond_profile(ms: MergeOperatorSpec) -> tuple[int, ...]:
 def bond_ledger(ms: MergeOperatorSpec) -> int:
     """Analytic bond bound (m0+1)^2 * D_H^m0 for the truncated merge MPO."""
     h_ab, h_sum = _hamiltonian_mpos(ms)
-    return (ms.order + 1) ** 2 * max(h_ab.max_bond, h_sum.max_bond) ** ms.order
+    return merge_bond_ledger(ms.order, max(h_ab.max_bond, h_sum.max_bond))
 
 
 def build_merge_mpo(ms: MergeOperatorSpec, *,
@@ -309,10 +320,7 @@ def build_merge_mpo(ms: MergeOperatorSpec, *,
     Outside the certified |beta0| window the builder refuses unless
     ``force`` is set (certification reports then mark the run uncertified).
     """
-    if not ms.certified_regime() and not force:
-        raise ValueError(
-            f"|beta0|={abs(ms.beta0):.3e} is outside the certified window "
-            "1/(24*g*k^2); pass force=True to build anyway")
+    ms.require_window(force)
     if route not in ("auto", "mpo", "dense"):
         raise ValueError(f"unknown route {route!r}")
     dim = ms.spec_ab.d ** ms.spec_ab.n

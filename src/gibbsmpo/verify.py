@@ -16,8 +16,8 @@ from . import mpo as mpo_ops
 from .expsum import approximate_hamiltonian, fit_kernel, kernel_error_constant, \
     kernel_order
 from .gibbs import build_gibbs_mpo, build_real_time_mpo, plan_budget
-from .merge import build_merge_mpo, certify_merge_truncation, merge_spec_for, \
-    truncated_merge_dense
+from .merge import build_merge_mpo, certified_step, certify_merge_truncation, \
+    merge_spec_for, truncated_merge_dense
 from .model import HamiltonianSpec, Interval, boundary_bound, dense_matrix, \
     extensivity_constant, power_law_ising
 from .oracle import dense_exp, schatten_norm
@@ -36,8 +36,7 @@ def default_chain(n: int = 8, alpha: float = 3.0) -> HamiltonianSpec:
 
 def base_step(spec: HamiltonianSpec) -> float:
     """Largest certified high-temperature step 1/(24*g*k^2) of a spec."""
-    g = extensivity_constant(spec)
-    return 1.0 / (24.0 * g * spec.k ** 2)
+    return certified_step(extensivity_constant(spec), spec.k)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,9 @@ def test_build_config_error_exit_codes(tmp_path):
     cfg3 = tmp_path / "broken.json"
     cfg3.write_text("{not json")
     assert main(["build", "--config", str(cfg3)]) == EXIT_CONFIG
+    listed = demo_config(mode=["thermal"])
+    cfg4 = write_config(tmp_path, listed, "listed.json")
+    assert main(["build", "--config", cfg4]) == EXIT_CONFIG
 
 
 def test_build_bad_flag_values_exit_config(tmp_path):
@@ -243,11 +246,42 @@ def test_sweep_steps_measured_below_prediction(tmp_path):
 
 
 def test_sweep_unknown_kind(tmp_path):
+    for kind in ("banana", ["order"]):
+        cfg = write_config(tmp_path, {
+            "format": 1,
+            "model": {"name": "power_law_ising", "n": 4, "alpha": 3.0},
+            "sweep": {"kind": kind}})
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("sweep", [
+    {"kind": "order", "orders": [2], "epsilons": [1e-2]},
+    {"kind": "order", "orders": [2], "max_steps": 2},
+    {"kind": "epsilon", "epsilons": [1e-2], "max_steps": 2},
+    {"kind": "steps", "max_steps": 1, "orders": [2]},
+], ids=["order-epsilons", "order-max_steps", "epsilon-max_steps",
+        "steps-orders"])
+def test_sweep_keys_unused_by_kind_are_rejected(tmp_path, sweep):
     cfg = write_config(tmp_path, {
         "format": 1,
         "model": {"name": "power_law_ising", "n": 4, "alpha": 3.0},
-        "sweep": {"kind": "banana"}})
-    assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+        "sweep": sweep})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("run", [
+    {"mode": "thermal", "beta_steps": 2, "time": 0.5},
+    {"mode": "real_time", "time": 0.25, "beta": 0.1},
+    {"mode": "real_time", "time": 0.25, "beta_steps": 2},
+], ids=["thermal-time", "real_time-beta", "real_time-beta_steps"])
+def test_run_keys_unused_by_mode_are_rejected(tmp_path, run):
+    cfg = write_config(tmp_path, {
+        "format": 1,
+        "model": {"name": "power_law_ising", "n": 4, "alpha": 3.0},
+        "run": run})
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------------

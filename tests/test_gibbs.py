@@ -49,11 +49,11 @@ def window(spec):
 def test_plan_tiles_chain_and_doubles_blocks():
     for n in range(2, 13):
         plan = build_merge_plan(n)
-        for layer in plan.layers:
+        for layer in plan:
             sites = [s for iv in layer for s in iv.sites()]
             assert sites == list(range(1, n + 1))  # disjoint tiling, ordered
-        assert plan.layers[-1] == (Interval(1, n),)
-        for lower, upper in zip(plan.layers, plan.layers[1:]):
+        assert plan[-1] == (Interval(1, n),)
+        for lower, upper in zip(plan, plan[1:]):
             assert len(upper) == (len(lower) + 1) // 2
 
 
@@ -125,7 +125,7 @@ def test_budget_layer_count_matches_plan():
     for n in (2, 3, 4, 5, 6, 8, 11):
         spec = chain(n)
         budget, _, _ = plan_budget(spec, window(spec), 1e-1, two_local="off")
-        assert budget.num_layers == build_merge_plan(n).num_layers
+        assert budget.num_layers == len(build_merge_plan(n))
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +134,8 @@ def test_budget_layer_count_matches_plan():
 
 def test_leaf_gibbs_exact_against_dense():
     spec = chain(4)
-    plan = build_merge_plan(4)
     beta0 = window(spec)
-    for interval, mpo in leaf_gibbs_mpos(spec, beta0, plan):
+    for interval, mpo in leaf_gibbs_mpos(spec, beta0):
         local = restrict(spec, interval)
         ref = dense_exp(dense_matrix(local), -beta0)
         assert np.abs(mpo.densify() - ref).max() < 1e-12
@@ -145,7 +144,7 @@ def test_leaf_gibbs_exact_against_dense():
 
 def test_leaf_gibbs_zero_beta_is_identity():
     spec = chain(4)
-    for _, mpo in leaf_gibbs_mpos(spec, 0.0, build_merge_plan(4)):
+    for _, mpo in leaf_gibbs_mpos(spec, 0.0):
         assert np.abs(mpo.densify() - np.eye(4)).max() < 1e-14
 
 
@@ -154,7 +153,7 @@ def test_leaf_gibbs_commuting_single_site_terms():
     # exponentials
     terms = tuple(LocalTerm((i,), 0.3 * i, ("Z",)) for i in range(1, 5))
     spec = HamiltonianSpec(n=4, d=2, k=2, terms=terms)
-    (iv, mpo), _ = leaf_gibbs_mpos(spec, 0.7, build_merge_plan(4))
+    (iv, mpo), _ = leaf_gibbs_mpos(spec, 0.7)
     single = [np.diag(np.exp([-0.7 * 0.3 * i, 0.7 * 0.3 * i]))
               for i in (1, 2)]
     assert np.abs(mpo.densify() - np.kron(single[0], single[1])).max() < 1e-12
@@ -170,7 +169,7 @@ def test_merge_layer_decoupled_pair_is_plain_product():
         terms=tuple(t for t in chain(4).terms
                     if not (t.sites[0] <= 2 < t.sites[-1])))
     beta0 = window(spec)
-    blocks = leaf_gibbs_mpos(spec, beta0, build_merge_plan(4))
+    blocks = leaf_gibbs_mpos(spec, beta0)
     merged, discarded = merge_layer(blocks, spec, beta0, 5)
     assert discarded == 0.0
     (iv, m), = merged
@@ -182,7 +181,7 @@ def test_merge_layer_decoupled_pair_is_plain_product():
 def test_merge_layer_single_step_error_within_recursion_bound():
     spec = chain(4)
     budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2)
-    blocks = leaf_gibbs_mpos(run_spec, budget.beta0, build_merge_plan(4))
+    blocks = leaf_gibbs_mpos(run_spec, budget.beta0)
     merged, _ = merge_layer(blocks, run_spec, budget.beta0, budget.order)
     (iv, m), = merged
     ref = dense_exp(dense_matrix(run_spec), -budget.beta0)
@@ -208,7 +207,7 @@ def test_merge_layer_dense_blocks_match_mpo_blocks():
     # same operator
     spec = chain(4)
     budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2)
-    mpos = leaf_gibbs_mpos(run_spec, budget.beta0, build_merge_plan(4))
+    mpos = leaf_gibbs_mpos(run_spec, budget.beta0)
     dense = [(iv, m.densify()) for iv, m in mpos]
     (iv_d, got_dense), = merge_layer(dense, run_spec, budget.beta0,
                                      budget.order)[0]

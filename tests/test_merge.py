@@ -261,6 +261,43 @@ def test_per_order_decay_general_beta0():
             assert np.linalg.norm(term, ord=2) <= bound * (1 + 1e-9)
 
 
+def mp_literal_order_terms(ms, up_to, dps=40):
+    """Order terms b0^m sum_{s1+s2=m} (-H_AB)^s1 (H_A+H_B)^s2 / (s1! s2!)
+    as the literal double sum, in mpmath at ``dps`` digits."""
+    h_ab, h_sum = dense_matrix(ms.spec_ab), dense_matrix(ms.spec_sum)
+    assert not (h_ab.imag.any() or h_sum.imag.any())
+    with mpmath.workdps(dps):
+        h_ab = mpmath.matrix(h_ab.real.tolist())
+        h_sum = mpmath.matrix(h_sum.real.tolist())
+        pow_ab, pow_sum = [mpmath.eye(h_ab.rows)], [mpmath.eye(h_ab.rows)]
+        for _ in range(up_to):
+            pow_ab.append(pow_ab[-1] * h_ab)
+            pow_sum.append(pow_sum[-1] * h_sum)
+        terms = []
+        for m in range(up_to + 1):
+            acc = mpmath.zeros(h_ab.rows)
+            for s1 in range(m + 1):
+                acc += pow_ab[s1] * pow_sum[m - s1] * (
+                    (-1) ** s1 / (mpmath.factorial(s1)
+                                  * mpmath.factorial(m - s1)))
+            acc *= mpmath.mpc(ms.beta0) ** m
+            terms.append(np.array(acc.tolist(), dtype=complex))
+    return terms
+
+
+@pytest.mark.parametrize("cut,phase", [(2, 1.0), (1, 1j)])
+def test_order_terms_match_high_precision_double_sum(cut, phase):
+    # the order terms cancel strongly across s1; summed literally in double
+    # precision they were off by up to 1.9e-14 relative here
+    spec = power_law_ising(4, 3.0)
+    ms = merge_spec_for(spec, Interval(1, cut), Interval(cut + 1, 4),
+                        phase * window(spec), 0)
+    for m, ref in enumerate(mp_literal_order_terms(ms, 12)):
+        got = merge_order_term_dense(ms, m)
+        err = np.linalg.norm(got - ref, ord=2) / np.linalg.norm(ref, ord=2)
+        assert err <= 2e-15, (m, err)
+
+
 def test_truncation_bound_random_pairwise_model():
     # random coupling-matrix chains inside the window also obey the bound
     from gibbsmpo.model import power_law_pairwise
