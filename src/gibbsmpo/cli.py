@@ -84,7 +84,7 @@ def _parse_pnorms(values) -> tuple:
             p = float(v)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"cannot parse Schatten order {v!r}") from exc
-        if p < 1:
+        if not p >= 1:  # NaN fails too
             raise ConfigError(f"Schatten order must be >= 1, got {v}")
         out.append(p)
     return tuple(out)
@@ -128,10 +128,14 @@ def _cmd_build(args) -> int:
                                          or run.get("compress", "none"))
         pnorms = _parse_pnorms(args.pnorms.split(",") if args.pnorms
                                else run.get("pnorms", [1, 2, "inf"]))
-        dense_cap = args.cap_dense or int(run.get("dense_cap", 4096))
+        dense_cap = int(run.get("dense_cap", 4096) if args.cap_dense is None
+                        else args.cap_dense)
         max_bond = int(run.get("max_bond", 4096))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    if dense_cap < 1 or max_bond < 1:
+        raise ConfigError(f"dense_cap and max_bond must be >= 1, got "
+                          f"{dense_cap} and {max_bond}")
     kwargs = dict(
         policy=policy,
         engine=run.get("engine", "auto"),

@@ -139,6 +139,8 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
     if not 0.0 < epsilon <= 1.0:
         raise BudgetError(f"target error must lie in (0, 1], got {epsilon}")
     beta_abs = abs(beta)
+    if not math.isfinite(beta_abs):
+        raise BudgetError(f"evolution parameter must be finite, got {beta}")
     if beta_abs <= 0.0:
         raise BudgetError(f"evolution parameter must be nonzero, got {beta}")
     if beta_abs >= spec.n:

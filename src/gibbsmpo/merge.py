@@ -16,10 +16,10 @@ whose error obeys ||Psi - Psi~|| <= c0 * 2^-m0 whenever
 gt on the boundary-interaction norm.  The certification helpers measure
 those bounds densely at oracle scale.
 
-Both evaluators apply Horner's rule in H_AB to streamed partial Taylor
-sums in H_A + H_B: 2*m0 products of dense matrices or of MPOs, and a
-constant number of live operators at any order.  The per-order terms
-whose norms the certification reports follow one recurrence as well.
+Every dense quantity is read from one stream of order terms on one pair of
+dense Hamiltonians: 2*m0 products and a constant number of live matrices.
+The MPO assembly applies Horner's rule in H_AB instead, which keeps its
+exact bonds far below those of the term stream.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .model import HamiltonianSpec, Interval, boundary_bound, dense_matrix, \
     extensivity_constant, restrict, spec_digest
-from .oracle import DEFAULT_DENSE_CAP, DenseCapError, dense_exp
+from .oracle import DEFAULT_DENSE_CAP, dense_exp
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, BondCapError, CompressionPolicy, \
     hamiltonian_mpo
@@ -134,77 +134,58 @@ def merge_spec_for(spec: HamiltonianSpec, region_a: Interval, region_b: Interval
 # dense evaluation (oracle scale)
 # ---------------------------------------------------------------------------
 
-def merge_operator_dense(ms: MergeOperatorSpec,
-                         cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Exact merge operator from dense exponentials."""
-    h_ab = dense_matrix(ms.spec_ab, cap=cap)
-    h_sum = dense_matrix(ms.spec_sum, cap=cap)
-    return dense_exp(h_ab, -ms.beta0) @ dense_exp(h_sum, ms.beta0)
-
-
-def _order_terms(ms: MergeOperatorSpec, up_to: int, cap: int):
-    """Stream the order terms T_m = b0^m U_m, m = 0..up_to, of Psi.
-
-    Psi(x) = exp(-x H_AB) exp(x H_sum) obeys Psi' = Psi H_sum - H_AB Psi
-    (H_sum = H_A+H_B), so (m+1) U_{m+1} = U_m H_sum - H_AB U_m from U_0 = 1:
-    two products per order, two live matrices, no Hamiltonian at order 0.
-    """
-    dim = ms.spec_ab.d ** ms.spec_ab.n
-    if dim > cap:
-        raise DenseCapError(f"dense dimension {dim} exceeds cap {cap}")
-    term = np.eye(dim, dtype=complex)
-    yield term
-    if up_to == 0:
-        return
-    h_ab = dense_matrix(ms.spec_ab, cap=cap)
-    h_sum = dense_matrix(ms.spec_sum, cap=cap)
-    for m in range(1, up_to + 1):
-        term = term @ h_sum - h_ab @ term
-        term *= ms.beta0 / m
-        yield term
-
-
-def truncated_merge_dense(ms: MergeOperatorSpec,
-                          cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Dense evaluation of the order-m0 truncated merge operator.
-
-    Grouping the double sum by the power of H_AB gives
-
-        Psi~ = sum_{j<=m0} (-b0 H_AB)^j / j! * P_{m0-j},
-
-    with P_k the order-k partial Taylor sum of exp(b0 (H_A+H_B)).  Horner's
-    rule in H_AB, A_j = P_{m0-j} + (-b0/(j+1)) H_AB A_{j+1} from
-    A_{m0} = P_0 = 1, consumes the P_k in ascending order, so they are
-    streamed alongside: 2*m0 products and a constant number of live
-    dim x dim matrices at any order.  The result is A_0.  A real step with
-    real Hamiltonian matrices runs in real arithmetic, where a product
-    costs a quarter of a complex one.
-    """
+def _dense_pair(ms: MergeOperatorSpec, cap: int):
+    """Dense H_AB, H_A + H_B and b0: the one place this module builds dense
+    Hamiltonians.  A real step with real matrices switches all three to real
+    arithmetic, where a product costs a quarter of a complex one."""
     h_ab = dense_matrix(ms.spec_ab, cap=cap)
     h_sum = dense_matrix(ms.spec_sum, cap=cap)
     beta0 = complex(ms.beta0)
     if beta0.imag == 0.0 and not (h_ab.imag.any() or h_sum.imag.any()):
-        h_ab, h_sum, beta0 = h_ab.real.copy(), h_sum.real.copy(), beta0.real
-    acc = np.eye(h_ab.shape[0], dtype=h_ab.dtype)  # A_{m0-k}
-    term = acc.copy()     # T_k = (b0 (H_A+H_B))^k / k!
-    partial = acc.copy()  # P_k = T_0 + ... + T_k
-    for k in range(1, ms.order + 1):
-        term = h_sum @ term
-        term *= beta0 / k
-        partial += term
-        acc = h_ab @ acc
-        acc *= -beta0 / (ms.order - k + 1)
-        acc += partial
-    return acc.astype(complex, copy=False)
+        return h_ab.real.copy(), h_sum.real.copy(), beta0.real
+    return h_ab, h_sum, beta0
+
+
+def _order_terms(h_ab: np.ndarray, h_sum: np.ndarray, beta0: complex,
+                 up_to: int):
+    """Stream the order terms T_m = b0^m U_m, m = 0..up_to, of Psi.
+
+    Psi(x) = exp(-x H_AB) exp(x H_sum) obeys Psi' = Psi H_sum - H_AB Psi
+    (H_sum = H_A+H_B), so (m+1) U_{m+1} = U_m H_sum - H_AB U_m from U_0 = 1:
+    two products per order and two live matrices.
+    """
+    term = np.eye(h_ab.shape[0], dtype=h_ab.dtype)
+    yield term
+    for m in range(1, up_to + 1):
+        term = term @ h_sum - h_ab @ term
+        term *= beta0 / m
+        yield term
+
+
+def merge_operator_dense(ms: MergeOperatorSpec,
+                         cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+    """Exact merge operator from dense exponentials."""
+    h_ab, h_sum, beta0 = _dense_pair(ms, cap)
+    return (dense_exp(h_ab, -beta0) @ dense_exp(h_sum, beta0)).astype(complex)
+
+
+def truncated_merge_dense(ms: MergeOperatorSpec,
+                          cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+    """Dense order-m0 truncated merge operator T_0 + ... + T_m0, streamed by
+    :func:`_order_terms`: 2*m0 products, a constant number of live matrices."""
+    total = 0
+    for term in _order_terms(*_dense_pair(ms, cap), ms.order):
+        total += term
+    return total.astype(complex, copy=False)
 
 
 def merge_order_term_dense(ms: MergeOperatorSpec, m: int,
                            cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Dense order-m term b0^m sum_{s1+s2=m} (-H_AB)^s1 (H_A+H_B)^s2/(s1! s2!),
     taken from the recurrence of :func:`_order_terms` (2*m products)."""
-    for term in _order_terms(ms, m, cap):
+    for term in _order_terms(*_dense_pair(ms, cap), m):
         pass
-    return term
+    return term.astype(complex, copy=False)
 
 
 def certify_merge_truncation(ms: MergeOperatorSpec, *,
@@ -218,8 +199,9 @@ def certify_merge_truncation(ms: MergeOperatorSpec, *,
     chain-level bound may be passed to match pipeline-wide constants.  With
     ``check`` the truncation bound is enforced (violations raise
     :class:`CertificationError` carrying both values); the norms of the
-    order terms 0..``max_order_terms``, streamed by :func:`_order_terms`,
-    are always reported against (2*C*|b0|)^m * exp(gt/C), C = 6*g*k^2.
+    order terms 0..``max_order_terms`` are always reported against
+    (2*C*|b0|)^m * exp(gt/C), C = 6*g*k^2.  One dense Hamiltonian pair and
+    one pass of :func:`_order_terms` give Psi~ (terms 0..m0) and the norms.
     """
     g = extensivity_constant(ms.spec_ab)
     k = ms.spec_ab.k
@@ -228,15 +210,21 @@ def certify_merge_truncation(ms: MergeOperatorSpec, *,
     c0 = tail_prefactor(g, k, gtilde)
     comm_scale = 6.0 * g * k * k
     certified = ms.certified_regime(g, k)
-    measured = float(np.linalg.norm(
-        merge_operator_dense(ms, cap) - truncated_merge_dense(ms, cap), ord=2))
-    bound = c0 * 2.0 ** (-ms.order)
+    h_ab, h_sum, beta0 = _dense_pair(ms, cap)
+    truncated = 0
     orders = []
-    for m, term in enumerate(_order_terms(ms, max_order_terms, cap)):
-        norm_m = float(np.linalg.norm(term, ord=2))
-        order_bound = (2.0 * comm_scale * abs(ms.beta0)) ** m * math.exp(gtilde / comm_scale)
-        orders.append({"m": m, "norm": norm_m, "bound": order_bound,
-                       "ok": norm_m <= order_bound * (1 + 1e-9)})
+    terms = _order_terms(h_ab, h_sum, beta0, max(ms.order, max_order_terms))
+    for m, term in enumerate(terms):
+        if m <= ms.order:
+            truncated += term
+        if m <= max_order_terms:
+            norm_m = float(np.linalg.norm(term, ord=2))
+            order_bound = (2.0 * comm_scale * abs(ms.beta0)) ** m * math.exp(gtilde / comm_scale)
+            orders.append({"m": m, "norm": norm_m, "bound": order_bound,
+                           "ok": norm_m <= order_bound * (1 + 1e-9)})
+    exact = dense_exp(h_ab, -beta0) @ dense_exp(h_sum, beta0)
+    measured = float(np.linalg.norm(exact - truncated, ord=2))
+    bound = c0 * 2.0 ** (-ms.order)
     report = {
         "model_digest": spec_digest(ms.spec_ab),
         "order": ms.order,
@@ -345,10 +333,13 @@ def build_merge_mpo(ms: MergeOperatorSpec, *,
 def _assemble_merge_mpo(ms: MergeOperatorSpec, h_ab: MPO, h_sum: MPO,
                         policy: CompressionPolicy = CompressionPolicy(),
                         max_bond: int = DEFAULT_MAX_BOND) -> MPO:
-    """The recurrence of :func:`truncated_merge_dense` on Hamiltonian MPOs.
-
-    2*m0 products by :func:`~gibbsmpo.mpo.product`, H_AB on the left; each
-    sum is compressed by ``policy`` (a no-op under "none").
+    """Horner's rule in H_AB on Hamiltonian MPOs: Psi~ = sum_{j<=m0}
+    (-b0 H_AB)^j/j! P_{m0-j}, with the partial Taylor sums P_k of
+    exp(b0 (H_A+H_B)) streamed alongside.  2*m0 products by
+    :func:`~gibbsmpo.mpo.product`, H_AB on the left, each sum compressed by
+    ``policy`` (a no-op under "none").  Horner keeps the exact bonds at
+    :func:`assembly_bond_profile`; the order-term stream of the dense
+    evaluators would grow them like (pa + ps)^m.
     """
     def times(h: MPO, x: MPO, coef: complex) -> MPO:
         prod, _ = mpo_ops.product(h, x, policy, max_bond=max_bond)

@@ -55,7 +55,7 @@ def schatten_from_spectrum(sv: np.ndarray, p: float) -> float:
     for powered-norm arguments) does not overflow.  One spectrum serves
     every p.
     """
-    if p != np.inf and p < 1:
+    if p != np.inf and not p >= 1:  # NaN fails too
         raise ValueError(f"Schatten order must be >= 1 or inf, got {p}")
     top = float(sv[0]) if sv.size else 0.0
     if p == np.inf or top == 0.0:

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, artifacts, determinism, sweeps, fit."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -81,6 +82,13 @@ def test_build_budget_error_exit_code(tmp_path):
     cfg = write_config(tmp_path, payload, "over.json")
     assert main(["build", "--config", cfg, "--out", str(tmp_path / "x")]) \
         == EXIT_BUDGET
+    # json reads NaN, and a NaN step meets neither budget comparison
+    for run in ({"mode": "thermal", "beta": math.nan, "epsilon": 0.01},
+                {"mode": "real_time", "time": math.nan, "epsilon": 0.01}):
+        payload["run"] = run
+        cfg = write_config(tmp_path, payload, "nan.json")
+        assert main(["build", "--config", cfg, "--out",
+                     str(tmp_path / "x")]) == EXIT_BUDGET, run
 
 
 def test_build_config_error_exit_codes(tmp_path):
@@ -107,6 +115,12 @@ def test_build_bad_flag_values_exit_config(tmp_path):
     assert main(["build", "--config", cfg, "--pnorms", "1,zero"]) \
         == EXIT_CONFIG
     assert main(["build", "--config", cfg, "--pnorms", "0.5"]) == EXIT_CONFIG
+    assert main(["build", "--config", cfg, "--pnorms", "nan"]) == EXIT_CONFIG
+    assert main(["build", "--config", cfg, "--cap-dense", "0"]) == EXIT_CONFIG
+    for key in ("pnorms", "dense_cap", "max_bond"):
+        value = ["nan"] if key == "pnorms" else 0
+        bad = write_config(tmp_path, demo_config(**{key: value}), "bad.json")
+        assert main(["build", "--config", bad]) == EXIT_CONFIG, key
 
 
 def test_removed_seed_and_sweep_keys_are_rejected(tmp_path):

@@ -80,6 +80,11 @@ def test_budget_validations():
         plan_budget(spec, 0.01, 0.0)
     with pytest.raises(BudgetError):
         plan_budget(spec, 0.01, 1e-2, force_steps=1)  # below the minimum split
+    for two_local in ("auto", "off"):  # pairwise and generic paths
+        for real_time in (False, True):
+            with pytest.raises(BudgetError):
+                plan_budget(spec, math.nan, 1e-2, two_local=two_local,
+                            real_time=real_time)
 
 
 def test_budget_constants_and_tolerance_formula():

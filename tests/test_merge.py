@@ -143,7 +143,7 @@ def test_zero_beta0_exact_identity():
 
 
 # ---------------------------------------------------------------------------
-# streamed Horner evaluation
+# streamed evaluation against the literal double sum
 # ---------------------------------------------------------------------------
 
 def literal_merge(ms):
@@ -167,8 +167,8 @@ def test_horner_matches_literal_double_sum(order, phase):
     ref = literal_merge(ms)
     got = truncated_merge_dense(ms)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    # the MPO route runs the same recurrence; its exact bonds grow like
-    # D_H^m0, so higher orders compress to roundoff on the way
+    # the MPO route applies Horner's rule to the same sum; its exact bonds
+    # grow like D_H^m0, so higher orders compress to roundoff on the way
     if order <= 2:
         got, rel = build_merge_mpo(ms, route="mpo").densify(), 1e-13
     else:
@@ -217,8 +217,10 @@ def test_truncation_bound_order_sweep(n):
         assert rep["ok"], (order, rep["measured_error"], rep["error_bound"])
 
 
-def test_certify_without_order_terms_builds_no_tables(monkeypatch):
-    # two Hamiltonians each for the exact and the truncated operator only
+@pytest.mark.parametrize("max_order_terms", [0, 10])
+def test_certify_builds_hamiltonian_pair_once(monkeypatch, max_order_terms):
+    # one H_AB and one H_A+H_B serve the exact operator, the truncated sum
+    # and every order term
     import gibbsmpo.merge as merge_mod
     calls = []
     real = merge_mod.dense_matrix
@@ -230,8 +232,26 @@ def test_certify_without_order_terms_builds_no_tables(monkeypatch):
     monkeypatch.setattr(merge_mod, "dense_matrix", counting)
     spec = chain(4)
     certify_merge_truncation(half_merge(spec, window(spec), 4),
-                             max_order_terms=0)
-    assert len(calls) == 4
+                             max_order_terms=max_order_terms)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("order,max_order_terms", [(4, 0), (4, 10), (12, 3)])
+@pytest.mark.parametrize("phase", [1.0, 1j])
+def test_certify_single_pass_matches_separate_evaluators(order, max_order_terms,
+                                                         phase):
+    # one pass feeds both prefixes: terms 0..order into Psi~ and terms
+    # 0..max_order_terms into the norms, whichever is longer
+    spec = chain(6)
+    ms = half_merge(spec, phase * window(spec), order)
+    rep = certify_merge_truncation(ms, max_order_terms=max_order_terms)
+    gap = merge_operator_dense(ms) - truncated_merge_dense(ms)
+    assert abs(rep["measured_error"] - np.linalg.norm(gap, ord=2)) <= 1e-14
+    assert [row["m"] for row in rep["per_order"]] == \
+        list(range(max_order_terms + 1))
+    for row in rep["per_order"]:
+        norm = np.linalg.norm(merge_order_term_dense(ms, row["m"]), ord=2)
+        assert abs(row["norm"] - norm) <= 1e-14
 
 
 def test_per_order_decay_at_window_boundary():

@@ -64,8 +64,9 @@ def test_schatten_two_matches_frobenius():
 
 
 def test_schatten_rejects_small_p():
-    with pytest.raises(ValueError):
-        schatten_norm(np.eye(2), 0.5)
+    for p in (0.5, np.nan):
+        with pytest.raises(ValueError):
+            schatten_norm(np.eye(2), p)
 
 
 def test_schatten_norm_ordering():
