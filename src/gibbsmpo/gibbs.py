@@ -28,8 +28,8 @@ import numpy as np
 from .expsum import ExpSumApprox, approximate_hamiltonian
 from .model import HamiltonianSpec, Interval, boundary_bound, dense_matrix, \
     extensivity_constant, restrict, spec_digest
-from .oracle import DEFAULT_DENSE_CAP, DenseCapError, dense_exp, relative_error, \
-    schatten_from_spectrum
+from .oracle import DEFAULT_DENSE_CAP, DenseCapError, dense_exp, \
+    exp_with_spectrum, real_if_exact, relative_error, schatten_from_spectrum
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, CompressionPolicy, hamiltonian_mpo
 from .merge import MAX_TAYLOR_ORDER, build_merge_mpo, certified_step, \
@@ -315,7 +315,8 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
     blocks = leaf_gibbs_mpos(run_spec, beta0) if engine == "mpo" else [
         (leaf, _block_exp(run_spec, leaf, beta0))
         for leaf in build_merge_plan(run_spec.n)[0]]
-    as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap, measure)
+    as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap, measure,
+                            exact=engine == "dense")
     while len(blocks) > 1:
         blocks, w = merge_layer(blocks, run_spec, beta0, budget.order, policy,
                                 dense_cap=dense_cap, max_bond=max_bond,
@@ -341,11 +342,17 @@ def _resolve_engine(engine: str, run_spec, policy, dense_cap) -> str:
     return "dense" if (dense_ok and policy.lossless) else "mpo"
 
 
-def _record_layer(diag, blocks, run_spec, beta0, dense_cap, measure):
-    """Log one layer's error and bond maxima; return its blocks as MPOs."""
+def _record_layer(diag, blocks, run_spec, beta0, dense_cap, measure,
+                  exact=False):
+    """Log one layer's error and bond maxima; return its blocks as MPOs.
+
+    ``exact`` marks blocks that are their own references (the dense
+    engine's leaves), so no block exponential is recomputed for them.
+    """
     if measure:
         diag.errors.append(max(
-            relative_error(_block_exp(run_spec, iv, beta0, dense_cap),
+            relative_error(op if exact else
+                           _block_exp(run_spec, iv, beta0, dense_cap),
                            op.densify(cap=dense_cap) if isinstance(op, MPO)
                            else op, 2)
             for iv, op in blocks))
@@ -454,10 +461,10 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
     measured: dict[str, float] = {}
     dense_ok = spec.d ** spec.n <= dense_cap
     if measure and dense_ok:
-        reference = dense_exp(dense_matrix(spec, cap=dense_cap), -budget.beta)
-        approx = m_final.densify(cap=dense_cap)
-        ref_sv = np.linalg.svd(reference, compute_uv=False)
-        diff_sv = np.linalg.svd(reference - approx, compute_uv=False)
+        reference, ref_sv = exp_with_spectrum(
+            dense_matrix(spec, cap=dense_cap), -budget.beta)
+        diff = reference - m_final.densify(cap=dense_cap)
+        diff_sv = np.linalg.svd(real_if_exact(diff), compute_uv=False)
         for p in pnorms:
             measured[_pkey(p)] = (schatten_from_spectrum(diff_sv, p)
                                   / schatten_from_spectrum(ref_sv, p))
@@ -525,7 +532,8 @@ def _power_step(m_base: MPO, steps: int, policy: CompressionPolicy,
     :func:`~gibbsmpo.mpo.product`.
     """
     if engine == "dense" and steps > 1:
-        powered = np.linalg.matrix_power(m_base.densify(cap=dense_cap), steps)
+        top = real_if_exact(m_base.densify(cap=dense_cap))
+        powered = np.linalg.matrix_power(top, steps)
         return mpo_ops.from_dense(powered, m_base.n, m_base.d), 0.0
     out, discarded = m_base, 0.0
     for _ in range(steps - 1):

@@ -262,6 +262,13 @@ def power_law_boundary_bound(alpha: float, j_total: float) -> float:
 def dense_matrix(spec: HamiltonianSpec, cap: int = 4096) -> np.ndarray:
     """Dense d**n x d**n matrix of the spec (oracle support).
 
+    Each term is assembled from the nonzero pattern of its site operators
+    rather than a chain of full-size Kronecker products: the row index,
+    column index and value of every nonzero entry are folded site by site
+    (at most d**n entries per term for this basis) and scattered into the
+    output once.  Values are multiplied in the Kronecker chain's order, so
+    the result equals that chain's exactly.
+
     Raises :class:`~gibbsmpo.oracle.DenseCapError` beyond ``cap`` states.
     """
     from .oracle import DenseCapError  # local import to avoid a cycle
@@ -269,16 +276,33 @@ def dense_matrix(spec: HamiltonianSpec, cap: int = 4096) -> np.ndarray:
     dim = spec.d ** spec.n
     if dim > cap:
         raise DenseCapError(f"dense dimension {dim} exceeds cap {cap}")
-    basis = site_basis(spec.d)
+    pattern = _site_pattern(spec.d)
     out = np.zeros((dim, dim), dtype=complex)
+    flat = out.reshape(-1)
     for t in spec.terms:
-        mats = [None] * spec.n
+        names = ["I"] * spec.n
         for s, name in zip(t.sites, t.ops):
-            mats[s - 1] = basis[name]
-        acc = np.array([[t.coefficient]], dtype=complex)
-        for j in range(spec.n):
-            acc = np.kron(acc, basis["I"] if mats[j] is None else mats[j])
-        out += acc
+            names[s - 1] = name
+        rows = cols = np.zeros(1, dtype=np.intp)
+        vals = np.array([t.coefficient], dtype=complex)
+        for name in names:
+            r, c, v = pattern[name]
+            rows = (rows[:, None] * spec.d + r).ravel()
+            cols = (cols[:, None] * spec.d + c).ravel()
+            vals = (vals[:, None] * v).ravel()
+        flat[rows * dim + cols] += vals  # (row, col) pairs of one term are distinct
+    return out
+
+
+@lru_cache(maxsize=None)
+def _site_pattern(d: int) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Rows, columns and values of each basis operator's nonzero entries."""
+    out = {}
+    for name, op in _site_basis_cached(d):
+        r, c = np.nonzero(op)
+        out[name] = (r, c, op[r, c])
+        for arr in out[name]:
+            arr.flags.writeable = False
     return out
 
 

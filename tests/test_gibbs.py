@@ -241,6 +241,66 @@ def test_dense_engine_refactorizes_each_block_once(monkeypatch):
     assert len(calls) == 8
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_dense_build_eigendecomposes_each_hamiltonian_once(monkeypatch):
+    # n=8 dense build: 4 leaves, 2 + 1 layer references and the final
+    # reference.  The leaves are their own references, and the final
+    # reference's singular values come from its eigenvalues.
+    import gibbsmpo.gibbs as gibbs_mod
+    import gibbsmpo.merge as merge_mod
+
+    eighs, dense_exps, dense_matrices = [], [], []
+    _count_calls(monkeypatch, np.linalg, "eigh", eighs)
+    _count_calls(monkeypatch, gibbs_mod, "dense_exp", dense_exps)
+    _count_calls(monkeypatch, gibbs_mod, "dense_matrix", dense_matrices)
+    _count_calls(monkeypatch, merge_mod, "dense_matrix", dense_matrices)
+    spec = chain(8)
+    _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
+    assert report.engine == "dense" and report.per_layer_error[0] == 0.0
+    assert len(eighs) == 8          # 12 with a recomputed reference per leaf
+    assert len(dense_exps) == 7     # the final reference is not among them
+    # 4 leaves + 3 merges x (H_AB, H_A + H_B) + 3 layer references + final
+    assert len(dense_matrices) == 14
+
+
+def test_mpo_engine_measures_refactorized_leaves(monkeypatch):
+    # the MPO engine's leaves are refactorized, so they keep a reference each
+    import gibbsmpo.gibbs as gibbs_mod
+
+    calls = []
+    _count_calls(monkeypatch, gibbs_mod, "dense_exp", calls)
+    spec = chain(4)
+    budget, run_spec, _ = plan_budget(spec, 2 * window(spec), 1e-2)
+    _, diag = build_high_temp_mpo(run_spec, budget, engine="mpo")
+    assert len(calls) == 2 + 2 + 1  # leaves, leaf references, top reference
+    assert 0.0 <= diag.errors[0] < 1e-13
+
+
+def test_measurement_reference_spectrum_matches_svd():
+    # the reported errors are unchanged by reading the reference's singular
+    # values from its eigenvalues instead of an SVD
+    for spec, beta, real_time in ((chain(6), 0.4, False),
+                                  (chain(5), 0.3, True)):
+        mpo, report = build_gibbs_mpo(spec, beta, 1e-2, real_time=real_time)
+        reference = dense_exp(dense_matrix(spec),
+                              -(1j * beta if real_time else beta))
+        diff = np.linalg.svd(reference - mpo.densify(), compute_uv=False)
+        ref = np.linalg.svd(reference, compute_uv=False)
+        assert report.measured["p1"] == pytest.approx(
+            diff.sum() / ref.sum(), rel=1e-10)
+        assert report.measured["pinf"] == pytest.approx(
+            diff[0] / ref[0], rel=1e-10)
+
+
 def test_high_temp_diagnostics_layers():
     spec = chain(8)
     budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2)

@@ -18,6 +18,7 @@ from gibbsmpo.model import (
     power_law_boundary_bound,
     power_law_heisenberg,
     power_law_ising,
+    power_law_pairwise,
     restrict,
     site_basis,
     spec_from_config,
@@ -219,6 +220,46 @@ def test_dense_matches_independent_kron():
                 + 0.5 * kron_embed({2: z, 3: z}, 3)
                 - 0.3 * kron_embed({2: x}, 3))
     assert np.abs(dense_matrix(spec) - expected).max() < 1e-14
+
+
+def kron_chain(spec):
+    """Literal assembly: one full-size Kronecker chain per term."""
+    basis = site_basis(spec.d)
+    out = np.zeros((spec.d ** spec.n,) * 2, dtype=complex)
+    for t in spec.terms:
+        by_site = dict(zip(t.sites, t.ops))
+        acc = np.array([[t.coefficient]], dtype=complex)
+        for j in range(1, spec.n + 1):
+            acc = np.kron(acc, basis[by_site.get(j, "I")])
+        out += acc
+    return out
+
+
+QUTRIT_CHANNELS = [("S01", "S12", 0.7), ("A02", "A02", -0.4),
+                   ("D1", "D2", 1.3), ("A01", "S02", 0.2)]
+
+
+@pytest.mark.parametrize("spec", [
+    power_law_ising(6, 3.0),
+    power_law_heisenberg(5, 2.5),
+    nearest_neighbor_ising(7),
+    power_law_pairwise(5, 3.0, [("X", "Y", 0.3), ("Y", "Z", -1.1)],
+                       fields=[("Y", 0.4), ("Z", -0.2)]),
+    power_law_pairwise(4, 3.0, QUTRIT_CHANNELS, d=3,
+                       fields=[("D2", 0.3), ("S02", -0.2), ("A12", 0.5)]),
+    HamiltonianSpec(n=4, d=2, k=1, terms=tuple(
+        LocalTerm((i,), 0.1 * i, (op,)) for i, op in
+        zip(range(1, 5), ("X", "Y", "Z", "X")))),
+    HamiltonianSpec(n=3, d=2, k=2, terms=()),
+    HamiltonianSpec(n=1, d=2, k=1, terms=(LocalTerm((1,), 0.5, ("Y",)),
+                                          LocalTerm((1,), -2.0, ("Z",)))),
+    HamiltonianSpec(n=1, d=3, k=1, terms=(LocalTerm((1,), 0.5, ("A01",)),)),
+], ids=["ising", "heisenberg", "nn", "xyz", "qutrit", "single-site",
+        "empty", "n1", "n1-qutrit"])
+def test_dense_matrix_equals_kron_chain(spec):
+    got = dense_matrix(spec)
+    assert got.dtype == complex
+    assert np.array_equal(got, kron_chain(spec))
 
 
 def test_dense_hermitian_for_real_coefficients():

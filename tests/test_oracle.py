@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from gibbsmpo.model import HamiltonianSpec, LocalTerm, power_law_ising
+from gibbsmpo.model import (
+    HamiltonianSpec,
+    LocalTerm,
+    dense_matrix,
+    power_law_heisenberg,
+    power_law_ising,
+)
 from gibbsmpo.oracle import (
     dense_exp,
+    exp_with_spectrum,
     gibbs_dense,
     partition_function,
     relative_error,
@@ -120,3 +127,50 @@ def test_dense_exp_real_time_unitary():
     from gibbsmpo.model import dense_matrix
     u = dense_exp(dense_matrix(spec), -0.7j)
     assert np.abs(u @ u.conj().T - np.eye(16)).max() < 1e-12
+
+
+def complex_eigh_exp(ham, factor):
+    """exp(factor * ham) from a complex eigendecomposition, whatever ham is."""
+    w, v = np.linalg.eigh(ham.astype(complex))
+    return (v * np.exp(factor * w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("spec", [power_law_ising(6, 3.0),
+                                  power_law_heisenberg(5, 3.0)])
+@pytest.mark.parametrize("factor", [-0.7, -0.7j, complex(-0.4)])
+def test_dense_exp_real_path_matches_complex_path(spec, factor):
+    ham = dense_matrix(spec)
+    assert ham.dtype == complex and not ham.imag.any()
+    got = dense_exp(ham, factor)
+    want = complex_eigh_exp(ham, factor)
+    assert np.linalg.norm(got - want, 2) <= 1e-13 * np.linalg.norm(want, 2)
+    # real Hamiltonian and real factor: real result; imaginary: complex
+    assert np.isrealobj(got) == (complex(factor).imag == 0.0)
+
+
+def test_dense_exp_complex_hamiltonian_keeps_complex_path():
+    a = random_matrix(6)
+    ham = a + a.conj().T
+    got = dense_exp(ham, -0.3)
+    assert np.iscomplexobj(got)
+    assert np.abs(got - complex_eigh_exp(ham, -0.3)).max() < 1e-13
+
+
+@pytest.mark.parametrize("factor", [-0.9, -0.9j])
+def test_reference_spectrum_matches_svd(factor):
+    # thermal: e^{-beta*w}, sorted; real time: ones.  The SVD resolves each
+    # singular value to about eps times the largest, so compare on that scale.
+    ham = dense_matrix(power_law_ising(6, 3.0))
+    op, sv = exp_with_spectrum(ham, factor)
+    want = np.linalg.svd(op, compute_uv=False)
+    assert np.all(np.diff(sv) <= 0.0)
+    assert np.abs(sv - want).max() <= 1e-13 * want[0]
+    if complex(factor).imag != 0.0:
+        assert np.abs(sv - 1.0).max() <= 1e-13
+
+
+def test_partition_function_real_path():
+    spec = power_law_heisenberg(5, 3.0)
+    w = np.linalg.eigvalsh(dense_matrix(spec))
+    assert partition_function(spec, 0.6) == pytest.approx(
+        float(np.sum(np.exp(-0.6 * w))), rel=1e-13)
