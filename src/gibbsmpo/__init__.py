@@ -73,7 +73,6 @@ from .gibbs import (
     build_high_temp_mpo,
     build_merge_plan,
     build_real_time_mpo,
-    leaf_gibbs_mpos,
     plan_budget,
     recursion_constants,
 )

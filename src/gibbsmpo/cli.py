@@ -36,7 +36,7 @@ EXIT_CAP = 4
 EXIT_VERIFY = 5
 
 _RUN_KEYS = {"mode", "beta", "beta_steps", "time", "epsilon", "compress",
-             "pnorms", "dense_cap", "max_bond", "engine", "two_local",
+             "pnorms", "dense_cap", "max_bond", "two_local",
              "override_order"}
 _MODE_EXCLUDED_KEYS = {"thermal": {"time"},
                        "real_time": {"beta", "beta_steps"}}
@@ -138,7 +138,6 @@ def _cmd_build(args) -> int:
                           f"{dense_cap} and {max_bond}")
     kwargs = dict(
         policy=policy,
-        engine=run.get("engine", "auto"),
         two_local=run.get("two_local", "auto"),
         dense_cap=dense_cap,
         max_bond=max_bond,

@@ -3,12 +3,13 @@
 The thermal operator exp(-beta*H) is built in four stages.  (1) Exact
 high-temperature operators exp(-b0*H_leaf) on two-site leaf blocks.
 (2) log2(n) merge layers, each joining adjacent blocks with a truncated
-merge operator.  The dense and MPO engines share this one layer loop; they
-differ only in the block type (dense matrix or MPO) and hence in how a
-pair is merged.  (3) The result approximates exp(-b0*H) with a relative
-error eps0' that obeys the per-layer recursion e_q = a2*d0 + a1*e_{q-1}.
-(4) Raising it to the integer power Q = beta/b0 reaches the target
-temperature with relative error at most 5*Q*eps0' in every Schatten norm.
+merge operator.  One rule picks the arithmetic of every merge: a
+lossless merge whose joined block fits the dense cap runs on dense
+matrices, every other merge on MPOs.  (3) The result approximates
+exp(-b0*H) with a relative error eps0' that obeys the per-layer
+recursion e_q = a2*d0 + a1*e_{q-1}.  (4) Raising it to the integer
+power Q = beta/b0 reaches the target temperature with relative error at
+most 5*Q*eps0' in every Schatten norm.
 Setting beta = i*t runs the same pipeline for real-time evolution.
 
 The per-merge tolerance d0 is chosen so the powered error meets the
@@ -28,8 +29,8 @@ import numpy as np
 from .expsum import ExpSumApprox, approximate_hamiltonian
 from .model import HamiltonianSpec, Interval, boundary_bound, dense_matrix, \
     extensivity_constant, restrict, spec_digest
-from .oracle import DEFAULT_DENSE_CAP, DenseCapError, dense_exp, \
-    exp_with_spectrum, real_if_exact, relative_error, schatten_from_spectrum
+from .oracle import DEFAULT_DENSE_CAP, dense_exp, exp_with_spectrum, \
+    real_if_exact, relative_error, schatten_from_spectrum
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, CompressionPolicy, hamiltonian_mpo
 from .merge import MAX_TAYLOR_ORDER, build_merge_mpo, certified_step, \
@@ -230,19 +231,7 @@ def _as_mpo(op: np.ndarray | MPO, d: int) -> MPO:
     return mpo_ops.from_dense(op, int(round(math.log(op.shape[0], d))), d)
 
 
-def leaf_gibbs_mpos(run_spec: HamiltonianSpec,
-                    beta0: complex) -> list[tuple[Interval, MPO]]:
-    """Exact thermal MPOs of the chain's leaf blocks (dense exponential each).
-
-    Leaf blocks have at most two sites, so the conversion is a trivial
-    tensor-train refactorization with bond at most d^2; the leaf layer
-    therefore carries no approximation error.
-    """
-    return [(leaf, _as_mpo(_block_exp(run_spec, leaf, beta0), run_spec.d))
-            for leaf in build_merge_plan(run_spec.n)[0]]
-
-
-Block = tuple[Interval, "np.ndarray | MPO"]  # dense on the dense engine
+Block = tuple[Interval, "np.ndarray | MPO"]  # dense until an MPO merge
 
 
 @dataclass
@@ -254,6 +243,13 @@ class LayerDiagnostics:
     discarded_weight: float = 0.0
 
 
+def _merges_densely(policy: CompressionPolicy, dim: int,
+                    dense_cap: int) -> bool:
+    """The one dense-vs-MPO rule: lossless arithmetic on at most
+    ``dense_cap`` states runs on dense matrices, everything else on MPOs."""
+    return policy.lossless and dim <= dense_cap
+
+
 def merge_layer(blocks: list[Block], run_spec: HamiltonianSpec,
                 beta0: complex, order: int,
                 policy: CompressionPolicy = CompressionPolicy(), *,
@@ -262,25 +258,30 @@ def merge_layer(blocks: list[Block], run_spec: HamiltonianSpec,
                 force: bool = False) -> tuple[list[Block], float]:
     """Join adjacent block pairs with truncated merge operators.
 
-    Dense blocks are merged by the dense evaluator and a Kronecker product,
-    MPO blocks by the merge MPO and :func:`~gibbsmpo.mpo.product`.  Returns
-    the next layer and the discarded compression weight: 0 on dense blocks
-    and under "none", at roundoff level under tol=0.  An odd trailing block
+    :func:`_merges_densely` decides each pair from the policy and the size
+    of the joined block.  A dense pair is merged by the dense evaluator and
+    a Kronecker product; its blocks are dense, since blocks start as dense
+    leaves and turn into MPOs only at an MPO merge.  Every other pair is
+    merged by the merge MPO and :func:`~gibbsmpo.mpo.product`, a dense
+    block being refactorized by :func:`_as_mpo` first.  Returns the next
+    layer and the discarded compression weight: 0 on dense merges and
+    under "none", at roundoff level under tol=0.  An odd trailing block
     passes through.
     """
+    d = run_spec.d
     nxt = []
     discarded = 0.0
     for i in range(0, len(blocks) - 1, 2):
         (iva, a), (ivb, b) = blocks[i], blocks[i + 1]
         ms = merge_spec_for(run_spec, iva, ivb, beta0, order)
-        if not isinstance(a, MPO):
+        if _merges_densely(policy, d ** ms.spec_ab.n, dense_cap):
             ms.require_window(force)
             merged = truncated_merge_dense(ms, cap=dense_cap) @ np.kron(a, b)
         else:
             psi = build_merge_mpo(ms, policy=policy, dense_cap=dense_cap,
                                   max_bond=max_bond, force=force)
-            merged, w = mpo_ops.product(psi, mpo_ops.concat(a, b), policy,
-                                        max_bond=max_bond)
+            pair = mpo_ops.concat(_as_mpo(a, d), _as_mpo(b, d))
+            merged, w = mpo_ops.product(psi, pair, policy, max_bond=max_bond)
             discarded += w
         nxt.append((Interval(iva.lo, ivb.hi), merged))
     if len(blocks) % 2 == 1:
@@ -290,66 +291,46 @@ def merge_layer(blocks: list[Block], run_spec: HamiltonianSpec,
 
 def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
                         policy: CompressionPolicy = CompressionPolicy(), *,
-                        engine: str = "auto",
                         dense_cap: int = DEFAULT_DENSE_CAP,
                         max_bond: int = DEFAULT_MAX_BOND,
-                        force: bool = False,
-                        measure: bool = True) -> tuple[MPO, LayerDiagnostics]:
+                        force: bool = False) -> tuple[MPO, LayerDiagnostics]:
     """Run leaves plus all merge layers; returns the merged-chain MPO.
 
-    :func:`merge_layer` runs from the leaves until one block is left, so
-    the layers are those of :func:`build_merge_plan`.  Both engines run
-    this loop and differ only in the block type, hence in how a pair is
-    merged.  engine "dense" keeps dense block operators and refactorizes
-    each into an exact MPO (bonds equal true cut ranks); it requires the
-    chain to fit the dense cap and a lossless policy, and is numerically
-    identical to the uncompressed MPO arithmetic.  engine "mpo" keeps MPO
-    blocks and runs the MPO pipeline (mandatory for truncating policies).
-    "auto" picks "dense" when admissible, else "mpo".
+    The leaves are dense exponentials and hence their own layer-0
+    references.  :func:`merge_layer` runs from them until one block is
+    left, so the layers are those of :func:`build_merge_plan`; its rule
+    keeps blocks dense while lossless merges fit ``dense_cap`` and merges
+    on MPOs otherwise.  Each layer's blocks are refactorized (bonds equal
+    to true cut ranks) for the bond profiles; a lossy policy merges nothing
+    densely, so its next layer merges those MPOs.  Layer errors are
+    measured against dense block exponentials when the chain fits
+    ``dense_cap``.
     """
-    engine = _resolve_engine(engine, run_spec, policy, dense_cap)
     diag = LayerDiagnostics()
     beta0 = budget.beta0
-    measure = measure and run_spec.d ** run_spec.n <= dense_cap
-
-    blocks = leaf_gibbs_mpos(run_spec, beta0) if engine == "mpo" else [
-        (leaf, _block_exp(run_spec, leaf, beta0))
-        for leaf in build_merge_plan(run_spec.n)[0]]
-    as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap, measure,
-                            exact=engine == "dense")
+    blocks = [(leaf, _block_exp(run_spec, leaf, beta0))
+              for leaf in build_merge_plan(run_spec.n)[0]]
+    as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap,
+                            exact=True)
     while len(blocks) > 1:
-        blocks, w = merge_layer(blocks, run_spec, beta0, budget.order, policy,
+        blocks, w = merge_layer(blocks if policy.lossless else as_mpos,
+                                run_spec, beta0, budget.order, policy,
                                 dense_cap=dense_cap, max_bond=max_bond,
                                 force=force)
         diag.discarded_weight += w
-        as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap,
-                                measure)
+        as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap)
     return as_mpos[0][1], diag
 
 
-def _resolve_engine(engine: str, run_spec, policy, dense_cap) -> str:
-    if engine not in ("auto", "dense", "mpo"):
-        raise ValueError(f"unknown engine {engine!r}")
-    dense_ok = run_spec.d ** run_spec.n <= dense_cap
-    if engine == "dense":
-        if not dense_ok:
-            raise DenseCapError(f"dense engine needs d^n <= {dense_cap}")
-        if not policy.lossless:
-            raise ValueError("dense engine cannot apply a truncating policy")
-        return "dense"
-    if engine == "mpo":
-        return "mpo"
-    return "dense" if (dense_ok and policy.lossless) else "mpo"
+def _record_layer(diag, blocks, run_spec, beta0, dense_cap,
+                  exact=False) -> list[Block]:
+    """Log one layer's error (when the chain fits ``dense_cap``) and bond
+    maxima; return its blocks as MPOs.
 
-
-def _record_layer(diag, blocks, run_spec, beta0, dense_cap, measure,
-                  exact=False):
-    """Log one layer's error and bond maxima; return its blocks as MPOs.
-
-    ``exact`` marks blocks that are their own references (the dense
-    engine's leaves), so no block exponential is recomputed for them.
+    ``exact`` marks blocks that are their own references (the leaves), so
+    no block exponential is recomputed for them.
     """
-    if measure:
+    if run_spec.d ** run_spec.n <= dense_cap:
         diag.errors.append(max(
             relative_error(op if exact else
                            _block_exp(run_spec, iv, beta0, dense_cap),
@@ -403,21 +384,21 @@ class ErrorReport:
 def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
                     policy: CompressionPolicy | None = None, *,
                     real_time: bool = False,
-                    engine: str = "auto",
                     two_local: str = "auto",
                     dense_cap: int = DEFAULT_DENSE_CAP,
                     max_bond: int = DEFAULT_MAX_BOND,
                     override_order: int | None = None,
                     override_steps: int | None = None,
-                    pnorms: tuple = (1, 2, np.inf),
-                    measure: bool = True) -> tuple[MPO, ErrorReport]:
+                    pnorms: tuple = (1, 2, np.inf)) -> tuple[MPO, ErrorReport]:
     """Build the MPO approximation of exp(-beta*H) with its error report.
 
     With a lossless policy the result carries only the certified truncation
     error of the budget; measured relative Schatten errors against the
     dense oracle are included whenever the chain fits the dense cap (beyond
-    it the report keeps predictions only).  Truncating policies run the
-    compressed MPO engine; their predictions are heuristic and flagged.
+    it the report keeps predictions only).  Truncating policies merge and
+    power on MPOs; their predictions are heuristic and flagged.  The
+    report's ``engine`` is "dense" when the top merge ran densely (see
+    :func:`merge_layer`), else "mpo".
     """
     t_start = time.perf_counter()
     policy = policy or CompressionPolicy()
@@ -445,22 +426,20 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
         notes.append("truncating compression active: error predictions are "
                      "heuristic, not certified")
 
-    engine = _resolve_engine(engine, run_spec, policy, dense_cap)
     force = override_order is not None
     t_merge = time.perf_counter()
     m_base, diag = build_high_temp_mpo(run_spec, budget, policy,
-                                       engine=engine, dense_cap=dense_cap,
-                                       max_bond=max_bond, force=force,
-                                       measure=measure)
+                                       dense_cap=dense_cap, max_bond=max_bond,
+                                       force=force)
     t_power = time.perf_counter()
-    m_final, extra_discard = _power_step(m_base, budget.steps, policy, engine,
+    m_final, extra_discard = _power_step(m_base, budget.steps, policy,
                                          dense_cap, max_bond)
     diag.discarded_weight += extra_discard
     t_measure = time.perf_counter()
 
     measured: dict[str, float] = {}
     dense_ok = spec.d ** spec.n <= dense_cap
-    if measure and dense_ok:
+    if dense_ok:
         reference, ref_sv = exp_with_spectrum(
             dense_matrix(spec, cap=dense_cap), -budget.beta)
         diff = reference - m_final.densify(cap=dense_cap)
@@ -471,14 +450,15 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
         if not real_time:  # tr exp(-iHt) can vanish; only thermal traces compared
             ref_trace = complex(np.trace(reference))
             measured["trace"] = abs(complex(m_final.trace()) - ref_trace) / abs(ref_trace)
-    elif measure:
+    else:
         notes.append("oracle cap exceeded: measurements skipped, "
                      "predictions kept")
 
     report = ErrorReport(
         budget=budget,
         model_digest=spec_digest(spec),
-        engine=engine,
+        engine="dense" if _merges_densely(policy, spec.d ** spec.n,
+                                          dense_cap) else "mpo",
         policy=policy.describe(),
         measured=measured,
         per_layer_error=list(diag.errors),
@@ -525,13 +505,14 @@ def _trivial_identity_run(spec, epsilon, real_time, policy):
 
 
 def _power_step(m_base: MPO, steps: int, policy: CompressionPolicy,
-                engine: str, dense_cap, max_bond):
+                dense_cap, max_bond):
     """Q-th power of the merged-chain MPO and its discarded weight.
 
-    A dense matrix power on the dense engine, else a left fold of
-    :func:`~gibbsmpo.mpo.product`.
+    The merge rule (:func:`_merges_densely`) applied to the whole chain
+    picks the arithmetic: a dense matrix power and one refactorization,
+    else a left fold of :func:`~gibbsmpo.mpo.product`.
     """
-    if engine == "dense" and steps > 1:
+    if steps > 1 and _merges_densely(policy, m_base.d ** m_base.n, dense_cap):
         top = real_if_exact(m_base.densify(cap=dense_cap))
         powered = np.linalg.matrix_power(top, steps)
         return mpo_ops.from_dense(powered, m_base.n, m_base.d), 0.0

@@ -286,47 +286,34 @@ def bond_ledger(ms: MergeOperatorSpec) -> int:
 
 def build_merge_mpo(ms: MergeOperatorSpec, *,
                     policy: CompressionPolicy = CompressionPolicy(),
-                    route: str = "auto",
                     dense_cap: int = DEFAULT_DENSE_CAP,
                     max_bond: int = DEFAULT_MAX_BOND,
                     force: bool = False) -> MPO:
     """MPO of the truncated merge operator on the joined block.
 
-    Routes:
-      * "mpo": Horner assembly from the Hamiltonian MPOs, 2*m0 products by
-        :func:`~gibbsmpo.mpo.product`: exact under policy "none", with bond
-        profile :func:`assembly_bond_profile` within :func:`bond_ledger`;
-        any other policy (tol=0 included) rounds every product and sum.
-      * "dense": dense evaluation followed by an exact tensor-train
-        refactorization (bonds equal to true cut ranks), then compressed by
-        ``policy``.  Only available inside the dense cap.
-      * "auto": a lossy policy takes "dense" inside the dense cap, else
-        "mpo".  A lossless one takes "mpo" when the uncompressed assembly
-        fits ``max_bond``, otherwise "dense" inside the dense cap, otherwise
-        a :class:`~gibbsmpo.mpo.BondCapError` carrying the analytic ledger.
+    A lossy policy on a joined block of at most ``dense_cap`` states takes
+    the dense evaluation, an exact tensor-train refactorization (bonds equal
+    to true cut ranks) and one compression by ``policy``.  Every other merge
+    is the Horner assembly from the Hamiltonian MPOs, 2*m0 products by
+    :func:`~gibbsmpo.mpo.product`: exact under policy "none", with bond
+    profile :func:`assembly_bond_profile` within :func:`bond_ledger`; any
+    other policy (tol=0 included) rounds every product and sum.  A lossless
+    assembly over ``max_bond`` is refused before it starts with a
+    :class:`~gibbsmpo.mpo.BondCapError` carrying the analytic ledger.
 
     Outside the certified |beta0| window the builder refuses unless
     ``force`` is set (certification reports then mark the run uncertified).
     """
     ms.require_window(force)
-    if route not in ("auto", "mpo", "dense"):
-        raise ValueError(f"unknown route {route!r}")
-    dim = ms.spec_ab.d ** ms.spec_ab.n
-    if route == "auto" and not policy.lossless:
-        route = "dense" if dim <= dense_cap else "mpo"
-    hams = None if route == "dense" else _hamiltonian_mpos(ms)
-    if route == "auto" and max(_assembly_profile(*hams, ms.order)) > max_bond:
-        if dim > dense_cap:
-            ledger = bond_ledger(ms)
-            raise BondCapError(
-                f"uncompressed merge assembly needs bond ~{ledger} "
-                f"(> cap {max_bond}) and the block exceeds the dense cap",
-                estimate=ledger)
-        route = "dense"
-    if route == "dense":
+    n, d = ms.spec_ab.n, ms.spec_ab.d
+    if not policy.lossless and d ** n <= dense_cap:
         dense = truncated_merge_dense(ms, cap=dense_cap)
-        built = mpo_ops.from_dense(dense, ms.spec_ab.n, ms.spec_ab.d)
-        return mpo_ops.compress(built, policy)[0]
+        return mpo_ops.compress(mpo_ops.from_dense(dense, n, d), policy)[0]
+    hams = _hamiltonian_mpos(ms)
+    if policy.lossless and max(_assembly_profile(*hams, ms.order)) > max_bond:
+        ledger = bond_ledger(ms)
+        raise BondCapError(f"uncompressed merge assembly needs bond ~{ledger} "
+                           f"(> cap {max_bond})", estimate=ledger)
     return _assemble_merge_mpo(ms, *hams, policy, max_bond)
 
 

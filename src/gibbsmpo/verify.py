@@ -88,7 +88,7 @@ def check_decoupled_identity(n: int = 6, order: int = 7) -> dict:
 
     The binomial cancellation holds at every order; the Horner MPO
     assembly is exercised at a low order (its uncompressed bonds grow fast)
-    and the dense route at ``order``.
+    and the dense evaluator at ``order``.
     """
     spec = HamiltonianSpec(
         n=n, d=2, k=2,
@@ -100,7 +100,7 @@ def check_decoupled_identity(n: int = 6, order: int = 7) -> dict:
     dense = truncated_merge_dense(ms)
     dev_dense = float(np.linalg.norm(dense - np.eye(dense.shape[0]), ord=2))
     ms_small = merge_spec_for(spec, *half, beta0, min(order, 3))
-    built = build_merge_mpo(ms_small, route="mpo").densify()
+    built = build_merge_mpo(ms_small).densify()
     dev_mpo = float(np.linalg.norm(built - np.eye(dense.shape[0]), ord=2))
     ok = dev_dense <= 1e-12 and dev_mpo <= 1e-12
     return _result("decoupled_identity", ok, dense_dev=dev_dense,

@@ -125,11 +125,13 @@ def test_build_bad_flag_values_exit_config(tmp_path):
 
 def test_removed_seed_and_sweep_keys_are_rejected(tmp_path):
     # the model section alone fixes the chain and a build is deterministic,
-    # so neither a seed nor sweep-level n/alpha is accepted
-    seeded = demo_config()
-    seeded["run"]["seed"] = 7
-    assert main(["build", "--config",
-                 write_config(tmp_path, seeded, "seeded.json")]) == EXIT_CONFIG
+    # so neither a seed nor sweep-level n/alpha is accepted; the policy and
+    # the dense cap decide dense vs MPO arithmetic, so no engine either
+    for key, value in (("seed", 7), ("engine", "mpo")):
+        removed = demo_config()
+        removed["run"][key] = value
+        assert main(["build", "--config", write_config(
+            tmp_path, removed, f"{key}.json")]) == EXIT_CONFIG
     sweep = {"format": 1,
              "model": {"name": "power_law_ising", "n": 4, "alpha": 3.0},
              "sweep": {"kind": "order", "n": 4}}
@@ -144,7 +146,7 @@ def test_removed_seed_and_sweep_keys_are_rejected(tmp_path):
 
 def test_build_cap_error_exit_code(tmp_path):
     cfg = write_config(tmp_path, demo_config(
-        n=6, engine="mpo", max_bond=256, dense_cap=16))
+        n=6, max_bond=256, dense_cap=16))
     assert main(["build", "--config", cfg, "--out", str(tmp_path / "c")]) \
         == EXIT_CAP
 

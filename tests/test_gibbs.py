@@ -12,7 +12,6 @@ from gibbsmpo.gibbs import (
     build_high_temp_mpo,
     build_merge_plan,
     build_real_time_mpo,
-    leaf_gibbs_mpos,
     merge_layer,
     plan_budget,
     recursion_constants,
@@ -30,7 +29,7 @@ from gibbsmpo.model import (
 )
 from gibbsmpo import mpo as mpo_module
 from gibbsmpo.mpo import DEFAULT_MAX_BOND, BondCapError, CompressionPolicy, \
-    concat, multiply
+    concat, from_dense, multiply
 from gibbsmpo.oracle import dense_exp, partition_function, relative_error
 
 
@@ -40,6 +39,18 @@ def chain(n, alpha=3.0):
 
 def window(spec):
     return 1.0 / (24.0 * extensivity_constant(spec) * spec.k ** 2)
+
+
+def leaf_ops(spec, beta0):
+    """Exact dense Gibbs operators of the chain's leaf blocks."""
+    return [(leaf, dense_exp(dense_matrix(restrict(spec, leaf)), -beta0))
+            for leaf in build_merge_plan(spec.n)[0]]
+
+
+def leaf_mpos(spec, beta0):
+    """The leaf operators refactorized into exact MPOs."""
+    return [(leaf, from_dense(op, len(leaf), spec.d))
+            for leaf, op in leaf_ops(spec, beta0)]
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +151,7 @@ def test_budget_layer_count_matches_plan():
 def test_leaf_gibbs_exact_against_dense():
     spec = chain(4)
     beta0 = window(spec)
-    for interval, mpo in leaf_gibbs_mpos(spec, beta0):
+    for interval, mpo in leaf_mpos(spec, beta0):
         local = restrict(spec, interval)
         ref = dense_exp(dense_matrix(local), -beta0)
         assert np.abs(mpo.densify() - ref).max() < 1e-12
@@ -149,7 +160,7 @@ def test_leaf_gibbs_exact_against_dense():
 
 def test_leaf_gibbs_zero_beta_is_identity():
     spec = chain(4)
-    for _, mpo in leaf_gibbs_mpos(spec, 0.0):
+    for _, mpo in leaf_mpos(spec, 0.0):
         assert np.abs(mpo.densify() - np.eye(4)).max() < 1e-14
 
 
@@ -158,7 +169,7 @@ def test_leaf_gibbs_commuting_single_site_terms():
     # exponentials
     terms = tuple(LocalTerm((i,), 0.3 * i, ("Z",)) for i in range(1, 5))
     spec = HamiltonianSpec(n=4, d=2, k=2, terms=terms)
-    (iv, mpo), _ = leaf_gibbs_mpos(spec, 0.7)
+    (iv, mpo), _ = leaf_mpos(spec, 0.7)
     single = [np.diag(np.exp([-0.7 * 0.3 * i, 0.7 * 0.3 * i]))
               for i in (1, 2)]
     assert np.abs(mpo.densify() - np.kron(single[0], single[1])).max() < 1e-12
@@ -174,54 +185,57 @@ def test_merge_layer_decoupled_pair_is_plain_product():
         terms=tuple(t for t in chain(4).terms
                     if not (t.sites[0] <= 2 < t.sites[-1])))
     beta0 = window(spec)
-    blocks = leaf_gibbs_mpos(spec, beta0)
+    blocks = leaf_ops(spec, beta0)
     merged, discarded = merge_layer(blocks, spec, beta0, 5)
     assert discarded == 0.0
     (iv, m), = merged
     assert iv == Interval(1, 4)
-    ref = np.kron(blocks[0][1].densify(), blocks[1][1].densify())
-    assert np.abs(m.densify() - ref).max() < 1e-12
+    ref = np.kron(blocks[0][1], blocks[1][1])
+    assert np.abs(m - ref).max() < 1e-12
 
 
 def test_merge_layer_single_step_error_within_recursion_bound():
     spec = chain(4)
     budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2)
-    blocks = leaf_gibbs_mpos(run_spec, budget.beta0)
+    blocks = leaf_ops(run_spec, budget.beta0)
     merged, _ = merge_layer(blocks, run_spec, budget.beta0, budget.order)
     (iv, m), = merged
     ref = dense_exp(dense_matrix(run_spec), -budget.beta0)
-    err = relative_error(ref, m.densify(), 2)
+    err = relative_error(ref, m, 2)
     assert err <= budget.merge_offset * budget.merge_tol  # eps_1 = 0
 
 
 def test_engines_agree_at_forced_low_order():
-    # the literal engine's uncompressed bonds explode with the layer count,
-    # so the cross-check runs one merge at a deliberately small order
+    # the exact MPO assembly's bonds explode with the order, so the
+    # cross-check runs one merge at a deliberately small order; a dense cap
+    # below the joined block sends it to MPO arithmetic
     spec = chain(4)
     budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2,
                                       two_local="off")
     small = replace(budget, order=2)
-    m_dense, _ = build_high_temp_mpo(run_spec, small, engine="dense")
-    m_mpo, _ = build_high_temp_mpo(run_spec, small, engine="mpo")
+    m_dense, _ = build_high_temp_mpo(run_spec, small)
+    m_mpo, _ = build_high_temp_mpo(run_spec, small, dense_cap=4)
     ref = m_dense.densify()
     assert np.abs(m_mpo.densify() - ref).max() < 1e-10 * np.abs(ref).max()
 
 
 def test_merge_layer_dense_blocks_match_mpo_blocks():
-    # the shared layer loop merges either block type; both must give the
-    # same operator
+    # dense and MPO arithmetic give the same merged operator.  A dense cap
+    # below the joined block sends the pair to MPO arithmetic, which
+    # refactorizes dense blocks first; the exact assembly's bonds grow like
+    # D_H^m0, so the pair is merged at a small order.
     spec = chain(4)
-    budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2)
-    mpos = leaf_gibbs_mpos(run_spec, budget.beta0)
-    dense = [(iv, m.densify()) for iv, m in mpos]
-    (iv_d, got_dense), = merge_layer(dense, run_spec, budget.beta0,
-                                     budget.order)[0]
-    (iv_m, got_mpo), = merge_layer(mpos, run_spec, budget.beta0,
-                                   budget.order)[0]
-    assert iv_d == iv_m == Interval(1, 4)
-    assert isinstance(got_dense, np.ndarray)
-    ref = got_mpo.densify()
-    assert np.abs(got_dense - ref).max() <= 1e-12 * np.abs(ref).max()
+    budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2,
+                                      two_local="off")
+    dense = leaf_ops(run_spec, budget.beta0)
+    (iv_d, ref), = merge_layer(dense, run_spec, budget.beta0, 2)[0]
+    assert iv_d == Interval(1, 4)
+    assert isinstance(ref, np.ndarray)
+    for blocks in (dense, leaf_mpos(run_spec, budget.beta0)):
+        (iv_m, got), = merge_layer(blocks, run_spec, budget.beta0, 2,
+                                   dense_cap=4)[0]
+        assert iv_m == iv_d
+        assert np.abs(got.densify() - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_dense_engine_refactorizes_each_block_once(monkeypatch):
@@ -270,19 +284,6 @@ def test_dense_build_eigendecomposes_each_hamiltonian_once(monkeypatch):
     assert len(dense_exps) == 7     # the final reference is not among them
     # 4 leaves + 3 merges x (H_AB, H_A + H_B) + 3 layer references + final
     assert len(dense_matrices) == 14
-
-
-def test_mpo_engine_measures_refactorized_leaves(monkeypatch):
-    # the MPO engine's leaves are refactorized, so they keep a reference each
-    import gibbsmpo.gibbs as gibbs_mod
-
-    calls = []
-    _count_calls(monkeypatch, gibbs_mod, "dense_exp", calls)
-    spec = chain(4)
-    budget, run_spec, _ = plan_budget(spec, 2 * window(spec), 1e-2)
-    _, diag = build_high_temp_mpo(run_spec, budget, engine="mpo")
-    assert len(calls) == 2 + 2 + 1  # leaves, leaf references, top reference
-    assert 0.0 <= diag.errors[0] < 1e-13
 
 
 def test_measurement_reference_spectrum_matches_svd():
@@ -475,11 +476,17 @@ def test_override_steps_splits_finer():
     assert r2.measured["p2"] <= 1e-2
 
 
-def test_compressed_run_is_flagged_and_measured():
+def test_compressed_run_is_flagged_and_measured(monkeypatch):
+    calls = []
+    _count_calls(monkeypatch, mpo_module, "from_dense", calls)
     spec = chain(6)
     policy = CompressionPolicy(mode="maxbond", max_bond=32)
     m, report = build_gibbs_mpo(spec, 2 * window(spec), 1e-2, policy=policy)
     assert report.engine == "mpo"
+    # dense leaves are their own references; each is refactorized once
+    # (3), plus one per dense-evaluated merge MPO (2)
+    assert report.per_layer_error[0] == 0.0
+    assert len(calls) == 5
     assert not report.certified
     assert any("heuristic" in note for note in report.notes)
     assert max(m.bond_profile) <= 32
@@ -487,49 +494,55 @@ def test_compressed_run_is_flagged_and_measured():
 
 
 def test_mpo_engine_mode_none_fails_fast_beyond_caps():
-    # with the dense fallback unavailable the literal assembly at the
-    # planned order must refuse immediately, carrying the analytic ledger
+    # beyond the dense cap a lossless merge is the literal assembly, which
+    # at the planned order must refuse immediately, carrying the ledger
     spec = chain(6)
     with pytest.raises(BondCapError) as err:
-        build_gibbs_mpo(spec, window(spec), 1e-2, engine="mpo",
-                        max_bond=512, dense_cap=16, measure=False)
+        build_gibbs_mpo(spec, window(spec), 1e-2, max_bond=512, dense_cap=16)
     assert err.value.estimate is None or err.value.estimate > 512
 
 
 def test_tol0_beyond_both_caps_fails_fast():
-    # tol=0 rounds but bounds nothing, so the auto route still refuses an
-    # assembly beyond the bond cap instead of attempting it
+    # tol=0 rounds but bounds nothing, so a merge beyond the dense cap
+    # still refuses an assembly beyond the bond cap instead of attempting it
     spec = chain(6)
     with pytest.raises(BondCapError) as err:
         build_gibbs_mpo(spec, 4 * window(spec), 1e-2,
-                        CompressionPolicy.parse("tol=0"), dense_cap=4,
-                        measure=False)
+                        CompressionPolicy.parse("tol=0"), dense_cap=4)
     assert err.value.estimate > DEFAULT_MAX_BOND
 
 
 def test_tol0_mpo_engine_bonds_stay_within_cut_ranks():
     # tol=0 rounds every MPO product, so no interior cut of the result can
-    # exceed the operator-space dimension d^(2*min(c, n-c))
+    # exceed the operator-space dimension d^(2*min(c, n-c)); the dense cap
+    # of 4 states keeps the merge and the powering on MPOs
     spec = chain(4)
     m, report = build_gibbs_mpo(spec, 2 * window(spec), 1e-2,
-                                CompressionPolicy.parse("tol=0"), engine="mpo",
+                                CompressionPolicy.parse("tol=0"), dense_cap=4,
                                 override_order=2)
     assert report.engine == "mpo"
     for c, bond in enumerate(m.bond_profile[1:-1], start=1):
         assert bond <= spec.d ** (2 * min(c, spec.n - c))
 
 
-@pytest.mark.parametrize("n", [4, 6])
-def test_tol0_mpo_engine_matches_dense_engine_at_planned_order(n):
-    spec = chain(n)
-    beta = 4 * window(spec)
-    _, rounded = build_gibbs_mpo(spec, beta, 1e-2,
-                                 CompressionPolicy.parse("tol=0"), engine="mpo")
-    _, dense = build_gibbs_mpo(spec, beta, 1e-2)
-    assert (rounded.engine, dense.engine) == ("mpo", "dense")
-    assert rounded.certified and rounded.budget.steps > 1
-    for key in ("p1", "p2", "pinf", "trace"):
-        assert abs(rounded.measured[key] - dense.measured[key]) <= 1e-12
+def test_chain_straddling_the_dense_cap_merges_on_mpos_from_there(
+        monkeypatch):
+    # tol=0 is lossless: at n=6 with a dense cap of 16 states the 4-site
+    # merge runs densely and only the top merge (64 states) on MPOs
+    import gibbsmpo.gibbs as gibbs_mod
+
+    calls = []
+    _count_calls(monkeypatch, gibbs_mod, "build_merge_mpo", calls)
+    spec = chain(6)
+    beta = 2 * window(spec)
+    m, report = build_gibbs_mpo(spec, beta, 1e-2,
+                                CompressionPolicy.parse("tol=0"),
+                                dense_cap=16, override_order=2)
+    assert len(calls) == 1
+    assert report.engine == "mpo"
+    assert tuple(m.bond_profile) == (1, 4, 13, 20, 13, 4, 1)
+    ref = build_gibbs_mpo(spec, beta, 1e-2, override_order=2)[0].densify()
+    assert np.linalg.norm(m.densify() - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_predictions_only_beyond_oracle_cap():
@@ -540,12 +553,3 @@ def test_predictions_only_beyond_oracle_cap():
     assert report.measured == {}
     assert any("oracle cap" in note for note in report.notes)
     assert report.budget.powered_error > 0.0
-
-
-def test_engine_validation():
-    spec = chain(6)
-    with pytest.raises(ValueError):
-        build_gibbs_mpo(spec, window(spec), 1e-2, engine="quantum")
-    with pytest.raises(ValueError):
-        build_gibbs_mpo(spec, window(spec), 1e-2, engine="dense",
-                        policy=CompressionPolicy(mode="maxbond", max_bond=8))

@@ -122,7 +122,7 @@ def test_binomial_cancellation_identity_dense(order):
 def test_binomial_cancellation_identity_mpo_route():
     spec = decoupled(4)
     ms = half_merge(spec, window(spec), 3)
-    got = build_merge_mpo(ms, route="mpo").densify()
+    got = build_merge_mpo(ms).densify()
     assert np.abs(got - np.eye(16)).max() < 1e-13
 
 
@@ -130,7 +130,7 @@ def test_order_zero_is_identity():
     spec = chain(4)
     ms = half_merge(spec, window(spec), 0)
     assert np.abs(truncated_merge_dense(ms) - np.eye(16)).max() == 0.0
-    assert np.abs(build_merge_mpo(ms, route="mpo").densify()
+    assert np.abs(build_merge_mpo(ms).densify()
                   - np.eye(16)).max() < 1e-14
 
 
@@ -167,13 +167,14 @@ def test_horner_matches_literal_double_sum(order, phase):
     ref = literal_merge(ms)
     got = truncated_merge_dense(ms)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    # the MPO route applies Horner's rule to the same sum; its exact bonds
-    # grow like D_H^m0, so higher orders compress to roundoff on the way
+    # the MPO assembly applies Horner's rule to the same sum; its exact
+    # bonds grow like D_H^m0, so higher orders compress to roundoff on the
+    # way (a dense cap below the block keeps lossy merges on MPOs)
     if order <= 2:
-        got, rel = build_merge_mpo(ms, route="mpo").densify(), 1e-13
+        got, rel = build_merge_mpo(ms).densify(), 1e-13
     else:
         policy = CompressionPolicy(mode="tolerance", tolerance=1e-24)
-        got = build_merge_mpo(ms, route="mpo", policy=policy).densify()
+        got = build_merge_mpo(ms, policy=policy, dense_cap=4).densify()
         rel = 1e-11
     assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
 
@@ -343,7 +344,7 @@ def test_certification_error_carries_values():
     assert not rep["certified_regime"]
     with pytest.raises(ValueError):
         build_merge_mpo(ms)  # refuses outside the window without force
-    built = build_merge_mpo(ms, force=True, route="dense")
+    built = build_merge_mpo(ms, force=True)
     assert built.n == 4
 
 
@@ -362,11 +363,15 @@ def test_certification_raises_inside_regime_on_violation():
 # ---------------------------------------------------------------------------
 
 def test_routes_agree_dense_vs_mpo():
+    # a lossless merge is the Horner assembly; a lossy one inside the dense
+    # cap is the refactorized dense evaluation
     spec = chain(5)
     ms = half_merge(spec, window(spec), 3)
     ref = truncated_merge_dense(ms)
-    via_mpo = build_merge_mpo(ms, route="mpo").densify()
-    via_dense = build_merge_mpo(ms, route="dense").densify()
+    via_mpo = build_merge_mpo(ms).densify()
+    via_dense = build_merge_mpo(
+        ms, policy=CompressionPolicy(mode="tolerance", tolerance=1e-24)
+    ).densify()
     assert np.abs(via_mpo - ref).max() < 1e-10
     assert np.abs(via_dense - ref).max() < 1e-10
 
@@ -375,7 +380,7 @@ def test_real_time_merge_routes_agree():
     spec = chain(4)
     ms = half_merge(spec, 1j * window(spec), 3)
     ref = truncated_merge_dense(ms)
-    assert np.abs(build_merge_mpo(ms, route="mpo").densify() - ref).max() < 1e-10
+    assert np.abs(build_merge_mpo(ms).densify() - ref).max() < 1e-10
     rep = certify_merge_truncation(ms)
     assert rep["certified_regime"]
     assert rep["measured_error"] <= rep["error_bound"]
@@ -385,7 +390,7 @@ def test_real_time_merge_routes_agree():
 def test_assembly_profile_matches_and_obeys_ledger(order):
     spec = chain(4, hx=0.0)
     ms = half_merge(spec, window(spec), order)
-    built = build_merge_mpo(ms, route="mpo")
+    built = build_merge_mpo(ms)
     predicted = assembly_bond_profile(ms)
     assert built.bond_profile == predicted
     ledger = bond_ledger(ms)
@@ -393,13 +398,12 @@ def test_assembly_profile_matches_and_obeys_ledger(order):
 
 
 def test_bond_cap_fails_fast_with_ledger():
+    # inside the dense cap too: a lossless merge has no dense fallback
     spec = chain(6)
     ms = half_merge(spec, window(spec), 12)
     with pytest.raises(BondCapError) as err:
-        build_merge_mpo(ms, route="mpo", max_bond=256)
-    assert err.value.estimate is not None
-    # auto route falls back to the dense construction instead
-    assert build_merge_mpo(ms, max_bond=256).n == 6
+        build_merge_mpo(ms, max_bond=256)
+    assert err.value.estimate == bond_ledger(ms)
 
 
 def test_auto_route_beyond_both_caps_reports_estimate():
@@ -411,7 +415,7 @@ def test_auto_route_beyond_both_caps_reports_estimate():
 
 
 def test_exact_auto_merge_builds_hamiltonian_mpos_once(monkeypatch):
-    # the route check and the assembly share H_AB and H_A + H_B
+    # the bond-cap check and the assembly share H_AB and H_A + H_B
     import gibbsmpo.merge as merge_mod
     calls = []
     real = merge_mod.hamiltonian_mpo
@@ -433,7 +437,7 @@ def test_compressed_assembly_stays_close():
     ms = half_merge(spec, window(spec), 3)
     ref = truncated_merge_dense(ms)
     policy = CompressionPolicy(mode="tolerance", tolerance=1e-24)
-    built = build_merge_mpo(ms, route="mpo", policy=policy)
+    built = build_merge_mpo(ms, policy=policy, dense_cap=4)
     assert np.abs(built.densify() - ref).max() < 1e-8
     assert max(built.bond_profile) <= max(assembly_bond_profile(ms))
 
@@ -452,7 +456,7 @@ def test_lossy_assembly_makes_two_products_per_order(monkeypatch):
     spec = chain(4)
     ms = half_merge(spec, window(spec), 8)
     policy = CompressionPolicy(mode="tolerance", tolerance=1e-10)
-    built = build_merge_mpo(ms, route="mpo", policy=policy)
+    built = build_merge_mpo(ms, policy=policy, dense_cap=4)
     assert len(calls) == 2 * 8
     # dropped weight 1e-10 per cut: amplitude errors of order sqrt(1e-10)
     assert np.abs(built.densify() - truncated_merge_dense(ms)).max() < 1e-5
