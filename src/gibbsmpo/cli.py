@@ -241,22 +241,15 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sweep_order(spec, sweep) -> list[dict]:
-    orders = sweep.get("orders", list(range(2, 13)))
-    beta0 = verify_mod.base_step(spec)
-    gtilde = boundary_bound(spec)
-    cut = spec.n // 2
+def _sweep_rows(key: str, values, evaluate) -> list[dict]:
+    """Rows of index, ``key``, the fields of ``evaluate(value)`` and runtime,
+    one per value; a failing value is flagged and the sweep goes on."""
     rows = []
-    for idx, order in enumerate(orders):
+    for idx, value in enumerate(values):
         t0 = time.perf_counter()
-        row = {"index": idx, "order": int(order)}
+        row = {"index": idx, key: value}
         try:
-            ms = merge_spec_for(spec, Interval(1, cut),
-                                Interval(cut + 1, spec.n), beta0, int(order))
-            rep = certify_merge_truncation(ms, gtilde=gtilde,
-                                           max_order_terms=0, check=False)
-            row.update(measured=rep["measured_error"], bound=rep["error_bound"],
-                       within_bound=rep["measured_error"] <= rep["error_bound"])
+            row.update(evaluate(value))
         except Exception as exc:  # flagged, sweep continues
             row.update(failed=True, error=str(exc))
         row["runtime_s"] = time.perf_counter() - t0
@@ -264,28 +257,35 @@ def _sweep_order(spec, sweep) -> list[dict]:
     return rows
 
 
+def _sweep_order(spec, sweep) -> list[dict]:
+    orders = sweep.get("orders", list(range(2, 13)))
+    beta0 = verify_mod.base_step(spec)
+    gtilde = boundary_bound(spec)
+    cut = spec.n // 2
+
+    def evaluate(order):
+        ms = merge_spec_for(spec, Interval(1, cut), Interval(cut + 1, spec.n),
+                            beta0, order)
+        rep = certify_merge_truncation(ms, gtilde=gtilde, max_order_terms=0,
+                                       check=False)
+        return dict(measured=rep["measured_error"], bound=rep["error_bound"],
+                    within_bound=rep["measured_error"] <= rep["error_bound"])
+
+    return _sweep_rows("order", [int(o) for o in orders], evaluate)
+
+
 def _sweep_epsilon(spec, sweep) -> list[dict]:
     epsilons = sweep.get("epsilons", [10.0 ** -x for x in range(1, 5)])
-    steps = int(sweep.get("beta_steps", 4))
-    beta = steps * verify_mod.base_step(spec)
-    rows = []
-    for idx, eps in enumerate(epsilons):
-        t0 = time.perf_counter()
-        row = {"index": idx, "epsilon": float(eps)}
-        try:
-            mpo_out, report = build_gibbs_mpo(spec, beta, float(eps))
-            b = report.budget.to_dict()
-            row.update(
-                order=report.budget.order,
-                ham_bond=report.budget.ham_bond,
-                ledger_log10=b["high_temp_bond_ledger_log10"],
-                stored_max_bond=max(report.bond_profile),
-                measured=report.measured,
-            )
-        except Exception as exc:
-            row.update(failed=True, error=str(exc))
-        row["runtime_s"] = time.perf_counter() - t0
-        rows.append(row)
+    beta = int(sweep.get("beta_steps", 4)) * verify_mod.base_step(spec)
+
+    def evaluate(eps):
+        report = build_gibbs_mpo(spec, beta, eps)[1]
+        ledger = report.budget.to_dict()["high_temp_bond_ledger_log10"]
+        return dict(order=report.budget.order, ham_bond=report.budget.ham_bond,
+                    ledger_log10=ledger, measured=report.measured,
+                    stored_max_bond=max(report.bond_profile))
+
+    rows = _sweep_rows("epsilon", [float(e) for e in epsilons], evaluate)
     good = [r for r in rows if not r.get("failed")]
     if len(good) >= 3:
         xs = np.log([math.log(spec.n / r["epsilon"]) for r in good])
@@ -305,22 +305,14 @@ def _sweep_steps(spec, sweep) -> list[dict]:
     # linear in the number of steps
     beta = float(sweep.get("beta_steps", 1)) * verify_mod.base_step(spec)
     q_min = plan_budget(spec, beta, epsilon, two_local=two_local)[0].steps
-    rows = []
-    for idx, q in enumerate(range(q_min, q_min + max_steps)):
-        t0 = time.perf_counter()
-        row = {"index": idx, "steps": q}
-        try:
-            mpo_out, report = build_gibbs_mpo(
-                spec, beta, epsilon, override_order=override,
-                override_steps=q, two_local=two_local)
-            row.update(predicted=report.budget.powered_error,
-                       measured=report.measured,
-                       order=report.budget.order)
-        except Exception as exc:
-            row.update(failed=True, error=str(exc))
-        row["runtime_s"] = time.perf_counter() - t0
-        rows.append(row)
-    return rows
+
+    def evaluate(q):
+        report = build_gibbs_mpo(spec, beta, epsilon, override_order=override,
+                                 override_steps=q, two_local=two_local)[1]
+        return dict(predicted=report.budget.powered_error,
+                    measured=report.measured, order=report.budget.order)
+
+    return _sweep_rows("steps", range(q_min, q_min + max_steps), evaluate)
 
 
 # ---------------------------------------------------------------------------

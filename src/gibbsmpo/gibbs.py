@@ -8,8 +8,8 @@ lossless merge whose joined block fits the dense cap runs on dense
 matrices, every other merge on MPOs.  (3) The result approximates
 exp(-b0*H) with a relative error eps0' that obeys the per-layer
 recursion e_q = a2*d0 + a1*e_{q-1}.  (4) Raising it to the integer
-power Q = beta/b0 reaches the target temperature with relative error at
-most 5*Q*eps0' in every Schatten norm.
+power Q = beta/b0 by repeated squaring reaches the target temperature with
+relative error at most 5*Q*eps0' in every Schatten norm.
 Setting beta = i*t runs the same pipeline for real-time evolution.
 
 The per-merge tolerance d0 is chosen so the powered error meets the
@@ -310,34 +310,37 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
     beta0 = budget.beta0
     blocks = [(leaf, _block_exp(run_spec, leaf, beta0))
               for leaf in build_merge_plan(run_spec.n)[0]]
-    as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap,
-                            exact=True)
+    as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap)
     while len(blocks) > 1:
         blocks, w = merge_layer(blocks if policy.lossless else as_mpos,
                                 run_spec, beta0, budget.order, policy,
                                 dense_cap=dense_cap, max_bond=max_bond,
                                 force=force)
         diag.discarded_weight += w
-        as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap)
+        as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap,
+                                as_mpos)
     return as_mpos[0][1], diag
 
 
 def _record_layer(diag, blocks, run_spec, beta0, dense_cap,
-                  exact=False) -> list[Block]:
+                  prev=None) -> list[Block]:
     """Log one layer's error (when the chain fits ``dense_cap``) and bond
     maxima; return its blocks as MPOs.
 
-    ``exact`` marks blocks that are their own references (the leaves), so
-    no block exponential is recomputed for them.
+    ``prev`` is the previous layer's MPOs, and a block that passed through
+    keeps its interval and its MPO.  Without it the blocks are the leaves,
+    their own references, so no block exponential is recomputed for them.
     """
     if run_spec.d ** run_spec.n <= dense_cap:
         diag.errors.append(max(
-            relative_error(op if exact else
+            relative_error(op if prev is None else
                            _block_exp(run_spec, iv, beta0, dense_cap),
                            op.densify(cap=dense_cap) if isinstance(op, MPO)
                            else op, 2)
             for iv, op in blocks))
-    as_mpos = [(iv, _as_mpo(op, run_spec.d)) for iv, op in blocks]
+    known = dict(prev or ())
+    as_mpos = [(iv, known[iv] if iv in known else _as_mpo(op, run_spec.d))
+               for iv, op in blocks]
     diag.bond_profiles.append([max(m.bond_profile) for _, m in as_mpos])
     return as_mpos
 
@@ -510,17 +513,13 @@ def _power_step(m_base: MPO, steps: int, policy: CompressionPolicy,
 
     The merge rule (:func:`_merges_densely`) applied to the whole chain
     picks the arithmetic: a dense matrix power and one refactorization,
-    else a left fold of :func:`~gibbsmpo.mpo.product`.
+    else the square-and-multiply :func:`~gibbsmpo.mpo.power`.
     """
     if steps > 1 and _merges_densely(policy, m_base.d ** m_base.n, dense_cap):
         top = real_if_exact(m_base.densify(cap=dense_cap))
         powered = np.linalg.matrix_power(top, steps)
         return mpo_ops.from_dense(powered, m_base.n, m_base.d), 0.0
-    out, discarded = m_base, 0.0
-    for _ in range(steps - 1):
-        out, w = mpo_ops.product(out, m_base, policy, max_bond=max_bond)
-        discarded += w
-    return out, discarded
+    return mpo_ops.power(m_base, steps, policy, max_bond=max_bond)
 
 
 def build_real_time_mpo(spec: HamiltonianSpec, t: float, epsilon: float,

@@ -2,10 +2,10 @@
 
 An MPO stores one rank-4 tensor per site with index order
 (left bond, row physical, column physical, right bond) and boundary bonds
-of dimension 1.  All arithmetic here is exact: multiply/add/scale never
-truncate, and the bond profile of a result follows the product/sum rules
-of the inputs.  Lossy truncation only happens through an explicit
-:class:`CompressionPolicy`.
+of dimension 1.  multiply/add/scale are exact and never truncate; bond
+profiles follow the product/sum rules of the inputs.  Truncation only
+happens through a :class:`CompressionPolicy`, taken by :func:`compress`,
+:func:`product` and the square-and-multiply :func:`power`.
 
 Cores are always complex128 so thermal and real-time scalars share one
 code path.
@@ -53,7 +53,7 @@ class CompressionPolicy:
     def __post_init__(self) -> None:
         if self.mode not in ("none", "tolerance", "maxbond"):
             raise ValueError(f"unknown compression mode {self.mode!r}")
-        if self.tolerance < 0.0:
+        if not self.tolerance >= 0.0:  # NaN fails too
             raise ValueError("tolerance must be >= 0")
         if self.mode == "maxbond" and (self.max_bond is None or self.max_bond < 1):
             raise ValueError("maxbond mode requires max_bond >= 1")
@@ -262,26 +262,6 @@ def scale(a: MPO, c: complex) -> MPO:
     return MPO(cores)
 
 
-def power(a: MPO, q: int, *, max_bond: int = DEFAULT_MAX_BOND) -> MPO:
-    """Left-folded exact q-th operator power.
-
-    The bond profile is the q-fold elementwise power; exceeding
-    ``max_bond`` fails fast with the analytic estimate attached.
-    """
-    if q < 1:
-        raise ValueError(f"exponent must be a positive integer, got {q}")
-    out = a
-    for _ in range(q - 1):
-        try:
-            out = multiply(out, a, max_bond=max_bond)
-        except BondCapError as exc:
-            estimate = max(x ** q for x in a.bond_profile)
-            raise BondCapError(
-                f"{exc}; uncompressed power would reach bond {estimate}",
-                estimate=estimate) from exc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # compression
 # ---------------------------------------------------------------------------
@@ -351,7 +331,8 @@ def multiply_compressed(a: MPO, b: MPO, policy: CompressionPolicy) -> tuple[MPO,
     discarded = 0.0
     for j in range(a.n):
         ca, cb = a.cores[j], b.cores[j]
-        theta = np.einsum("kab,axyc,bytd->kxtcd", carry, ca, cb)
+        theta = np.einsum("kab,axyc,bytd->kxtcd", carry, ca, cb,
+                          optimize=["einsum_path", (0, 1), (0, 1)])
         k = theta.shape[0]
         ra, rb = ca.shape[3], cb.shape[3]
         mat = theta.reshape(k * d * d, ra * rb)
@@ -378,6 +359,30 @@ def product(a: MPO, b: MPO, policy: CompressionPolicy = CompressionPolicy(), *,
     if policy.is_none:
         return multiply(a, b, max_bond=max_bond), 0.0
     return multiply_compressed(a, b, policy)
+
+
+def power(a: MPO, q: int, policy: CompressionPolicy = CompressionPolicy(), *,
+          max_bond: int = DEFAULT_MAX_BOND) -> tuple[MPO, float]:
+    """q-th operator power under ``policy`` and its discarded weight.
+
+    Square-and-multiply in ``np.linalg.matrix_power``'s order (bits of q
+    from the least significant), one :func:`product` per step:
+    bit_length(q) - 1 squares and popcount(q) - 1 multiplications.  Under
+    "none" the bond profile is the elementwise q-th power.
+    """
+    if q < 1:
+        raise ValueError(f"exponent must be a positive integer, got {q}")
+    result, discarded = None, 0.0
+    while q:
+        if q & 1:
+            result, w = (a, 0.0) if result is None else \
+                product(result, a, policy, max_bond=max_bond)
+            discarded += w
+        q >>= 1
+        if q:
+            a, w = product(a, a, policy, max_bond=max_bond)
+            discarded += w
+    return result, discarded
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,7 @@ def check_mpo_exactness(trials: int = 30, seed: int = 20240604) -> dict:
             _dev(mpo_ops.multiply(a, b).densify(), da @ db),
             _dev(mpo_ops.add(a, b).densify(), da + db),
             _dev(mpo_ops.scale(a, c).densify(), c * da),
-            _dev(mpo_ops.power(a, 3).densify(),
+            _dev(mpo_ops.power(a, 3)[0].densify(),
                  np.linalg.matrix_power(da, 3)),
         )
         blob = mpo_ops.mpo_to_bytes(a)

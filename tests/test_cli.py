@@ -112,6 +112,8 @@ def test_build_bad_flag_values_exit_config(tmp_path):
     cfg = write_config(tmp_path, demo_config())
     assert main(["build", "--config", cfg, "--compress", "squash=5"]) \
         == EXIT_CONFIG
+    assert main(["build", "--config", cfg, "--compress", "tol=nan"]) \
+        == EXIT_CONFIG
     assert main(["build", "--config", cfg, "--pnorms", "1,zero"]) \
         == EXIT_CONFIG
     assert main(["build", "--config", cfg, "--pnorms", "0.5"]) == EXIT_CONFIG

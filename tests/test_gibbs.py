@@ -255,6 +255,17 @@ def test_dense_engine_refactorizes_each_block_once(monkeypatch):
     assert len(calls) == 8
 
 
+def test_passthrough_block_keeps_its_mpo(monkeypatch):
+    # n=9: 5 leaves, 2 + 1 + 1 merged blocks and the powered result; the odd
+    # trailing leaf passes through two layers without a refactorization
+    calls = []
+    _count_calls(monkeypatch, mpo_module, "from_dense", calls)
+    spec = chain(9)
+    _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
+    assert report.engine == "dense" and report.budget.steps == 5
+    assert len(calls) == 10
+
+
 def _count_calls(monkeypatch, module, name, calls):
     original = getattr(module, name)
 
@@ -491,6 +502,25 @@ def test_compressed_run_is_flagged_and_measured(monkeypatch):
     assert any("heuristic" in note for note in report.notes)
     assert max(m.bond_profile) <= 32
     assert report.measured["p2"] <= 1e-2  # loose compression stays accurate
+
+
+def test_lossy_powering_squares_within_target(monkeypatch):
+    # Q=134 = 0b10000110: 7 squares and 2 multiplications instead of a
+    # fold of 133 products, with every measured error inside the target
+    calls = []
+    original_power = mpo_module.power
+
+    def counting_power(*args, **kwargs):
+        _count_calls(monkeypatch, mpo_module, "product", calls)
+        return original_power(*args, **kwargs)
+
+    monkeypatch.setattr(mpo_module, "power", counting_power)
+    _, report = build_gibbs_mpo(power_law_ising(6, 3), 0.5, 1e-2,
+                                CompressionPolicy.parse("tol=1e-10"))
+    assert report.budget.steps == 134 and report.engine == "mpo"
+    assert len(calls) == 9
+    assert set(report.measured) == {"p1", "p2", "pinf", "trace"}
+    assert all(err <= 1e-2 for err in report.measured.values())
 
 
 def test_mpo_engine_mode_none_fails_fast_beyond_caps():

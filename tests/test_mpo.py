@@ -11,6 +11,7 @@ from gibbsmpo.model import (
     power_law_heisenberg,
     power_law_ising,
 )
+from gibbsmpo import mpo as mpo_module
 from gibbsmpo.mpo import (
     MPO,
     BondCapError,
@@ -110,23 +111,24 @@ def test_add_zero_is_neutral():
 
 def test_power_matches_dense_cube():
     a = random_mpo(4, 2, 2, rng=RNG)
-    assert dev(power(a, 3).densify(),
+    assert dev(power(a, 3)[0].densify(),
                np.linalg.matrix_power(a.densify(), 3)) < 1e-10
-    assert power(a, 3).bond_profile == (1, 8, 8, 8, 1)
+    assert power(a, 3)[0].bond_profile == (1, 8, 8, 8, 1)
 
 
 def test_power_identity_and_unit_exponent():
     a = random_mpo(3, 2, 2, rng=RNG)
-    assert power(a, 1) is a
-    assert dev(power(identity_mpo(4, 2), 5).densify(), np.eye(16)) < 1e-12
+    assert power(a, 1)[0] is a
+    assert dev(power(identity_mpo(4, 2), 5)[0].densify(), np.eye(16)) < 1e-12
     with pytest.raises(ValueError):
         power(a, 0)
 
 
 def test_power_parenthesization_is_dense_equal():
-    # left fold is the chosen order; other orders agree without compression
+    # square-and-multiply is the chosen order; other orders agree without
+    # compression
     a = random_mpo(4, 2, 2, rng=RNG)
-    left = power(a, 4).densify()
+    left = power(a, 4)[0].densify()
     square = multiply(a, a)
     balanced = multiply(square, square).densify()
     right = multiply(a, multiply(a, multiply(a, a))).densify()
@@ -139,6 +141,32 @@ def test_power_bond_cap_fails_fast_with_estimate():
     with pytest.raises(BondCapError) as err:
         power(a, 8, max_bond=1024)
     assert err.value.estimate == 4 ** 8
+
+
+@pytest.mark.parametrize("q", range(1, 10))
+def test_power_exact_matches_matrix_power(q):
+    a = random_mpo(3, 2, 2, rng=RNG)
+    out, discarded = power(a, q)
+    assert discarded == 0.0
+    assert dev(out.densify(), np.linalg.matrix_power(a.densify(), q)) < 1e-10
+    assert out.bond_profile == tuple(x ** q for x in a.bond_profile)
+
+
+@pytest.mark.parametrize("q,products", [(134, 9), (546, 11)])
+def test_lossy_power_squares_and_multiplies(monkeypatch, q, products):
+    # bit_length(q) - 1 squares plus popcount(q) - 1 multiplications
+    calls = []
+    original = mpo_module.product
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mpo_module, "product", counting)
+    a = identity_mpo(3, 2)
+    out, discarded = power(a, q, CompressionPolicy.parse("tol=1e-10"))
+    assert len(calls) == products
+    assert dev(out.densify(), np.eye(8)) < 1e-10 and discarded < 1e-10
 
 
 def test_trace_matches_dense():
