@@ -365,10 +365,11 @@ def power(a: MPO, q: int, policy: CompressionPolicy = CompressionPolicy(), *,
           max_bond: int = DEFAULT_MAX_BOND) -> tuple[MPO, float]:
     """q-th operator power under ``policy`` and its discarded weight.
 
-    Square-and-multiply in ``np.linalg.matrix_power``'s order (bits of q
-    from the least significant), one :func:`product` per step:
-    bit_length(q) - 1 squares and popcount(q) - 1 multiplications.  Under
-    "none" the bond profile is the elementwise q-th power.
+    Square-and-multiply over the bits of q from the least significant,
+    one :func:`product` per step: bit_length(q) - 1 squares and
+    popcount(q) - 1 multiplications.  This is ``np.linalg.matrix_power``'s
+    order except at q = 3, which numpy forms as (a a) a and this as
+    a (a a).  Under "none" the bond profile is the elementwise q-th power.
     """
     if q < 1:
         raise ValueError(f"exponent must be a positive integer, got {q}")

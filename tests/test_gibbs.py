@@ -239,31 +239,18 @@ def test_merge_layer_dense_blocks_match_mpo_blocks():
 
 
 def test_dense_engine_refactorizes_each_block_once(monkeypatch):
-    # one from_dense per block of the plan (4 + 2 + 1 at n=8) plus one for
-    # the powered result; the top block's MPO is not rebuilt
-    calls = []
-    original = mpo_module.from_dense
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(mpo_module, "from_dense", counting)
-    spec = chain(8)
-    _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
-    assert report.engine == "dense" and report.budget.steps == 5
-    assert len(calls) == 8
-
-
-def test_passthrough_block_keeps_its_mpo(monkeypatch):
-    # n=9: 5 leaves, 2 + 1 + 1 merged blocks and the powered result; the odd
-    # trailing leaf passes through two layers without a refactorization
+    # one from_dense per block of the plan plus one for the powered result;
+    # the top block's MPO is not rebuilt.  n=8: 4 + 2 + 1 blocks.  n=9:
+    # 5 leaves and 2 + 1 + 1 merged blocks, the odd trailing leaf passing
+    # through two layers without a refactorization
     calls = []
     _count_calls(monkeypatch, mpo_module, "from_dense", calls)
-    spec = chain(9)
-    _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
-    assert report.engine == "dense" and report.budget.steps == 5
-    assert len(calls) == 10
+    for n, expected in ((8, 8), (9, 10)):
+        calls.clear()
+        spec = chain(n)
+        _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
+        assert report.engine == "dense" and report.budget.steps == 5
+        assert len(calls) == expected
 
 
 def _count_calls(monkeypatch, module, name, calls):
