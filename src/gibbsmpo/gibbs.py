@@ -255,20 +255,23 @@ def merge_layer(blocks: list[Block], run_spec: HamiltonianSpec,
                 policy: CompressionPolicy = CompressionPolicy(), *,
                 dense_cap: int = DEFAULT_DENSE_CAP,
                 max_bond: int = DEFAULT_MAX_BOND,
-                force: bool = False) -> tuple[list[Block], float]:
+                force: bool = False,
+                mpos: list[Block] | None = None) -> tuple[list[Block], float]:
     """Join adjacent block pairs with truncated merge operators.
 
     :func:`_merges_densely` decides each pair from the policy and the size
     of the joined block.  A dense pair is merged by the dense evaluator and
     a Kronecker product; its blocks are dense, since blocks start as dense
     leaves and turn into MPOs only at an MPO merge.  Every other pair is
-    merged by the merge MPO and :func:`~gibbsmpo.mpo.product`, a dense
-    block being refactorized by :func:`_as_mpo` first.  Returns the next
-    layer and the discarded compression weight: 0 on dense merges and
-    under "none", at roundoff level under tol=0.  An odd trailing block
-    passes through.
+    merged by the merge MPO and :func:`~gibbsmpo.mpo.product` on its
+    blocks' MPOs: the ones ``mpos`` holds for their intervals (the layer as
+    :func:`_record_layer` returns it), else a dense block refactorized by
+    :func:`_as_mpo`.  Returns the next layer and the discarded compression
+    weight: 0 on dense merges and under "none", at roundoff level under
+    tol=0.  An odd trailing block passes through.
     """
     d = run_spec.d
+    known = dict(mpos or ())
     nxt = []
     discarded = 0.0
     for i in range(0, len(blocks) - 1, 2):
@@ -280,7 +283,8 @@ def merge_layer(blocks: list[Block], run_spec: HamiltonianSpec,
         else:
             psi = build_merge_mpo(ms, policy=policy, dense_cap=dense_cap,
                                   max_bond=max_bond, force=force)
-            pair = mpo_ops.concat(_as_mpo(a, d), _as_mpo(b, d))
+            pair = mpo_ops.concat(_as_mpo(known.get(iva, a), d),
+                                  _as_mpo(known.get(ivb, b), d))
             merged, w = mpo_ops.product(psi, pair, policy, max_bond=max_bond)
             discarded += w
         nxt.append((Interval(iva.lo, ivb.hi), merged))
@@ -300,11 +304,10 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
     references.  :func:`merge_layer` runs from them until one block is
     left, so the layers are those of :func:`build_merge_plan`; its rule
     keeps blocks dense while lossless merges fit ``dense_cap`` and merges
-    on MPOs otherwise.  Each layer's blocks are refactorized (bonds equal
-    to true cut ranks) for the bond profiles; a lossy policy merges nothing
-    densely, so its next layer merges those MPOs.  Layer errors are
-    measured against dense block exponentials when the chain fits
-    ``dense_cap``.
+    on MPOs otherwise.  Each layer's blocks are refactorized once (bonds
+    equal to true cut ranks) for the bond profiles, and the next layer's
+    MPO merges take those MPOs.  Layer errors are measured against dense
+    block exponentials when the chain fits ``dense_cap``.
     """
     diag = LayerDiagnostics()
     beta0 = budget.beta0
@@ -312,10 +315,9 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
               for leaf in build_merge_plan(run_spec.n)[0]]
     as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap)
     while len(blocks) > 1:
-        blocks, w = merge_layer(blocks if policy.lossless else as_mpos,
-                                run_spec, beta0, budget.order, policy,
-                                dense_cap=dense_cap, max_bond=max_bond,
-                                force=force)
+        blocks, w = merge_layer(blocks, run_spec, beta0, budget.order,
+                                policy, dense_cap=dense_cap,
+                                max_bond=max_bond, force=force, mpos=as_mpos)
         diag.discarded_weight += w
         as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap,
                                 as_mpos)
@@ -339,7 +341,7 @@ def _record_layer(diag, blocks, run_spec, beta0, dense_cap,
                            else op, 2)
             for iv, op in blocks))
     known = dict(prev or ())
-    as_mpos = [(iv, known[iv] if iv in known else _as_mpo(op, run_spec.d))
+    as_mpos = [(iv, _as_mpo(known.get(iv, op), run_spec.d))
                for iv, op in blocks]
     diag.bond_profiles.append([max(m.bond_profile) for _, m in as_mpos])
     return as_mpos

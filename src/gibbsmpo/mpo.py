@@ -126,16 +126,21 @@ class MPO:
         return max(self.bond_profile)
 
     def densify(self, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-        """Exact dense matrix of the encoded operator."""
-        dim = self.d ** self.n
+        """Exact dense matrix of the encoded operator.
+
+        One BLAS matmul per core, then one transpose that gathers the row
+        and the column indices.
+        """
+        n, d = self.n, self.d
+        dim = d ** n
         if dim > cap:
             raise DenseCapError(f"dense dimension {dim} exceeds cap {cap}")
-        acc = np.ones((1, 1, 1), dtype=complex)  # (bond, rows, cols)
+        acc = np.ones((1, 1), dtype=complex)  # (x1 y1 ... xj yj, bond)
         for core in self.cores:
-            acc = np.einsum("lab,lxyr->raxby", acc, core)
-            r = core.shape[3]
-            acc = acc.reshape(r, acc.shape[1] * acc.shape[2], -1)
-        return acc[0]
+            acc = acc @ core.reshape(core.shape[0], -1)
+            acc = acc.reshape(-1, core.shape[3])
+        perm = [2 * j for j in range(n)] + [2 * j + 1 for j in range(n)]
+        return acc.reshape((d,) * (2 * n)).transpose(perm).reshape(dim, dim)
 
     def trace(self) -> complex:
         acc = np.ones((1, 1), dtype=complex)

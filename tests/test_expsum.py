@@ -99,6 +99,40 @@ def test_grid_certification_matches_one_shot(alpha, eps):
     assert series.certified_sup_error == np.max(np.abs(r ** (-alpha) - kernel))
 
 
+def all_terms_sup_error(series, r):
+    """Literal certificate: every term at every point, no term skipped."""
+    kernel = np.exp(-np.multiply.outer(r, series.rates)) @ series.weights
+    return float(np.max(np.abs(r ** (-series.alpha) - kernel)))
+
+
+def all_terms_grid_sup_error(series):
+    npts = int(round((series.r_max - 1.0) / series.grid_step)) + 1
+    return max(all_terms_sup_error(
+        series, 1.0 + series.grid_step * np.arange(lo, min(lo + 2 ** 14, npts)))
+        for lo in range(0, npts, 2 ** 14))
+
+
+@pytest.mark.parametrize("alpha, eps, r_max", [
+    *((a, e, 2.0 ** 8) for a in (2.5, 3.0, 4.0) for e in (1e-2, 1e-3, 1e-6)),
+    (3.0, 1e-2, 2.0 ** 16),
+])
+def test_certificate_skipping_underflowed_terms_is_the_all_terms_max(
+        alpha, eps, r_max):
+    # the grid evaluator skips terms whose exponentials are exactly 0.0 on a
+    # chunk; the certificate is the same float as the all-terms evaluation
+    series = fit(alpha, eps, r_max=r_max)
+    assert series.rates[-1] > 800.0  # some terms are skipped at r = 1
+    assert series.certified_sup_error == all_terms_grid_sup_error(series)
+
+
+def test_distance_certificate_is_the_all_terms_max():
+    spec = power_law_ising(8, 3.0)
+    r = np.arange(1, 8, dtype=float)
+    for tol in (1e-1, 1e-2, 1e-3, 1e-5):
+        _, series = approximate_hamiltonian(spec, tol)
+        assert series.certified_sup_error == all_terms_sup_error(series, r)
+
+
 def test_kernel_values_on_integer_separations():
     series = fit(3.0, 1e-3)
     r = np.arange(1, 50, dtype=float)

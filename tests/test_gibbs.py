@@ -545,17 +545,21 @@ def test_tol0_mpo_engine_bonds_stay_within_cut_ranks():
 def test_chain_straddling_the_dense_cap_merges_on_mpos_from_there(
         monkeypatch):
     # tol=0 is lossless: at n=6 with a dense cap of 16 states the 4-site
-    # merge runs densely and only the top merge (64 states) on MPOs
+    # merge runs densely and only the top merge (64 states) on MPOs.  The
+    # top merge takes the MPOs its layer recorded: 3 leaves and the 4-site
+    # block are refactorized once each, and nothing after them
     import gibbsmpo.gibbs as gibbs_mod
 
-    calls = []
+    calls, refactorizations = [], []
     _count_calls(monkeypatch, gibbs_mod, "build_merge_mpo", calls)
+    _count_calls(monkeypatch, mpo_module, "from_dense", refactorizations)
     spec = chain(6)
     beta = 2 * window(spec)
     m, report = build_gibbs_mpo(spec, beta, 1e-2,
                                 CompressionPolicy.parse("tol=0"),
                                 dense_cap=16, override_order=2)
     assert len(calls) == 1
+    assert len(refactorizations) == 4
     assert report.engine == "mpo"
     assert tuple(m.bond_profile) == (1, 4, 13, 20, 13, 4, 1)
     ref = build_gibbs_mpo(spec, beta, 1e-2, override_order=2)[0].densify()

@@ -199,6 +199,47 @@ def test_densify_cap_enforced():
         random_mpo(6, 2, 2, rng=RNG).densify(cap=16)
 
 
+def kron_reference(cores):
+    """Dense operator as the sum over bond indices of Kronecker products."""
+    d = cores[0].shape[1]
+    total = np.zeros((d ** len(cores),) * 2, dtype=complex)
+    for bonds in np.ndindex(*(c.shape[3] for c in cores[:-1])):
+        left = (0, *bonds)
+        right = (*bonds, 0)
+        term = np.ones((1, 1))
+        for core, lb, rb in zip(cores, left, right):
+            term = np.kron(term, core[lb, :, :, rb])
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("d, profile", [
+    (2, (1, 1)), (2, (1, 3, 1)), (2, (1, 2, 5, 1)), (2, (1, 4, 7, 3, 1)),
+    (2, (1, 2, 6, 5, 3, 1)),
+    (3, (1, 1)), (3, (1, 5, 1)), (3, (1, 10, 4, 1)), (3, (1, 3, 11, 2, 1)),
+    (3, (1, 2, 10, 3, 4, 1)),
+])
+def test_densify_matches_kronecker_sum(d, profile):
+    rng = np.random.default_rng(len(profile) * d)
+    shapes = [(profile[j], d, d, profile[j + 1]) for j in range(len(profile) - 1)]
+    cores = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+    out = MPO(cores).densify()
+    ref = kron_reference(cores)
+    assert out.dtype == np.complex128
+    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+    # real cores give an exactly real operator (real_if_exact relies on it)
+    real = [c.real.copy() for c in cores]
+    out = MPO(real).densify()
+    assert out.dtype == np.complex128 and not out.imag.any()
+    ref = kron_reference(real)
+    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+    n = len(shapes)
+    assert MPO(cores).densify(cap=d ** n).shape == (d ** n, d ** n)
+    from gibbsmpo.oracle import DenseCapError
+    with pytest.raises(DenseCapError):
+        MPO(cores).densify(cap=d ** n - 1)
+
+
 def test_from_dense_rank_reduction():
     a = random_mpo(6, 2, 2, rng=RNG)
     rebuilt = from_dense(a.densify(), 6, 2)
