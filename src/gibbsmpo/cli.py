@@ -23,7 +23,7 @@ import numpy as np
 
 from .expsum import fit_kernel
 from .gibbs import BudgetError, build_gibbs_mpo, build_real_time_mpo, plan_budget
-from .merge import certify_merge_truncation, merge_spec_for
+from .merge import MAX_TAYLOR_ORDER, certify_merge_truncation, merge_spec_for
 from .model import ConfigError, Interval, boundary_bound, spec_from_config
 from .mpo import BondCapError, CompressionPolicy, save_mpo
 from .oracle import DenseCapError
@@ -35,17 +35,48 @@ EXIT_BUDGET = 3
 EXIT_CAP = 4
 EXIT_VERIFY = 5
 
-_RUN_KEYS = {"mode", "beta", "beta_steps", "time", "epsilon", "compress",
-             "pnorms", "dense_cap", "max_bond", "two_local",
-             "override_order"}
 _MODE_EXCLUDED_KEYS = {"thermal": {"time"},
                        "real_time": {"beta", "beta_steps"}}
-_VERIFY_KEYS = {"checks", "fast", "expect_fail", "seed"}
 _SWEEP_KIND_KEYS = {"order": {"orders"}, "epsilon": {"epsilons", "beta_steps"},
                     "steps": {"max_steps", "epsilon", "beta_steps",
                               "override_order", "two_local"}}
-_SWEEP_KEYS = {"kind"}.union(*_SWEEP_KIND_KEYS.values())
 _TOP_KEYS = {"format", "model", "run", "verify", "sweep"}
+# every key of the run, verify and sweep sections and what its value must
+# be: float (any JSON number), int, another type, a collection of the
+# allowed values (a range holds ints), or [kind] for a list of such values
+_TWO_LOCAL, _ORDER = ("auto", "on", "off"), range(MAX_TAYLOR_ORDER + 1)
+_CHECK_NAMES = [tuple(verify_mod.ALL_CHECKS)]
+_SECTION_KEYS = {
+    "run": {"mode": tuple(_MODE_EXCLUDED_KEYS), "beta": float,
+            "beta_steps": float, "time": float, "epsilon": float,
+            "compress": str, "pnorms": list, "dense_cap": int,
+            "max_bond": int, "two_local": _TWO_LOCAL, "override_order": _ORDER},
+    "verify": {"checks": _CHECK_NAMES, "fast": bool,
+               "expect_fail": _CHECK_NAMES, "seed": int},
+    "sweep": {"kind": tuple(_SWEEP_KIND_KEYS), "orders": [int],
+              "epsilons": [float], "beta_steps": float, "max_steps": int,
+              "epsilon": float, "override_order": _ORDER,
+              "two_local": _TWO_LOCAL},
+}
+
+
+def _fits(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is int or isinstance(kind, range):
+        return isinstance(value, int) and (kind is int or value in kind)
+    return isinstance(value, kind) if isinstance(kind, type) else value in kind
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, list):
+        return f"a list of entries each {_describe(kind[0])}"
+    return {float: "a number", int: "an integer", bool: "true or false",
+            str: "a string", list: "a list"}.get(kind, f"one of {kind}")
 
 
 def _load_config(path: str) -> dict:
@@ -63,25 +94,27 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     if cfg.get("format", 1) != 1:
         raise ConfigError(f"unsupported config format {cfg.get('format')}")
-    for section, allowed in (("run", _RUN_KEYS), ("verify", _VERIFY_KEYS),
-                             ("sweep", _SWEEP_KEYS)):
+    for section, kinds in _SECTION_KEYS.items():
         if section in cfg:
             if not isinstance(cfg[section], dict):
                 raise ConfigError(f"{section} section must be a mapping")
-            bad = set(cfg[section]) - allowed
+            bad = set(cfg[section]) - set(kinds)
             if bad:
                 raise ConfigError(f"unknown {section} keys: {sorted(bad)}")
+            # null means the default: the key is dropped
+            cfg[section] = {k: v for k, v in cfg[section].items() if v is not None}
+            for key, value in cfg[section].items():
+                if not _fits(value, kinds[key]):
+                    raise ConfigError(f"{section}.{key} must be "
+                                      f"{_describe(kinds[key])}, got {value!r}")
     return cfg
 
 
 def _parse_pnorms(values) -> tuple:
     out = []
     for v in values:
-        if v in ("inf", "Inf", np.inf):
-            out.append(np.inf)
-            continue
         try:
-            p = float(v)
+            p = float(v)  # "inf" and "Inf" included
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"cannot parse Schatten order {v!r}") from exc
         if not p >= 1:  # NaN fails too
@@ -116,8 +149,6 @@ def _cmd_build(args) -> int:
     spec = spec_from_config(cfg["model"])
     run = dict(cfg["run"])
     mode = run.get("mode", "thermal")
-    if not isinstance(mode, str) or mode not in _MODE_EXCLUDED_KEYS:
-        raise ConfigError(f"unknown run mode {mode!r}")
     unused = set(run) & _MODE_EXCLUDED_KEYS[mode]
     if unused:
         raise ConfigError(f"run keys {sorted(unused)} do nothing in mode "
@@ -181,7 +212,7 @@ def _cmd_verify(args) -> int:
         vcfg = dict(cfg.get("verify", {}))
     names = vcfg.get("checks")
     expect_fail = set(vcfg.get("expect_fail", verify_mod.DEFAULT_EXPECT_FAIL))
-    fast = args.fast or bool(vcfg.get("fast", False))
+    fast = args.fast or vcfg.get("fast", False)
     seed = args.seed if args.seed is not None else vcfg.get("seed")
     results = verify_mod.run_checks(names, fast=fast, seed=seed)
     all_ok = True
@@ -221,7 +252,7 @@ def _cmd_sweep(args) -> int:
     spec = spec_from_config(cfg["model"])
     sweep = dict(cfg["sweep"])
     kind = sweep.get("kind")
-    if not isinstance(kind, str) or kind not in _SWEEP_KIND_KEYS:
+    if kind not in _SWEEP_KIND_KEYS:
         raise ConfigError(f"unknown sweep kind {kind!r}")
     unused = set(sweep) - {"kind"} - _SWEEP_KIND_KEYS[kind]
     if unused:
@@ -276,7 +307,7 @@ def _sweep_order(spec, sweep) -> list[dict]:
 
 def _sweep_epsilon(spec, sweep) -> list[dict]:
     epsilons = sweep.get("epsilons", [10.0 ** -x for x in range(1, 5)])
-    beta = int(sweep.get("beta_steps", 4)) * verify_mod.base_step(spec)
+    beta = float(sweep.get("beta_steps", 4)) * verify_mod.base_step(spec)
 
     def evaluate(eps):
         report = build_gibbs_mpo(spec, beta, eps)[1]

@@ -30,7 +30,7 @@ from .expsum import ExpSumApprox, approximate_hamiltonian
 from .model import HamiltonianSpec, Interval, boundary_bound, dense_matrix, \
     extensivity_constant, restrict, spec_digest
 from .oracle import DEFAULT_DENSE_CAP, dense_exp, exp_with_spectrum, \
-    real_if_exact, relative_error, schatten_from_spectrum
+    relative_error, schatten_from_spectrum
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, CompressionPolicy, hamiltonian_mpo
 from .merge import MAX_TAYLOR_ORDER, build_merge_mpo, certified_step, \
@@ -157,7 +157,7 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
     if two_local == "off":
         use_pairwise = False
 
-    beta_c = 1j * beta if real_time else complex(beta)
+    beta_c = 1j * beta if real_time else float(beta)
     if use_pairwise:
         ham_tol = epsilon / (6.0 * beta_abs)
         run_spec, series = approximate_hamiltonian(spec, ham_tol)
@@ -448,7 +448,7 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
         reference, ref_sv = exp_with_spectrum(
             dense_matrix(spec, cap=dense_cap), -budget.beta)
         diff = reference - m_final.densify(cap=dense_cap)
-        diff_sv = np.linalg.svd(real_if_exact(diff), compute_uv=False)
+        diff_sv = np.linalg.svd(diff, compute_uv=False)
         for p in pnorms:
             measured[_pkey(p)] = (schatten_from_spectrum(diff_sv, p)
                                   / schatten_from_spectrum(ref_sv, p))
@@ -518,8 +518,7 @@ def _power_step(m_base: MPO, steps: int, policy: CompressionPolicy,
     else the square-and-multiply :func:`~gibbsmpo.mpo.power`.
     """
     if steps > 1 and _merges_densely(policy, m_base.d ** m_base.n, dense_cap):
-        top = real_if_exact(m_base.densify(cap=dense_cap))
-        powered = np.linalg.matrix_power(top, steps)
+        powered = np.linalg.matrix_power(m_base.densify(cap=dense_cap), steps)
         return mpo_ops.from_dense(powered, m_base.n, m_base.d), 0.0
     return mpo_ops.power(m_base, steps, policy, max_bond=max_bond)
 

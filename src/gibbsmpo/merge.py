@@ -136,14 +136,10 @@ def merge_spec_for(spec: HamiltonianSpec, region_a: Interval, region_b: Interval
 
 def _dense_pair(ms: MergeOperatorSpec, cap: int):
     """Dense H_AB, H_A + H_B and b0: the one place this module builds dense
-    Hamiltonians.  A real step with real matrices switches all three to real
-    arithmetic, where a product costs a quarter of a complex one."""
-    h_ab = dense_matrix(ms.spec_ab, cap=cap)
-    h_sum = dense_matrix(ms.spec_sum, cap=cap)
-    beta0 = complex(ms.beta0)
-    if beta0.imag == 0.0 and not (h_ab.imag.any() or h_sum.imag.any()):
-        return h_ab.real.copy(), h_sum.real.copy(), beta0.real
-    return h_ab, h_sum, beta0
+    Hamiltonians.  Real matrices and a real step keep every evaluator in
+    real arithmetic, where a product costs a quarter of a complex one."""
+    return (dense_matrix(ms.spec_ab, cap=cap),
+            dense_matrix(ms.spec_sum, cap=cap), ms.beta0)
 
 
 def _order_terms(h_ab: np.ndarray, h_sum: np.ndarray, beta0: complex,
@@ -154,7 +150,7 @@ def _order_terms(h_ab: np.ndarray, h_sum: np.ndarray, beta0: complex,
     (H_sum = H_A+H_B), so (m+1) U_{m+1} = U_m H_sum - H_AB U_m from U_0 = 1:
     two products per order and two live matrices.
     """
-    term = np.eye(h_ab.shape[0], dtype=h_ab.dtype)
+    term = np.eye(h_ab.shape[0], dtype=np.result_type(h_ab, h_sum, beta0))
     yield term
     for m in range(1, up_to + 1):
         term = term @ h_sum - h_ab @ term
@@ -166,7 +162,7 @@ def merge_operator_dense(ms: MergeOperatorSpec,
                          cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Exact merge operator from dense exponentials."""
     h_ab, h_sum, beta0 = _dense_pair(ms, cap)
-    return (dense_exp(h_ab, -beta0) @ dense_exp(h_sum, beta0)).astype(complex)
+    return dense_exp(h_ab, -beta0) @ dense_exp(h_sum, beta0)
 
 
 def truncated_merge_dense(ms: MergeOperatorSpec,
@@ -176,7 +172,7 @@ def truncated_merge_dense(ms: MergeOperatorSpec,
     total = 0
     for term in _order_terms(*_dense_pair(ms, cap), ms.order):
         total += term
-    return total.astype(complex, copy=False)
+    return total
 
 
 def merge_order_term_dense(ms: MergeOperatorSpec, m: int,
@@ -185,7 +181,7 @@ def merge_order_term_dense(ms: MergeOperatorSpec, m: int,
     taken from the recurrence of :func:`_order_terms` (2*m products)."""
     for term in _order_terms(*_dense_pair(ms, cap), m):
         pass
-    return term.astype(complex, copy=False)
+    return term
 
 
 def certify_merge_truncation(ms: MergeOperatorSpec, *,

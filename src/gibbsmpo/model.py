@@ -267,7 +267,8 @@ def dense_matrix(spec: HamiltonianSpec, cap: int = 4096) -> np.ndarray:
     column index and value of every nonzero entry are folded site by site
     (at most d**n entries per term for this basis) and scattered into the
     output once.  Values are multiplied in the Kronecker chain's order, so
-    the result equals that chain's exactly.
+    the result equals that chain's exactly.  It is float64 when no entry
+    has a nonzero imaginary part (Y (x) Y terms included), else complex128.
 
     Raises :class:`~gibbsmpo.oracle.DenseCapError` beyond ``cap`` states.
     """
@@ -291,7 +292,7 @@ def dense_matrix(spec: HamiltonianSpec, cap: int = 4096) -> np.ndarray:
             cols = (cols[:, None] * spec.d + c).ravel()
             vals = (vals[:, None] * v).ravel()
         flat[rows * dim + cols] += vals  # (row, col) pairs of one term are distinct
-    return out
+    return out if out.imag.any() else out.real.copy()
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,8 @@ profiles follow the product/sum rules of the inputs.  Truncation only
 happens through a :class:`CompressionPolicy`, taken by :func:`compress`,
 :func:`product` and the square-and-multiply :func:`power`.
 
-Cores are always complex128 so thermal and real-time scalars share one
-code path.
+Cores are float64 when no core has a nonzero imaginary part, else
+complex128; numpy's type promotion decides everything downstream.
 """
 
 from __future__ import annotations
@@ -96,9 +96,13 @@ class MPO:
     __slots__ = ("cores", "d")
 
     def __init__(self, cores):
-        cores = tuple(np.ascontiguousarray(c, dtype=complex) for c in cores)
+        cores = [np.asarray(c) for c in cores]
         if not cores:
             raise ValueError("an MPO needs at least one site")
+        if not any(np.iscomplexobj(c) and c.imag.any() for c in cores):
+            cores = [c.real for c in cores]
+        dtype = np.result_type(np.float64, *cores)  # float64 or complex128
+        cores = tuple(np.ascontiguousarray(c, dtype=dtype) for c in cores)
         d = cores[0].shape[1]
         for j, c in enumerate(cores):
             if c.ndim != 4 or c.shape[1] != d or c.shape[2] != d:
@@ -135,7 +139,7 @@ class MPO:
         dim = d ** n
         if dim > cap:
             raise DenseCapError(f"dense dimension {dim} exceeds cap {cap}")
-        acc = np.ones((1, 1), dtype=complex)  # (x1 y1 ... xj yj, bond)
+        acc = np.ones((1, 1))  # (x1 y1 ... xj yj, bond)
         for core in self.cores:
             acc = acc @ core.reshape(core.shape[0], -1)
             acc = acc.reshape(-1, core.shape[3])
@@ -143,10 +147,10 @@ class MPO:
         return acc.reshape((d,) * (2 * n)).transpose(perm).reshape(dim, dim)
 
     def trace(self) -> complex:
-        acc = np.ones((1, 1), dtype=complex)
+        acc = np.ones((1, 1))
         for core in self.cores:
             acc = acc @ np.einsum("lssr->lr", core)
-        return complex(acc[0, 0])
+        return acc.item()
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +158,12 @@ class MPO:
 # ---------------------------------------------------------------------------
 
 def identity_mpo(n: int, d: int) -> MPO:
-    eye = np.eye(d, dtype=complex).reshape(1, d, d, 1)
+    eye = np.eye(d).reshape(1, d, d, 1)
     return MPO([eye.copy() for _ in range(n)])
 
 
 def zero_mpo(n: int, d: int) -> MPO:
-    return MPO([np.zeros((1, d, d, 1), dtype=complex) for _ in range(n)])
+    return MPO([np.zeros((1, d, d, 1)) for _ in range(n)])
 
 
 def random_mpo(n: int, d: int, bond: int, seed: int | None = None,
@@ -188,14 +192,13 @@ def from_dense(op: np.ndarray, n: int, d: int) -> MPO:
         raise ValueError(f"expected shape {(dim, dim)}, got {op.shape}")
     t = op.reshape((d,) * (2 * n))
     perm = [ax for j in range(n) for ax in (j, n + j)]
-    t = np.ascontiguousarray(t.transpose(perm), dtype=complex)
+    t = np.ascontiguousarray(t.transpose(perm))
     cores = []
     left = 1
     rest = t.reshape(left * d * d, -1)
     for j in range(n - 1):
         u, s, vh = np.linalg.svd(rest, full_matrices=False)
-        cutoff = (s[0] if s.size else 0.0) * max(rest.shape) * _EPS
-        keep = max(1, int(np.count_nonzero(s > cutoff)))
+        keep = _split_rank(s, CompressionPolicy(), rest.shape)[0]
         cores.append(u[:, :keep].reshape(left, d, d, keep))
         rest = (s[:keep, None] * vh[:keep]).reshape(keep * d * d, -1)
         left = keep
@@ -248,12 +251,12 @@ def add(a: MPO, b: MPO, max_bond: int = DEFAULT_MAX_BOND) -> MPO:
     if predicted > max_bond:
         raise BondCapError(
             f"sum bond {predicted} exceeds cap {max_bond}", estimate=predicted)
-    d = a.d
+    d, dtype = a.d, np.result_type(a.cores[0], b.cores[0])
     cores = [np.concatenate([a.cores[0], b.cores[0]], axis=3)]
     for j in range(1, a.n - 1):
         ca, cb = a.cores[j], b.cores[j]
         block = np.zeros((ca.shape[0] + cb.shape[0], d, d,
-                          ca.shape[3] + cb.shape[3]), dtype=complex)
+                          ca.shape[3] + cb.shape[3]), dtype=dtype)
         block[:ca.shape[0], :, :, :ca.shape[3]] = ca
         block[ca.shape[0]:, :, :, ca.shape[3]:] = cb
         cores.append(block)
@@ -331,7 +334,7 @@ def multiply_compressed(a: MPO, b: MPO, policy: CompressionPolicy) -> tuple[MPO,
     if policy.is_none:
         raise ValueError("zip-up multiply requires a truncating policy")
     d = a.d
-    carry = np.ones((1, 1, 1), dtype=complex)  # (kept bond, a bond, b bond)
+    carry = np.ones((1, 1, 1))  # (kept bond, a bond, b bond)
     cores = []
     discarded = 0.0
     for j in range(a.n):
@@ -473,7 +476,7 @@ def hamiltonian_mpo(spec: HamiltonianSpec) -> MPO:
     cores = []
     for j in range(1, n + 1):
         left, right = states[j - 1], states[j]
-        w = np.zeros((len(left), d, d, len(right)), dtype=complex)
+        w = np.zeros((len(left), d, d, len(right)), dtype=eye.dtype)
         for lkey, rkey, mat in edges[j]:
             if lkey in left and rkey in right:
                 w[left[lkey], :, :, right[rkey]] += mat
@@ -494,7 +497,8 @@ def hamiltonian_mpo(spec: HamiltonianSpec) -> MPO:
 #   20  u64 * (n+1)  bond profile including unit boundaries
 #   ..  cores, site 1..n, row-major (left, d, d, right) complex128
 #
-# Round trips are bit-exact: bytes -> arrays -> bytes is the identity.
+# A real MPO is written with zero imaginary parts and reads back real;
+# bytes -> arrays -> bytes is the identity on every container written here.
 
 _MAGIC = b"GMPO"
 _HEADER = struct.Struct("<4sIIII")

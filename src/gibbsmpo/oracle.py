@@ -18,32 +18,20 @@ class DenseCapError(RuntimeError):
     """Requested dense operation exceeds the configured state cap."""
 
 
-def real_if_exact(op: np.ndarray) -> np.ndarray:
-    """``op`` in real arithmetic when its imaginary part is exactly zero.
-
-    Real Hamiltonians and thermal operators then take real LAPACK/BLAS
-    routines: at dim 1024 a real ``eigh`` costs about a fifth of a complex
-    one.  Returns a view, not a copy.
-    """
-    if np.iscomplexobj(op) and not op.imag.any():
-        return op.real
-    return op
-
-
 def exp_with_spectrum(ham: np.ndarray,
                       factor: complex) -> tuple[np.ndarray, np.ndarray]:
     """exp(factor * ham) for Hermitian ham and its singular values.
 
     One eigenbasis serves both real and imaginary factors, so thermal and
-    real-time propagators share this path.  For real ham the eigenvectors
+    real-time propagators share this path.  A real ham, as ``dense_matrix``
+    gives for a real Hamiltonian, takes a real ``eigh``; its eigenvectors
     are real whatever the factor, and the result is real when the factor
     is.  The singular values of V diag(e^{factor*w}) V^H are |e^{factor*w}|
     (e^{-beta*w} on a thermal step, ones on a real-time one), returned in
     descending order without an SVD.
     """
-    w, v = np.linalg.eigh(real_if_exact(ham))
-    factor = complex(factor)
-    phases = np.exp((factor.real if factor.imag == 0.0 else factor) * w)
+    w, v = np.linalg.eigh(ham)
+    phases = np.exp(factor * w)
     return (v * phases) @ v.conj().T, np.sort(np.abs(phases))[::-1]
 
 
@@ -101,5 +89,5 @@ def relative_error(reference: np.ndarray, approx: np.ndarray, p: float) -> float
 def partition_function(spec: HamiltonianSpec, beta: float,
                        cap: int = DEFAULT_DENSE_CAP) -> float:
     """tr exp(-beta * H) from the eigenvalues."""
-    w = np.linalg.eigvalsh(real_if_exact(dense_matrix(spec, cap=cap)))
+    w = np.linalg.eigvalsh(dense_matrix(spec, cap=cap))
     return float(np.sum(np.exp(-beta * w)))

@@ -206,8 +206,7 @@ def test_verify_expected_fail_marker(tmp_path):
 def test_verify_unknown_check_rejected(tmp_path):
     cfg = write_config(tmp_path, {"format": 1,
                                   "verify": {"checks": ["nonexistent"]}})
-    with pytest.raises(ValueError):
-        main(["verify", "--config", cfg])
+    assert main(["verify", "--config", cfg]) == EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +299,48 @@ def test_run_keys_unused_by_mode_are_rejected(tmp_path, run):
         "run": run})
     assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) \
         == EXIT_CONFIG
+
+
+# (command, its config section): one malformed value each
+MALFORMED_VALUES = {
+    "order-string": ("build", {"beta_steps": 2, "override_order": "x"}),
+    "order-too-high": ("build", {"beta_steps": 2, "override_order": 100}),
+    "order-fraction": ("build", {"beta_steps": 2, "override_order": 2.5}),
+    "order-bool": ("build", {"beta_steps": 2, "override_order": True}),
+    "two_local": ("build", {"beta_steps": 2, "two_local": "maybe"}),
+    "beta_steps": ("build", {"beta_steps": "x"}),
+    "beta": ("build", {"beta": "x"}),
+    "time": ("build", {"mode": "real_time", "time": "x"}),
+    "max_steps": ("sweep", {"kind": "steps", "max_steps": "x"}),
+    "epsilons-entry": ("sweep", {"kind": "epsilon", "epsilons": ["x"]}),
+    "epsilons-scalar": ("sweep", {"kind": "epsilon", "epsilons": 0.1}),
+    "orders-entry": ("sweep", {"kind": "order", "orders": ["x"]}),
+    "checks-unknown": ("verify", {"checks": ["bogus"]}),
+    "checks-string": ("verify", {"checks": "kernel_order_scaling"}),
+    "seed": ("verify", {"checks": ["kernel_order_scaling"], "seed": "x"}),
+    "expect_fail-string": ("verify", {"checks": ["kernel_order_scaling"],
+                                      "expect_fail": "forced_low_order"}),
+}
+
+
+@pytest.mark.parametrize("command, section", MALFORMED_VALUES.values(),
+                         ids=MALFORMED_VALUES.keys())
+def test_malformed_config_values_exit_config(tmp_path, command, section):
+    cfg = write_config(tmp_path, {
+        "format": 1,
+        "model": {"name": "power_law_ising", "n": 4, "alpha": 3.0},
+        "run" if command == "build" else command: section})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+
+
+def test_null_config_values_mean_the_default(tmp_path):
+    cfg = write_config(tmp_path, demo_config(override_order=None,
+                                             two_local=None, epsilon=None))
+    out = tmp_path / "o"
+    assert main(["build", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["certified"] and report["budget"]["epsilon"] == 0.01
 
 
 # ---------------------------------------------------------------------------

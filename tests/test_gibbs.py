@@ -574,3 +574,18 @@ def test_predictions_only_beyond_oracle_cap():
     assert report.measured == {}
     assert any("oracle cap" in note for note in report.notes)
     assert report.budget.powered_error > 0.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"policy": CompressionPolicy.parse("tol=1e-10"), "dense_cap": 4},
+], ids=["dense", "lossy"])
+def test_thermal_build_of_real_model_is_real(kwargs):
+    spec = chain(6)
+    m, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2, **kwargs)
+    assert all(c.dtype == np.float64 for c in m.cores)
+    assert isinstance(report.budget.beta, float)
+
+
+def test_real_time_build_is_complex():
+    m, _ = build_real_time_mpo(chain(4), 0.25, 1e-2)
+    assert all(c.dtype == np.complex128 for c in m.cores)

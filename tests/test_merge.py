@@ -150,7 +150,7 @@ def literal_merge(ms):
     """sum_{s1+s2<=m0} (-b0 H_AB)^s1/s1! (b0 (H_A+H_B))^s2/s2!, term by term."""
     h_ab, h_sum = dense_matrix(ms.spec_ab), dense_matrix(ms.spec_sum)
     mp = np.linalg.matrix_power
-    out = np.zeros_like(h_ab)
+    out = np.zeros_like(h_ab, dtype=complex)
     for s1 in range(ms.order + 1):
         for s2 in range(ms.order + 1 - s1):
             out += (mp(-ms.beta0 * h_ab, s1) @ mp(ms.beta0 * h_sum, s2)

@@ -1,5 +1,7 @@
 """MPO arithmetic exactness, compression contract, serialization, builders."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -227,10 +229,10 @@ def test_densify_matches_kronecker_sum(d, profile):
     ref = kron_reference(cores)
     assert out.dtype == np.complex128
     assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
-    # real cores give an exactly real operator (real_if_exact relies on it)
+    # real cores give a real operator
     real = [c.real.copy() for c in cores]
     out = MPO(real).densify()
-    assert out.dtype == np.complex128 and not out.imag.any()
+    assert out.dtype == np.float64
     ref = kron_reference(real)
     assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
     n = len(shapes)
@@ -427,6 +429,19 @@ def test_serialization_bit_exact_roundtrip(tmp_path):
     path = tmp_path / "op.mpo"
     save_mpo(a, path)
     assert mpo_to_bytes(load_mpo(path)) == blob
+
+
+def test_real_mpo_is_stored_complex_and_reads_back_real(tmp_path):
+    a = from_dense(dense_matrix(power_law_ising(4, 3.0)), 4, 2)
+    assert a.cores[0].dtype == np.float64
+    path = tmp_path / "real.mpo"
+    save_mpo(a, path)
+    blob = path.read_bytes()
+    assert struct.unpack_from("<I", blob, 16)[0] == 1  # scalar kind complex128
+    back = load_mpo(path)
+    for x, y in zip(a.cores, back.cores):
+        assert y.dtype == np.float64 and np.array_equal(x, y)
+    assert mpo_to_bytes(back) == blob
 
 
 def test_serialization_rejects_garbage():
