@@ -29,13 +29,13 @@ import numpy as np
 from .expsum import ExpSumApprox, approximate_hamiltonian
 from .model import HamiltonianSpec, Interval, boundary_bound, dense_matrix, \
     extensivity_constant, restrict, spec_digest
-from .oracle import DEFAULT_DENSE_CAP, dense_exp, exp_with_spectrum, \
-    relative_error, schatten_from_spectrum
+from .oracle import DEFAULT_DENSE_CAP, exp_of_eigensystem, \
+    exp_with_spectrum, relative_error, schatten_from_spectrum
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, CompressionPolicy, hamiltonian_mpo
-from .merge import MAX_TAYLOR_ORDER, build_merge_mpo, certified_step, \
-    merge_bond_ledger, merge_spec_for, tail_prefactor, truncated_merge_dense, \
-    truncation_order_for
+from .merge import MAX_TAYLOR_ORDER, Eigensystem, build_merge_mpo, \
+    certified_step, merge_bond_ledger, merge_spec_for, tail_prefactor, \
+    truncated_merge_dense, truncation_order_for
 
 
 class BudgetError(ValueError):
@@ -216,12 +216,24 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
 # pipeline stages
 # ---------------------------------------------------------------------------
 
-def _block_exp(run_spec: HamiltonianSpec, interval: Interval, beta0: complex,
-               cap: int | None = None) -> np.ndarray:
+Spectra = dict[Interval, Eigensystem]  # one build's block eigensystems
+
+
+def _spectrum(spectra: Spectra, run_spec: HamiltonianSpec,
+              interval: Interval) -> Eigensystem:
+    """Eigensystem of one block's Hamiltonian, computed on first use and kept
+    in the build's map until the block's parent merge has used it."""
+    if interval not in spectra:
+        local = restrict(run_spec, interval)
+        spectra[interval] = np.linalg.eigh(
+            dense_matrix(local, cap=local.d ** local.n))
+    return spectra[interval]
+
+
+def _block_exp(spectra: Spectra, run_spec: HamiltonianSpec,
+               interval: Interval, beta0: complex) -> np.ndarray:
     """Dense exp(-b0*H) of one block: a leaf operator or a layer reference."""
-    local = restrict(run_spec, interval)
-    h = dense_matrix(local, cap=local.d ** local.n if cap is None else cap)
-    return dense_exp(h, -beta0)
+    return exp_of_eigensystem(*_spectrum(spectra, run_spec, interval), -beta0)
 
 
 def _as_mpo(op: np.ndarray | MPO, d: int) -> MPO:
@@ -256,7 +268,8 @@ def merge_layer(blocks: list[Block], run_spec: HamiltonianSpec,
                 dense_cap: int = DEFAULT_DENSE_CAP,
                 max_bond: int = DEFAULT_MAX_BOND,
                 force: bool = False,
-                mpos: list[Block] | None = None) -> tuple[list[Block], float]:
+                mpos: list[Block] | None = None,
+                spectra: Spectra | None = None) -> tuple[list[Block], float]:
     """Join adjacent block pairs with truncated merge operators.
 
     :func:`_merges_densely` decides each pair from the policy and the size
@@ -269,17 +282,26 @@ def merge_layer(blocks: list[Block], run_spec: HamiltonianSpec,
     :func:`_as_mpo`.  Returns the next layer and the discarded compression
     weight: 0 on dense merges and under "none", at roundoff level under
     tol=0.  An odd trailing block passes through.
+
+    ``spectra`` is the build's map from block interval to the eigensystem
+    of the block's Hamiltonian (a fresh map when not given).  A dense merge
+    reads its joined block's and its halves' eigensystems from it,
+    computing the missing ones; every merge then drops its halves'.
     """
     d = run_spec.d
     known = dict(mpos or ())
+    spectra = {} if spectra is None else spectra
     nxt = []
     discarded = 0.0
     for i in range(0, len(blocks) - 1, 2):
         (iva, a), (ivb, b) = blocks[i], blocks[i + 1]
+        joined = Interval(iva.lo, ivb.hi)
         ms = merge_spec_for(run_spec, iva, ivb, beta0, order)
         if _merges_densely(policy, d ** ms.spec_ab.n, dense_cap):
             ms.require_window(force)
-            merged = truncated_merge_dense(ms, cap=dense_cap) @ np.kron(a, b)
+            psi = truncated_merge_dense(ms, spectra=tuple(
+                _spectrum(spectra, run_spec, iv) for iv in (joined, iva, ivb)))
+            merged = psi @ np.kron(a, b)
         else:
             psi = build_merge_mpo(ms, policy=policy, dense_cap=dense_cap,
                                   max_bond=max_bond, force=force)
@@ -287,7 +309,9 @@ def merge_layer(blocks: list[Block], run_spec: HamiltonianSpec,
                                   _as_mpo(known.get(ivb, b), d))
             merged, w = mpo_ops.product(psi, pair, policy, max_bond=max_bond)
             discarded += w
-        nxt.append((Interval(iva.lo, ivb.hi), merged))
+        spectra.pop(iva, None)
+        spectra.pop(ivb, None)
+        nxt.append((joined, merged))
     if len(blocks) % 2 == 1:
         nxt.append(blocks[-1])
     return nxt, discarded
@@ -311,20 +335,22 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
     """
     diag = LayerDiagnostics()
     beta0 = budget.beta0
-    blocks = [(leaf, _block_exp(run_spec, leaf, beta0))
+    spectra: Spectra = {}
+    blocks = [(leaf, _block_exp(spectra, run_spec, leaf, beta0))
               for leaf in build_merge_plan(run_spec.n)[0]]
-    as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap)
+    as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap, spectra)
     while len(blocks) > 1:
         blocks, w = merge_layer(blocks, run_spec, beta0, budget.order,
                                 policy, dense_cap=dense_cap,
-                                max_bond=max_bond, force=force, mpos=as_mpos)
+                                max_bond=max_bond, force=force, mpos=as_mpos,
+                                spectra=spectra)
         diag.discarded_weight += w
         as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap,
-                                as_mpos)
+                                spectra, as_mpos)
     return as_mpos[0][1], diag
 
 
-def _record_layer(diag, blocks, run_spec, beta0, dense_cap,
+def _record_layer(diag, blocks, run_spec, beta0, dense_cap, spectra,
                   prev=None) -> list[Block]:
     """Log one layer's error (when the chain fits ``dense_cap``) and bond
     maxima; return its blocks as MPOs.
@@ -332,11 +358,13 @@ def _record_layer(diag, blocks, run_spec, beta0, dense_cap,
     ``prev`` is the previous layer's MPOs, and a block that passed through
     keeps its interval and its MPO.  Without it the blocks are the leaves,
     their own references, so no block exponential is recomputed for them.
+    A reference comes from the block's eigensystem in ``spectra``, which
+    the block's merge has already computed on a dense merge.
     """
     if run_spec.d ** run_spec.n <= dense_cap:
         diag.errors.append(max(
             relative_error(op if prev is None else
-                           _block_exp(run_spec, iv, beta0, dense_cap),
+                           _block_exp(spectra, run_spec, iv, beta0),
                            op.densify(cap=dense_cap) if isinstance(op, MPO)
                            else op, 2)
             for iv, op in blocks))

@@ -16,10 +16,23 @@ whose error obeys ||Psi - Psi~|| <= c0 * 2^-m0 whenever
 gt on the boundary-interaction norm.  The certification helpers measure
 those bounds densely at oracle scale.
 
-Every dense quantity is read from one stream of order terms on one pair of
-dense Hamiltonians: 2*m0 products and a constant number of live matrices.
-The MPO assembly applies Horner's rule in H_AB instead, which keeps its
-exact bonds far below those of the term stream.
+Densely, Psi~ is evaluated in the blocks' eigenbases.  With
+H_AB = U diag(d) U^H, H_A = U_A diag(a) U_A^H and H_B = U_B diag(b) U_B^H,
+the sum H_A + H_B has eigenvectors U_A (x) U_B and eigenvalues a_p + b_q;
+with M = U^H (U_A (x) U_B) and Z_{i,(p,q)} = b0 (a_p + b_q - d_i),
+
+    Psi~ = 1 + U (M o phi_m0(Z)) (U_A (x) U_B)^H,
+    phi_m0(z) = z + z^2/2! + ... + z^m0/m0!,
+
+the divided-difference form of a function of two matrices (Higham,
+Functions of Matrices, SIAM 2008, ch. 3).  The exact Psi is the same with
+expm1.  It costs three eigendecompositions (a build already holds them)
+plus one full product, two with the halves' eigenvectors and m0
+elementwise Horner steps, whatever the order.  The individual order terms
+come from a two-product-per-order recurrence instead, which keeps each
+to full relative precision.  The MPO assembly applies Horner's rule in
+H_AB, which keeps its exact bonds far below those of the order-term
+recurrence.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ import numpy as np
 
 from .model import HamiltonianSpec, Interval, boundary_bound, dense_matrix, \
     extensivity_constant, restrict, spec_digest
-from .oracle import DEFAULT_DENSE_CAP, dense_exp
+from .oracle import DEFAULT_DENSE_CAP
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, BondCapError, CompressionPolicy, \
     hamiltonian_mpo
@@ -134,24 +147,89 @@ def merge_spec_for(spec: HamiltonianSpec, region_a: Interval, region_b: Interval
 # dense evaluation (oracle scale)
 # ---------------------------------------------------------------------------
 
-def _dense_pair(ms: MergeOperatorSpec, cap: int):
-    """Dense H_AB, H_A + H_B and b0: the one place this module builds dense
+Eigensystem = tuple[np.ndarray, np.ndarray]  # (w, v) as np.linalg.eigh gives
+
+
+def _halves(ms: MergeOperatorSpec) -> tuple[HamiltonianSpec, HamiltonianSpec]:
+    """Local specs of H_A and H_B, the two sides of the cut."""
+    n, cut = ms.spec_ab.n, ms.cut
+    return (restrict(ms.spec_ab, Interval(1, cut)),
+            restrict(ms.spec_ab, Interval(cut + 1, n)))
+
+
+def _dense_hamiltonians(ms: MergeOperatorSpec, cap: int):
+    """Dense H_AB, H_A and H_B: the one place this module builds dense
     Hamiltonians.  Real matrices and a real step keep every evaluator in
     real arithmetic, where a product costs a quarter of a complex one."""
-    return (dense_matrix(ms.spec_ab, cap=cap),
-            dense_matrix(ms.spec_sum, cap=cap), ms.beta0)
+    return tuple(dense_matrix(s, cap=cap) for s in (ms.spec_ab, *_halves(ms)))
 
 
-def _order_terms(h_ab: np.ndarray, h_sum: np.ndarray, beta0: complex,
-                 up_to: int):
+def merge_spectra(ms: MergeOperatorSpec,
+                  cap: int = DEFAULT_DENSE_CAP) -> tuple[Eigensystem, ...]:
+    """Eigensystems of H_AB, H_A and H_B, the input of every dense merge."""
+    return tuple(np.linalg.eigh(h) for h in _dense_hamiltonians(ms, cap))
+
+
+def _kron_right(x: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """x @ (ua (x) ub) as two products with the factors, never forming the
+    Kronecker product."""
+    rows, na, nb = x.shape[0], ua.shape[0], ub.shape[0]
+    y = (x.reshape(rows * na, nb) @ ub).reshape(rows, na, nb)
+    return np.matmul(ua.T, y).reshape(rows, na * nb)
+
+
+def _eigenbasis_kernel(spectra, beta0: complex):
+    """M = U^H (U_A (x) U_B) and Z_{i,(p,q)} = b0 (a_p + b_q - d_i).
+
+    H_AB = U diag(d) U^H, and H_A + H_B has eigenvectors U_A (x) U_B with
+    eigenvalues a_p + b_q.  In these bases the double sum over
+    s1 + s2 <= m0 of (-b0 d_i)^s1/s1! (b0 (a_p + b_q))^s2/s2! is, by the
+    binomial theorem, 1 + phi_m0(Z), and the exact product is e^Z.
+    """
+    (d, u), (a, ua), (b, ub) = spectra
+    z = np.add.outer(-beta0 * d, beta0 * np.add.outer(a, b).ravel())
+    return _kron_right(u.conj().T, ua, ub), z
+
+
+def _expm1_taylor(z: np.ndarray, order: int) -> np.ndarray:
+    """phi_m0(z) = z + z^2/2! + ... + z^m0/m0!, expm1's Taylor polynomial,
+    by Horner's rule."""
+    phi = np.zeros_like(z)
+    for k in range(order, 0, -1):
+        phi += 1.0 / math.factorial(k)
+        phi *= z
+    return phi
+
+
+def _merge_from_eigenbasis(spectra, beta0: complex, f) -> np.ndarray:
+    """1 + U (M o f(Z)) (U_A (x) U_B)^H for f = phi_m0 (the truncated merge)
+    or expm1 (the exact one); see :func:`_eigenbasis_kernel`.  One full
+    product and two with the halves' eigenvectors."""
+    (_, u), (_, ua), (_, ub) = spectra
+    m, z = _eigenbasis_kernel(spectra, beta0)
+    weights = m * f(z)
+    del m, z  # free before the products
+    out = u @ _kron_right(weights, ua.conj().T, ub.conj().T)
+    out.flat[::out.shape[0] + 1] += 1
+    return out
+
+
+def _order_terms(h_ab: np.ndarray, h_a: np.ndarray, h_b: np.ndarray,
+                 beta0: complex, up_to: int):
     """Stream the order terms T_m = b0^m U_m, m = 0..up_to, of Psi.
 
     Psi(x) = exp(-x H_AB) exp(x H_sum) obeys Psi' = Psi H_sum - H_AB Psi
-    (H_sum = H_A+H_B), so (m+1) U_{m+1} = U_m H_sum - H_AB U_m from U_0 = 1:
-    two products per order and two live matrices.
+    (H_sum = H_A (x) 1 + 1 (x) H_B), so (m+1) U_{m+1} = U_m H_sum - H_AB U_m
+    from U_0 = 1: two products per order and two live matrices.  Each term
+    cancels strongly across s1; the stream keeps it to full relative
+    precision where the eigenbasis form would not, so it serves the
+    individual terms and the eigenbasis form their sums.
     """
-    term = np.eye(h_ab.shape[0], dtype=np.result_type(h_ab, h_sum, beta0))
+    term = np.eye(h_ab.shape[0], dtype=np.result_type(h_ab, h_a, h_b, beta0))
     yield term
+    if up_to == 0:
+        return
+    h_sum = np.kron(h_a, np.eye(len(h_b))) + np.kron(np.eye(len(h_a)), h_b)
     for m in range(1, up_to + 1):
         term = term @ h_sum - h_ab @ term
         term *= beta0 / m
@@ -160,26 +238,32 @@ def _order_terms(h_ab: np.ndarray, h_sum: np.ndarray, beta0: complex,
 
 def merge_operator_dense(ms: MergeOperatorSpec,
                          cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Exact merge operator from dense exponentials."""
-    h_ab, h_sum, beta0 = _dense_pair(ms, cap)
-    return dense_exp(h_ab, -beta0) @ dense_exp(h_sum, beta0)
+    """Exact merge operator 1 + U (M o expm1(Z)) (U_A (x) U_B)^H."""
+    return _merge_from_eigenbasis(merge_spectra(ms, cap), ms.beta0, np.expm1)
 
 
 def truncated_merge_dense(ms: MergeOperatorSpec,
-                          cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Dense order-m0 truncated merge operator T_0 + ... + T_m0, streamed by
-    :func:`_order_terms`: 2*m0 products, a constant number of live matrices."""
-    total = 0
-    for term in _order_terms(*_dense_pair(ms, cap), ms.order):
-        total += term
-    return total
+                          cap: int = DEFAULT_DENSE_CAP,
+                          spectra: tuple[Eigensystem, ...] | None = None,
+                          ) -> np.ndarray:
+    """Dense order-m0 truncated merge operator
+    1 + U (M o phi_m0(Z)) (U_A (x) U_B)^H.
+
+    ``spectra`` are the eigensystems of H_AB, H_A and H_B as
+    :func:`merge_spectra` returns them; a build passes the ones it already
+    holds, and without them they are computed here.
+    """
+    if spectra is None:
+        spectra = merge_spectra(ms, cap)
+    return _merge_from_eigenbasis(spectra, ms.beta0,
+                                  lambda z: _expm1_taylor(z, ms.order))
 
 
 def merge_order_term_dense(ms: MergeOperatorSpec, m: int,
                            cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Dense order-m term b0^m sum_{s1+s2=m} (-H_AB)^s1 (H_A+H_B)^s2/(s1! s2!),
     taken from the recurrence of :func:`_order_terms` (2*m products)."""
-    for term in _order_terms(*_dense_pair(ms, cap), m):
+    for term in _order_terms(*_dense_hamiltonians(ms, cap), ms.beta0, m):
         pass
     return term
 
@@ -196,8 +280,11 @@ def certify_merge_truncation(ms: MergeOperatorSpec, *,
     ``check`` the truncation bound is enforced (violations raise
     :class:`CertificationError` carrying both values); the norms of the
     order terms 0..``max_order_terms`` are always reported against
-    (2*C*|b0|)^m * exp(gt/C), C = 6*g*k^2.  One dense Hamiltonian pair and
-    one pass of :func:`_order_terms` give Psi~ (terms 0..m0) and the norms.
+    (2*C*|b0|)^m * exp(gt/C), C = 6*g*k^2.  H_AB, H_A and H_B are built
+    once.  The error is ||M o (e^Z - (1 + phi_m0(Z)))||, unitarily
+    equivalent to ||Psi - Psi~||: a difference of two O(1) kernels, so its
+    floating-point floor stays visible.  The norms come from
+    :func:`_order_terms`.
     """
     g = extensivity_constant(ms.spec_ab)
     k = ms.spec_ab.k
@@ -206,20 +293,17 @@ def certify_merge_truncation(ms: MergeOperatorSpec, *,
     c0 = tail_prefactor(g, k, gtilde)
     comm_scale = 6.0 * g * k * k
     certified = ms.certified_regime(g, k)
-    h_ab, h_sum, beta0 = _dense_pair(ms, cap)
-    truncated = 0
+    hams = _dense_hamiltonians(ms, cap)
     orders = []
-    terms = _order_terms(h_ab, h_sum, beta0, max(ms.order, max_order_terms))
-    for m, term in enumerate(terms):
-        if m <= ms.order:
-            truncated += term
-        if m <= max_order_terms:
-            norm_m = float(np.linalg.norm(term, ord=2))
-            order_bound = (2.0 * comm_scale * abs(ms.beta0)) ** m * math.exp(gtilde / comm_scale)
-            orders.append({"m": m, "norm": norm_m, "bound": order_bound,
-                           "ok": norm_m <= order_bound * (1 + 1e-9)})
-    exact = dense_exp(h_ab, -beta0) @ dense_exp(h_sum, beta0)
-    measured = float(np.linalg.norm(exact - truncated, ord=2))
+    for m, term in enumerate(_order_terms(*hams, ms.beta0, max_order_terms)):
+        norm_m = float(np.linalg.norm(term, ord=2))
+        order_bound = (2.0 * comm_scale * abs(ms.beta0)) ** m * math.exp(gtilde / comm_scale)
+        orders.append({"m": m, "norm": norm_m, "bound": order_bound,
+                       "ok": norm_m <= order_bound * (1 + 1e-9)})
+    m_basis, z = _eigenbasis_kernel(tuple(np.linalg.eigh(h) for h in hams),
+                                    ms.beta0)
+    gap = np.exp(z) - (1 + _expm1_taylor(z, ms.order))
+    measured = float(np.linalg.norm(m_basis * gap, ord=2))
     bound = c0 * 2.0 ** (-ms.order)
     report = {
         "model_digest": spec_digest(ms.spec_ab),
@@ -248,13 +332,11 @@ def certify_merge_truncation(ms: MergeOperatorSpec, *,
 def _hamiltonian_mpos(ms: MergeOperatorSpec) -> tuple[MPO, MPO]:
     """MPOs of H_AB and H_A (x) 1 + 1 (x) H_B (keeps decay channels)."""
     na, nb = len(ms.region_a), len(ms.region_b)
-    joined = ms.spec_ab
-    left = restrict(joined, Interval(1, na))
-    right = restrict(joined, Interval(na + 1, na + nb))
-    d = joined.d
+    left, right = _halves(ms)
+    d = ms.spec_ab.d
     part_a = mpo_ops.concat(hamiltonian_mpo(left), mpo_ops.identity_mpo(nb, d))
     part_b = mpo_ops.concat(mpo_ops.identity_mpo(na, d), hamiltonian_mpo(right))
-    return hamiltonian_mpo(joined), mpo_ops.add(part_a, part_b)
+    return hamiltonian_mpo(ms.spec_ab), mpo_ops.add(part_a, part_b)
 
 
 def _assembly_profile(h_ab: MPO, h_sum: MPO, m0: int) -> tuple[int, ...]:
@@ -321,8 +403,8 @@ def _assemble_merge_mpo(ms: MergeOperatorSpec, h_ab: MPO, h_sum: MPO,
     exp(b0 (H_A+H_B)) streamed alongside.  2*m0 products by
     :func:`~gibbsmpo.mpo.product`, H_AB on the left, each sum compressed by
     ``policy`` (a no-op under "none").  Horner keeps the exact bonds at
-    :func:`assembly_bond_profile`; the order-term stream of the dense
-    evaluators would grow them like (pa + ps)^m.
+    :func:`assembly_bond_profile`; the order-term recurrence of
+    :func:`_order_terms` would grow them like (pa + ps)^m.
     """
     def times(h: MPO, x: MPO, coef: complex) -> MPO:
         prod, _ = mpo_ops.product(h, x, policy, max_bond=max_bond)

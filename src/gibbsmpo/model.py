@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -117,6 +118,13 @@ class LocalTerm:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
         object.__setattr__(self, "ops", tuple(self.ops))
+        # a Hermitian term needs a real coefficient: the dense oracle's eigh
+        # and the eigenbasis merge assume a Hermitian Hamiltonian
+        if np.iscomplexobj(self.coefficient):
+            raise ValueError(f"coefficient must be real, got {self.coefficient!r}")
+        object.__setattr__(self, "coefficient", float(self.coefficient))
+        if not math.isfinite(self.coefficient):
+            raise ValueError(f"coefficient must be finite, got {self.coefficient}")
         if len(self.sites) != len(self.ops):
             raise ValueError("one operator name per site is required")
         if len(set(self.sites)) != len(self.sites):
@@ -269,6 +277,8 @@ def dense_matrix(spec: HamiltonianSpec, cap: int = 4096) -> np.ndarray:
     output once.  Values are multiplied in the Kronecker chain's order, so
     the result equals that chain's exactly.  It is float64 when no entry
     has a nonzero imaginary part (Y (x) Y terms included), else complex128.
+    The assembly runs in float64 up to the first term with a nonzero
+    imaginary value, so a real Hamiltonian peaks at its own size.
 
     Raises :class:`~gibbsmpo.oracle.DenseCapError` beyond ``cap`` states.
     """
@@ -278,8 +288,7 @@ def dense_matrix(spec: HamiltonianSpec, cap: int = 4096) -> np.ndarray:
     if dim > cap:
         raise DenseCapError(f"dense dimension {dim} exceeds cap {cap}")
     pattern = _site_pattern(spec.d)
-    out = np.zeros((dim, dim), dtype=complex)
-    flat = out.reshape(-1)
+    out = np.zeros((dim, dim))
     for t in spec.terms:
         names = ["I"] * spec.n
         for s, name in zip(t.sites, t.ops):
@@ -291,8 +300,15 @@ def dense_matrix(spec: HamiltonianSpec, cap: int = 4096) -> np.ndarray:
             rows = (rows[:, None] * spec.d + r).ravel()
             cols = (cols[:, None] * spec.d + c).ravel()
             vals = (vals[:, None] * v).ravel()
-        flat[rows * dim + cols] += vals  # (row, col) pairs of one term are distinct
-    return out if out.imag.any() else out.real.copy()
+        if not vals.imag.any():
+            vals = vals.real
+        elif out.dtype != complex:  # the first term with complex values
+            out = out.astype(complex)
+        # (row, col) pairs of one term are distinct
+        out.reshape(-1)[rows * dim + cols] += vals
+    if out.dtype == complex and not out.imag.any():  # complex parts cancelled
+        return out.real.copy()
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -18,27 +18,35 @@ class DenseCapError(RuntimeError):
     """Requested dense operation exceeds the configured state cap."""
 
 
+def exp_of_eigensystem(w: np.ndarray, v: np.ndarray,
+                       factor: complex) -> np.ndarray:
+    """exp(factor * H) from H = v diag(w) v^H, as ``np.linalg.eigh`` gives.
+
+    One eigenbasis serves both real and imaginary factors, so thermal and
+    real-time propagators share this path.  A real H takes a real ``eigh``;
+    its eigenvectors are real whatever the factor, and the result is real
+    when the factor is.
+    """
+    return (v * np.exp(factor * w)) @ v.conj().T
+
+
 def exp_with_spectrum(ham: np.ndarray,
                       factor: complex) -> tuple[np.ndarray, np.ndarray]:
     """exp(factor * ham) for Hermitian ham and its singular values.
 
-    One eigenbasis serves both real and imaginary factors, so thermal and
-    real-time propagators share this path.  A real ham, as ``dense_matrix``
-    gives for a real Hamiltonian, takes a real ``eigh``; its eigenvectors
-    are real whatever the factor, and the result is real when the factor
-    is.  The singular values of V diag(e^{factor*w}) V^H are |e^{factor*w}|
+    The singular values of V diag(e^{factor*w}) V^H are |e^{factor*w}|
     (e^{-beta*w} on a thermal step, ones on a real-time one), returned in
     descending order without an SVD.
     """
     w, v = np.linalg.eigh(ham)
-    phases = np.exp(factor * w)
-    return (v * phases) @ v.conj().T, np.sort(np.abs(phases))[::-1]
+    return (exp_of_eigensystem(w, v, factor),
+            np.sort(np.abs(np.exp(factor * w)))[::-1])
 
 
 def dense_exp(ham: np.ndarray, factor: complex) -> np.ndarray:
     """exp(factor * ham) for Hermitian ham via eigendecomposition; see
-    :func:`exp_with_spectrum`."""
-    return exp_with_spectrum(ham, factor)[0]
+    :func:`exp_of_eigensystem`."""
+    return exp_of_eigensystem(*np.linalg.eigh(ham), factor)
 
 
 def gibbs_dense(spec: HamiltonianSpec, beta: complex,

@@ -30,7 +30,8 @@ from gibbsmpo.model import (
 from gibbsmpo import mpo as mpo_module
 from gibbsmpo.mpo import DEFAULT_MAX_BOND, BondCapError, CompressionPolicy, \
     concat, from_dense, multiply
-from gibbsmpo.oracle import dense_exp, partition_function, relative_error
+from gibbsmpo.oracle import DEFAULT_DENSE_CAP, dense_exp, partition_function, \
+    relative_error
 
 
 def chain(n, alpha=3.0):
@@ -205,6 +206,19 @@ def test_merge_layer_single_step_error_within_recursion_bound():
     assert err <= budget.merge_offset * budget.merge_tol  # eps_1 = 0
 
 
+def test_merge_layer_keeps_only_unmerged_spectra():
+    # a dense merge adds the joined block's eigensystem to the build's map
+    # and drops its halves'; a block passing through is not decomposed
+    spec = chain(5)
+    beta0 = window(spec)
+    spectra = {}
+    blocks, _ = merge_layer(leaf_ops(spec, beta0), spec, beta0, 3,
+                            spectra=spectra)
+    assert list(spectra) == [Interval(1, 4)]
+    merge_layer(blocks, spec, beta0, 3, spectra=spectra)
+    assert list(spectra) == [Interval(1, 5)]
+
+
 def test_engines_agree_at_forced_low_order():
     # the exact MPO assembly's bonds explode with the order, so the
     # cross-check runs one merge at a deliberately small order; a dense cap
@@ -264,24 +278,49 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 def test_dense_build_eigendecomposes_each_hamiltonian_once(monkeypatch):
-    # n=8 dense build: 4 leaves, 2 + 1 layer references and the final
-    # reference.  The leaves are their own references, and the final
-    # reference's singular values come from its eigenvalues.
+    # n=8 dense build: 4 leaves, 2 + 1 joined blocks and the final
+    # reference.  The leaves are their own references, a joined block's
+    # eigensystem serves its merge and its layer reference, a merge reads
+    # its halves' eigensystems from the build, and the final reference's
+    # singular values come from its eigenvalues.
     import gibbsmpo.gibbs as gibbs_mod
     import gibbsmpo.merge as merge_mod
 
-    eighs, dense_exps, dense_matrices = [], [], []
+    eighs, block_exps, dense_matrices = [], [], []
     _count_calls(monkeypatch, np.linalg, "eigh", eighs)
-    _count_calls(monkeypatch, gibbs_mod, "dense_exp", dense_exps)
+    _count_calls(monkeypatch, gibbs_mod, "exp_of_eigensystem", block_exps)
     _count_calls(monkeypatch, gibbs_mod, "dense_matrix", dense_matrices)
     _count_calls(monkeypatch, merge_mod, "dense_matrix", dense_matrices)
     spec = chain(8)
     _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
     assert report.engine == "dense" and report.per_layer_error[0] == 0.0
     assert len(eighs) == 8          # 12 with a recomputed reference per leaf
-    assert len(dense_exps) == 7     # the final reference is not among them
-    # 4 leaves + 3 merges x (H_AB, H_A + H_B) + 3 layer references + final
-    assert len(dense_matrices) == 14
+    assert len(block_exps) == 7     # 4 leaves + 3 layer references
+    # 4 leaves + 3 joined blocks + final; the merges build none (14 when
+    # each merge built its own H_AB and H_A + H_B)
+    assert len(dense_matrices) == 8
+
+
+def test_in_build_merges_match_standalone_merges(monkeypatch):
+    # a build hands each dense merge the eigensystems it already holds;
+    # called alone, the merge computes its own
+    import gibbsmpo.gibbs as gibbs_mod
+    merges = []
+    original = gibbs_mod.truncated_merge_dense
+
+    def recording(ms, cap=DEFAULT_DENSE_CAP, spectra=None):
+        out = original(ms, cap=cap, spectra=spectra)
+        merges.append((ms, spectra, out))
+        return out
+
+    monkeypatch.setattr(gibbs_mod, "truncated_merge_dense", recording)
+    spec = chain(9)
+    build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
+    assert [ms.spec_ab.n for ms, _, _ in merges] == [4, 4, 8, 9]
+    for ms, spectra, got in merges:
+        assert spectra is not None
+        want = original(ms)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_measurement_reference_spectrum_matches_svd():

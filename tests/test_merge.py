@@ -6,6 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gibbsmpo.merge import (
     CertificationError,
@@ -17,6 +18,7 @@ from gibbsmpo.merge import (
     merge_operator_dense,
     merge_order_term_dense,
     merge_spec_for,
+    merge_spectra,
     tail_prefactor,
     truncated_merge_dense,
     truncation_order_for,
@@ -28,6 +30,7 @@ from gibbsmpo.model import (
     dense_matrix,
     extensivity_constant,
     power_law_ising,
+    power_law_pairwise,
 )
 from gibbsmpo.mpo import BondCapError, CompressionPolicy
 
@@ -143,7 +146,7 @@ def test_zero_beta0_exact_identity():
 
 
 # ---------------------------------------------------------------------------
-# streamed evaluation against the literal double sum
+# eigenbasis evaluation against the literal double sum
 # ---------------------------------------------------------------------------
 
 def literal_merge(ms):
@@ -181,17 +184,57 @@ def test_horner_matches_literal_double_sum(order, phase):
 
 @pytest.mark.parametrize("phase", [1.0, 1j])
 def test_horner_holds_constant_number_of_matrices(phase):
-    # the literal sum held 2*(m0+1) power tables (~60 matrices at order 29)
+    # the literal sum held 2*(m0+1) power tables (~60 matrices at order 29);
+    # the eigenbasis form holds a few matrices whatever the order, counted
+    # in the result's own dtype (float64 on a real step, complex128 on an
+    # imaginary one), Hamiltonians and eigensystems included
     spec = chain(8)
     ms = half_merge(spec, phase * window(spec), 29)
-    matrix_bytes = 256 * 256 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        truncated_merge_dense(ms)
+        out = truncated_merge_dense(ms)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * matrix_bytes, peak / matrix_bytes
+    assert out.dtype == (float if phase == 1.0 else complex)
+    assert peak <= 6 * out.nbytes, peak / out.nbytes
+
+
+def xy_chain(n):
+    """Pairwise chain with an X (x) Y channel: a complex Hamiltonian."""
+    return power_law_pairwise(n, 3.0, [("X", "Y", 0.6), ("Z", "Z", 1.0)],
+                              fields=[("X", 0.5)])
+
+
+@pytest.mark.parametrize("order", [1, 5, 12])
+@pytest.mark.parametrize("phase", [1.0, 1j])
+def test_complex_hamiltonian_merge_matches_literal_double_sum(order, phase):
+    spec = xy_chain(5)
+    assert dense_matrix(spec).dtype == complex
+    ms = merge_spec_for(spec, Interval(1, 2), Interval(3, 5),
+                        phase * window(spec), order)
+    ref = literal_merge(ms)
+    got = truncated_merge_dense(ms)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("spec", [chain(6), xy_chain(5)], ids=["real", "xy"])
+@pytest.mark.parametrize("phase", [1.0, 1j])
+def test_exact_merge_matches_matrix_exponentials(spec, phase):
+    ms = half_merge(spec, phase * window(spec), 0)
+    h_ab, h_sum = dense_matrix(ms.spec_ab), dense_matrix(ms.spec_sum)
+    ref = scipy.linalg.expm(-ms.beta0 * h_ab) @ scipy.linalg.expm(
+        ms.beta0 * h_sum)
+    assert np.abs(merge_operator_dense(ms) - ref).max() <= 1e-13
+
+
+@pytest.mark.parametrize("spec", [chain(6), xy_chain(5)], ids=["real", "xy"])
+def test_kronecker_eigenvalues_are_those_of_the_halves_sum(spec):
+    ms = merge_spec_for(spec, Interval(1, 2), Interval(3, spec.n),
+                        window(spec), 3)
+    _, (a, _), (b, _) = merge_spectra(ms)
+    want = np.linalg.eigvalsh(dense_matrix(ms.spec_sum))
+    assert np.abs(np.sort(np.add.outer(a, b).ravel()) - want).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +263,8 @@ def test_truncation_bound_order_sweep(n):
 
 @pytest.mark.parametrize("max_order_terms", [0, 10])
 def test_certify_builds_hamiltonian_pair_once(monkeypatch, max_order_terms):
-    # one H_AB and one H_A+H_B serve the exact operator, the truncated sum
-    # and every order term
+    # one H_AB, one H_A and one H_B serve the exact operator, the truncated
+    # sum and every order term (H_A+H_B is their Kronecker sum)
     import gibbsmpo.merge as merge_mod
     calls = []
     real = merge_mod.dense_matrix
@@ -234,7 +277,7 @@ def test_certify_builds_hamiltonian_pair_once(monkeypatch, max_order_terms):
     spec = chain(4)
     certify_merge_truncation(half_merge(spec, window(spec), 4),
                              max_order_terms=max_order_terms)
-    assert len(calls) == 2
+    assert sorted(s.n for s, in calls) == [2, 2, 4]
 
 
 @pytest.mark.parametrize("order,max_order_terms", [(4, 0), (4, 10), (12, 3)])

@@ -1,6 +1,7 @@
 """Hamiltonian spec construction, subset/boundary algebra, dense assembly."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,13 +255,43 @@ QUTRIT_CHANNELS = [("S01", "S12", 0.7), ("A02", "A02", -0.4),
     HamiltonianSpec(n=1, d=2, k=1, terms=(LocalTerm((1,), 0.5, ("Y",)),
                                           LocalTerm((1,), -2.0, ("Z",)))),
     HamiltonianSpec(n=1, d=3, k=1, terms=(LocalTerm((1,), 0.5, ("A01",)),)),
+    power_law_pairwise(4, 3.0, [("Z", "Z", 1.0), ("X", "Y", 0.5),
+                                ("X", "Y", -0.5)]),
 ], ids=["ising", "heisenberg", "nn", "xyz", "qutrit", "single-site",
-        "empty", "n1", "n1-qutrit"])
+        "empty", "n1", "n1-qutrit", "xy-cancelled"])
 def test_dense_matrix_equals_kron_chain(spec):
     got = dense_matrix(spec)
     want = kron_chain(spec)
     assert got.dtype == (complex if want.imag.any() else float)
     assert np.array_equal(got, want)
+
+
+def test_real_dense_matrix_peaks_at_its_own_size():
+    # a real Hamiltonian is assembled in float64; a complex assembly with a
+    # final real copy peaked at three times the result
+    spec = power_law_ising(10, 3.0)
+    tracemalloc.start()
+    try:
+        h = dense_matrix(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.dtype == float
+    assert peak <= 1.5 * h.nbytes, peak / h.nbytes
+
+
+@pytest.mark.parametrize("coefficient", [1j, 0.5 + 0j, np.complex128(0.5),
+                                         float("nan"), float("inf")])
+def test_local_term_rejects_non_hermitian_or_nonfinite_coefficient(coefficient):
+    with pytest.raises(ValueError):
+        LocalTerm((1, 2), coefficient, ("Z", "Z"))
+
+
+def test_local_term_stores_float_coefficient():
+    for coefficient in (2, np.float64(0.25)):
+        term = LocalTerm((1,), coefficient, ("X",))
+        assert type(term.coefficient) is float
+        assert term.coefficient == coefficient
 
 
 def test_dense_hermitian_for_real_coefficients():
