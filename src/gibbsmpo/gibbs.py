@@ -5,7 +5,10 @@ high-temperature operators exp(-b0*H_leaf) on two-site leaf blocks.
 (2) log2(n) merge layers, each joining adjacent blocks with a truncated
 merge operator.  One rule picks the arithmetic of every merge: a
 lossless merge whose joined block fits the dense cap runs on dense
-matrices, every other merge on MPOs.  (3) The result approximates
+matrices, every other merge on MPOs.  Each block of a layer is one
+:class:`Block` record: its MPO, and for a leaf or a dense merge's result
+also its dense operator and Hamiltonian eigensystem, which the parent
+merge reuses.  (3) The result approximates
 exp(-b0*H) with a relative error eps0' that obeys the per-layer
 recursion e_q = a2*d0 + a1*e_{q-1}.  (4) Raising it to the integer
 power Q = beta/b0 by repeated squaring reaches the target temperature with
@@ -135,7 +138,8 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
     MPO stage budgeted eps/3) so the composed error stays below eps.
 
     Returns (budget, run spec, kernel series or None).  The run spec is the
-    Hamiltonian the pipeline actually exponentiates.
+    Hamiltonian the pipeline actually exponentiates.  ``dense_cap`` is not
+    read.
     """
     if not 0.0 < epsilon <= 1.0:
         raise BudgetError(f"target error must lie in (0, 1], got {epsilon}")
@@ -216,34 +220,37 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
 # pipeline stages
 # ---------------------------------------------------------------------------
 
-Spectra = dict[Interval, Eigensystem]  # one build's block eigensystems
+@dataclass(eq=False)
+class Block:
+    """One block of a merge layer, from the leaf or merge that made it.
+
+    Every block holds its operator as an MPO, made once when the block is
+    created; a dense operator is refactorized exactly (bonds equal to the
+    true cut ranks).  A leaf and the result of a dense merge also hold the
+    dense operator and the eigensystem of the block's Hamiltonian, which
+    the layer reference and the parent merge read; a dense parent merge
+    drops them.  A block passing through a layer is the same object in
+    the next one.
+    """
+
+    interval: Interval
+    mpo: MPO
+    dense: np.ndarray | None = None
+    eig: Eigensystem | None = None
 
 
-def _spectrum(spectra: Spectra, run_spec: HamiltonianSpec,
-              interval: Interval) -> Eigensystem:
-    """Eigensystem of one block's Hamiltonian, computed on first use and kept
-    in the build's map until the block's parent merge has used it."""
-    if interval not in spectra:
-        local = restrict(run_spec, interval)
-        spectra[interval] = np.linalg.eigh(
-            dense_matrix(local, cap=local.d ** local.n))
-    return spectra[interval]
+def _eigensystem(run_spec: HamiltonianSpec, interval: Interval) -> Eigensystem:
+    """Eigensystem of one block's Hamiltonian."""
+    local = restrict(run_spec, interval)
+    return np.linalg.eigh(dense_matrix(local, cap=local.d ** local.n))
 
 
-def _block_exp(spectra: Spectra, run_spec: HamiltonianSpec,
-               interval: Interval, beta0: complex) -> np.ndarray:
-    """Dense exp(-b0*H) of one block: a leaf operator or a layer reference."""
-    return exp_of_eigensystem(*_spectrum(spectra, run_spec, interval), -beta0)
-
-
-def _as_mpo(op: np.ndarray | MPO, d: int) -> MPO:
-    """An MPO passes through; a dense block is refactorized exactly."""
-    if isinstance(op, MPO):
-        return op
-    return mpo_ops.from_dense(op, int(round(math.log(op.shape[0], d))), d)
-
-
-Block = tuple[Interval, "np.ndarray | MPO"]  # dense until an MPO merge
+def leaf_block(run_spec: HamiltonianSpec, leaf: Interval,
+               beta0: complex) -> Block:
+    """The exact exp(-b0*H_leaf) of one leaf, from its eigensystem."""
+    eig = _eigensystem(run_spec, leaf)
+    op = exp_of_eigensystem(*eig, -beta0)
+    return Block(leaf, mpo_ops.from_dense(op, len(leaf), run_spec.d), op, eig)
 
 
 @dataclass
@@ -262,58 +269,53 @@ def _merges_densely(policy: CompressionPolicy, dim: int,
     return policy.lossless and dim <= dense_cap
 
 
-def merge_layer(blocks: list[Block], run_spec: HamiltonianSpec,
+def merge_layer(layer: list[Block], run_spec: HamiltonianSpec,
                 beta0: complex, order: int,
                 policy: CompressionPolicy = CompressionPolicy(), *,
                 dense_cap: int = DEFAULT_DENSE_CAP,
                 max_bond: int = DEFAULT_MAX_BOND,
-                force: bool = False,
-                mpos: list[Block] | None = None,
-                spectra: Spectra | None = None) -> tuple[list[Block], float]:
+                force: bool = False) -> tuple[list[Block], float]:
     """Join adjacent block pairs with truncated merge operators.
 
     :func:`_merges_densely` decides each pair from the policy and the size
-    of the joined block.  A dense pair is merged by the dense evaluator and
-    a Kronecker product; its blocks are dense, since blocks start as dense
-    leaves and turn into MPOs only at an MPO merge.  Every other pair is
-    merged by the merge MPO and :func:`~gibbsmpo.mpo.product` on its
-    blocks' MPOs: the ones ``mpos`` holds for their intervals (the layer as
-    :func:`_record_layer` returns it), else a dense block refactorized by
-    :func:`_as_mpo`.  Returns the next layer and the discarded compression
-    weight: 0 on dense merges and under "none", at roundoff level under
-    tol=0.  An odd trailing block passes through.
-
-    ``spectra`` is the build's map from block interval to the eigensystem
-    of the block's Hamiltonian (a fresh map when not given).  A dense merge
-    reads its joined block's and its halves' eigensystems from it,
-    computing the missing ones; every merge then drops its halves'.
+    of the joined block.  A dense pair multiplies the Kronecker product of
+    its blocks' dense operators by the dense truncated merge, evaluated in
+    the eigensystems of the halves (read from the blocks) and of the joined
+    block (computed here, once per block).  Its halves are always dense: a
+    lossless joined block within the cap has lossless halves within the
+    cap, which are leaves or were merged densely themselves.  The merge
+    consumes them: it drops their dense operators and eigensystems, which
+    no later step reads, before the joined block is refactorized.  Every
+    other pair is merged by the merge MPO and
+    :func:`~gibbsmpo.mpo.product` on its blocks' MPOs.  Returns the next
+    layer and the discarded compression weight: 0 on dense merges and
+    under "none", at roundoff level under tol=0.  An odd trailing block
+    passes through.
     """
     d = run_spec.d
-    known = dict(mpos or ())
-    spectra = {} if spectra is None else spectra
     nxt = []
     discarded = 0.0
-    for i in range(0, len(blocks) - 1, 2):
-        (iva, a), (ivb, b) = blocks[i], blocks[i + 1]
-        joined = Interval(iva.lo, ivb.hi)
-        ms = merge_spec_for(run_spec, iva, ivb, beta0, order)
+    for a, b in zip(layer[0::2], layer[1::2]):
+        joined = Interval(a.interval.lo, b.interval.hi)
+        ms = merge_spec_for(run_spec, a.interval, b.interval, beta0, order)
         if _merges_densely(policy, d ** ms.spec_ab.n, dense_cap):
             ms.require_window(force)
-            psi = truncated_merge_dense(ms, spectra=tuple(
-                _spectrum(spectra, run_spec, iv) for iv in (joined, iva, ivb)))
-            merged = psi @ np.kron(a, b)
+            eig = _eigensystem(run_spec, joined)
+            merged = truncated_merge_dense(
+                ms, spectra=(eig, a.eig, b.eig)) @ np.kron(a.dense, b.dense)
+            a.dense = a.eig = b.dense = b.eig = None
+            nxt.append(Block(joined,
+                             mpo_ops.from_dense(merged, len(joined), d),
+                             merged, eig))
         else:
             psi = build_merge_mpo(ms, policy=policy, dense_cap=dense_cap,
                                   max_bond=max_bond, force=force)
-            pair = mpo_ops.concat(_as_mpo(known.get(iva, a), d),
-                                  _as_mpo(known.get(ivb, b), d))
-            merged, w = mpo_ops.product(psi, pair, policy, max_bond=max_bond)
+            merged, w = mpo_ops.product(psi, mpo_ops.concat(a.mpo, b.mpo),
+                                        policy, max_bond=max_bond)
             discarded += w
-        spectra.pop(iva, None)
-        spectra.pop(ivb, None)
-        nxt.append((joined, merged))
-    if len(blocks) % 2 == 1:
-        nxt.append(blocks[-1])
+            nxt.append(Block(joined, merged))
+    if len(layer) % 2 == 1:
+        nxt.append(layer[-1])
     return nxt, discarded
 
 
@@ -324,55 +326,38 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
                         force: bool = False) -> tuple[MPO, LayerDiagnostics]:
     """Run leaves plus all merge layers; returns the merged-chain MPO.
 
-    The leaves are dense exponentials and hence their own layer-0
-    references.  :func:`merge_layer` runs from them until one block is
-    left, so the layers are those of :func:`build_merge_plan`; its rule
-    keeps blocks dense while lossless merges fit ``dense_cap`` and merges
-    on MPOs otherwise.  Each layer's blocks are refactorized once (bonds
-    equal to true cut ranks) for the bond profiles, and the next layer's
-    MPO merges take those MPOs.  Layer errors are measured against dense
-    block exponentials when the chain fits ``dense_cap``.
+    The leaves are :func:`leaf_block` records, and :func:`merge_layer`
+    runs from them until one block is left, so the layers are those of
+    :func:`build_merge_plan`.  Each layer logs its blocks' bond maxima
+    and, when the chain fits ``dense_cap``, its error: the largest
+    relative S2 distance of a block from exp(-b0*H_block), built from the
+    block's eigensystem (a fresh one for an MPO block).  The leaves are
+    exact, so the first error is 0.
     """
     diag = LayerDiagnostics()
     beta0 = budget.beta0
-    spectra: Spectra = {}
-    blocks = [(leaf, _block_exp(spectra, run_spec, leaf, beta0))
+    measure = run_spec.d ** run_spec.n <= dense_cap
+    blocks = [leaf_block(run_spec, leaf, beta0)
               for leaf in build_merge_plan(run_spec.n)[0]]
-    as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap, spectra)
+    if measure:
+        diag.errors.append(0.0)
+    diag.bond_profiles.append([max(b.mpo.bond_profile) for b in blocks])
     while len(blocks) > 1:
         blocks, w = merge_layer(blocks, run_spec, beta0, budget.order,
                                 policy, dense_cap=dense_cap,
-                                max_bond=max_bond, force=force, mpos=as_mpos,
-                                spectra=spectra)
+                                max_bond=max_bond, force=force)
         diag.discarded_weight += w
-        as_mpos = _record_layer(diag, blocks, run_spec, beta0, dense_cap,
-                                spectra, as_mpos)
-    return as_mpos[0][1], diag
-
-
-def _record_layer(diag, blocks, run_spec, beta0, dense_cap, spectra,
-                  prev=None) -> list[Block]:
-    """Log one layer's error (when the chain fits ``dense_cap``) and bond
-    maxima; return its blocks as MPOs.
-
-    ``prev`` is the previous layer's MPOs, and a block that passed through
-    keeps its interval and its MPO.  Without it the blocks are the leaves,
-    their own references, so no block exponential is recomputed for them.
-    A reference comes from the block's eigensystem in ``spectra``, which
-    the block's merge has already computed on a dense merge.
-    """
-    if run_spec.d ** run_spec.n <= dense_cap:
-        diag.errors.append(max(
-            relative_error(op if prev is None else
-                           _block_exp(spectra, run_spec, iv, beta0),
-                           op.densify(cap=dense_cap) if isinstance(op, MPO)
-                           else op, 2)
-            for iv, op in blocks))
-    known = dict(prev or ())
-    as_mpos = [(iv, _as_mpo(known.get(iv, op), run_spec.d))
-               for iv, op in blocks]
-    diag.bond_profiles.append([max(m.bond_profile) for _, m in as_mpos])
-    return as_mpos
+        if measure:
+            errors = []
+            for b in blocks:
+                eig = b.eig or _eigensystem(run_spec, b.interval)
+                op = b.dense if b.dense is not None \
+                    else b.mpo.densify(cap=dense_cap)
+                errors.append(relative_error(exp_of_eigensystem(*eig, -beta0),
+                                             op, 2))
+            diag.errors.append(max(errors))
+        diag.bond_profiles.append([max(b.mpo.bond_profile) for b in blocks])
+    return blocks[0].mpo, diag
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +424,7 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
         return _trivial_identity_run(spec, epsilon, real_time, policy)
     budget, run_spec, _series = plan_budget(
         spec, beta, epsilon, real_time=real_time, two_local=two_local,
-        dense_cap=dense_cap, force_steps=override_steps)
+        force_steps=override_steps)
     notes: list[str] = []
     certified = True
     if override_order is not None:

@@ -1,17 +1,21 @@
 """Pipeline: budgets, block tree, layered merging, powering, error reports."""
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gibbsmpo.gibbs import (
+    Block,
     BudgetError,
     build_gibbs_mpo,
     build_high_temp_mpo,
     build_merge_plan,
     build_real_time_mpo,
+    leaf_block,
     merge_layer,
     plan_budget,
     recursion_constants,
@@ -26,12 +30,13 @@ from gibbsmpo.model import (
     extensivity_constant,
     power_law_ising,
     restrict,
+    spec_from_config,
 )
 from gibbsmpo import mpo as mpo_module
-from gibbsmpo.mpo import DEFAULT_MAX_BOND, BondCapError, CompressionPolicy, \
-    concat, from_dense, multiply
+from gibbsmpo.mpo import DEFAULT_MAX_BOND, BondCapError, CompressionPolicy
 from gibbsmpo.oracle import DEFAULT_DENSE_CAP, dense_exp, partition_function, \
     relative_error
+from gibbsmpo.verify import base_step
 
 
 def chain(n, alpha=3.0):
@@ -43,15 +48,16 @@ def window(spec):
 
 
 def leaf_ops(spec, beta0):
-    """Exact dense Gibbs operators of the chain's leaf blocks."""
-    return [(leaf, dense_exp(dense_matrix(restrict(spec, leaf)), -beta0))
+    """The chain's leaf blocks: exact dense Gibbs operators, their
+    eigensystems and exact MPOs."""
+    return [leaf_block(spec, leaf, beta0)
             for leaf in build_merge_plan(spec.n)[0]]
 
 
 def leaf_mpos(spec, beta0):
-    """The leaf operators refactorized into exact MPOs."""
-    return [(leaf, from_dense(op, len(leaf), spec.d))
-            for leaf, op in leaf_ops(spec, beta0)]
+    """The leaf blocks with their exact MPOs only, as an MPO merge leaves
+    its blocks."""
+    return [Block(b.interval, b.mpo) for b in leaf_ops(spec, beta0)]
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +158,18 @@ def test_budget_layer_count_matches_plan():
 def test_leaf_gibbs_exact_against_dense():
     spec = chain(4)
     beta0 = window(spec)
-    for interval, mpo in leaf_mpos(spec, beta0):
-        local = restrict(spec, interval)
+    for block in leaf_ops(spec, beta0):
+        local = restrict(spec, block.interval)
         ref = dense_exp(dense_matrix(local), -beta0)
-        assert np.abs(mpo.densify() - ref).max() < 1e-12
-        assert max(mpo.bond_profile) <= spec.d ** 2
+        assert np.abs(block.dense - ref).max() < 1e-12
+        assert np.abs(block.mpo.densify() - ref).max() < 1e-12
+        assert max(block.mpo.bond_profile) <= spec.d ** 2
 
 
 def test_leaf_gibbs_zero_beta_is_identity():
     spec = chain(4)
-    for _, mpo in leaf_mpos(spec, 0.0):
-        assert np.abs(mpo.densify() - np.eye(4)).max() < 1e-14
+    for block in leaf_mpos(spec, 0.0):
+        assert np.abs(block.mpo.densify() - np.eye(4)).max() < 1e-14
 
 
 def test_leaf_gibbs_commuting_single_site_terms():
@@ -170,10 +177,11 @@ def test_leaf_gibbs_commuting_single_site_terms():
     # exponentials
     terms = tuple(LocalTerm((i,), 0.3 * i, ("Z",)) for i in range(1, 5))
     spec = HamiltonianSpec(n=4, d=2, k=2, terms=terms)
-    (iv, mpo), _ = leaf_mpos(spec, 0.7)
+    block, _ = leaf_mpos(spec, 0.7)
     single = [np.diag(np.exp([-0.7 * 0.3 * i, 0.7 * 0.3 * i]))
               for i in (1, 2)]
-    assert np.abs(mpo.densify() - np.kron(single[0], single[1])).max() < 1e-12
+    assert np.abs(block.mpo.densify()
+                  - np.kron(single[0], single[1])).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +195,13 @@ def test_merge_layer_decoupled_pair_is_plain_product():
                     if not (t.sites[0] <= 2 < t.sites[-1])))
     beta0 = window(spec)
     blocks = leaf_ops(spec, beta0)
+    ref = np.kron(blocks[0].dense, blocks[1].dense)
     merged, discarded = merge_layer(blocks, spec, beta0, 5)
     assert discarded == 0.0
-    (iv, m), = merged
-    assert iv == Interval(1, 4)
-    ref = np.kron(blocks[0][1], blocks[1][1])
-    assert np.abs(m - ref).max() < 1e-12
+    m, = merged
+    assert m.interval == Interval(1, 4)
+    assert np.abs(m.dense - ref).max() < 1e-12
+    assert np.abs(m.mpo.densify() - ref).max() < 1e-12
 
 
 def test_merge_layer_single_step_error_within_recursion_bound():
@@ -200,23 +209,34 @@ def test_merge_layer_single_step_error_within_recursion_bound():
     budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2)
     blocks = leaf_ops(run_spec, budget.beta0)
     merged, _ = merge_layer(blocks, run_spec, budget.beta0, budget.order)
-    (iv, m), = merged
+    m, = merged
     ref = dense_exp(dense_matrix(run_spec), -budget.beta0)
-    err = relative_error(ref, m, 2)
+    err = relative_error(ref, m.dense, 2)
     assert err <= budget.merge_offset * budget.merge_tol  # eps_1 = 0
 
 
-def test_merge_layer_keeps_only_unmerged_spectra():
-    # a dense merge adds the joined block's eigensystem to the build's map
-    # and drops its halves'; a block passing through is not decomposed
+def test_merge_layer_eigendecomposes_only_joined_blocks(monkeypatch):
+    # a dense merge reads its halves' eigensystems from their blocks,
+    # decomposes only the joined block and drops the halves' dense payload;
+    # a block passing through is the same record in the next layer, payload
+    # kept.  n=5: (1,2)(3,4)(5) -> (1..4)(5) -> (1..5)
     spec = chain(5)
     beta0 = window(spec)
-    spectra = {}
-    blocks, _ = merge_layer(leaf_ops(spec, beta0), spec, beta0, 3,
-                            spectra=spectra)
-    assert list(spectra) == [Interval(1, 4)]
-    merge_layer(blocks, spec, beta0, 3, spectra=spectra)
-    assert list(spectra) == [Interval(1, 5)]
+    layer = leaf_ops(spec, beta0)
+    eighs = []
+    _count_calls(monkeypatch, np.linalg, "eigh", eighs)
+    for joined in (Interval(1, 4), Interval(1, 5)):
+        eighs.clear()
+        nxt, _ = merge_layer(layer, spec, beta0, 3)
+        assert len(eighs) == 1
+        assert nxt[0].interval == joined
+        want = np.linalg.eigh(dense_matrix(restrict(spec, joined)))
+        for got, ref in zip(nxt[0].eig, want):
+            assert np.array_equal(got, ref)
+        assert all(b.dense is None and b.eig is None for b in layer[:2])
+        if len(layer) % 2 == 1:
+            assert nxt[-1] is layer[-1] and nxt[-1].eig is not None
+        layer = nxt
 
 
 def test_engines_agree_at_forced_low_order():
@@ -235,21 +255,22 @@ def test_engines_agree_at_forced_low_order():
 
 def test_merge_layer_dense_blocks_match_mpo_blocks():
     # dense and MPO arithmetic give the same merged operator.  A dense cap
-    # below the joined block sends the pair to MPO arithmetic, which
-    # refactorizes dense blocks first; the exact assembly's bonds grow like
-    # D_H^m0, so the pair is merged at a small order.
+    # below the joined block sends the pair to MPO arithmetic, which reads
+    # only the blocks' MPOs; the exact assembly's bonds grow like D_H^m0,
+    # so the pair is merged at a small order.
     spec = chain(4)
     budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2,
                                       two_local="off")
-    dense = leaf_ops(run_spec, budget.beta0)
-    (iv_d, ref), = merge_layer(dense, run_spec, budget.beta0, 2)[0]
-    assert iv_d == Interval(1, 4)
-    assert isinstance(ref, np.ndarray)
-    for blocks in (dense, leaf_mpos(run_spec, budget.beta0)):
-        (iv_m, got), = merge_layer(blocks, run_spec, budget.beta0, 2,
-                                   dense_cap=4)[0]
-        assert iv_m == iv_d
-        assert np.abs(got.densify() - ref).max() <= 1e-12 * np.abs(ref).max()
+    (ref,), _ = merge_layer(leaf_ops(run_spec, budget.beta0), run_spec,
+                            budget.beta0, 2)
+    assert ref.interval == Interval(1, 4)
+    assert isinstance(ref.dense, np.ndarray)
+    (got,), _ = merge_layer(leaf_mpos(run_spec, budget.beta0), run_spec,
+                            budget.beta0, 2, dense_cap=4)
+    assert got.interval == ref.interval
+    assert got.dense is None and got.eig is None
+    assert np.abs(got.mpo.densify() - ref.dense).max() \
+        <= 1e-12 * np.abs(ref.dense).max()
 
 
 def test_dense_engine_refactorizes_each_block_once(monkeypatch):
@@ -279,10 +300,12 @@ def _count_calls(monkeypatch, module, name, calls):
 
 def test_dense_build_eigendecomposes_each_hamiltonian_once(monkeypatch):
     # n=8 dense build: 4 leaves, 2 + 1 joined blocks and the final
-    # reference.  The leaves are their own references, a joined block's
-    # eigensystem serves its merge and its layer reference, a merge reads
-    # its halves' eigensystems from the build, and the final reference's
-    # singular values come from its eigenvalues.
+    # reference.  The leaves are exact (layer error 0), a joined block's
+    # eigensystem serves its merge and its layer references, a merge reads
+    # its halves' eigensystems from their blocks, and the final reference's
+    # singular values come from its eigenvalues.  n=9 adds a trailing leaf
+    # that passes through two layers, keeping its eigensystem: 5 leaves,
+    # 2 + 1 + 1 joined blocks, and 3 + 2 + 1 layer references.
     import gibbsmpo.gibbs as gibbs_mod
     import gibbsmpo.merge as merge_mod
 
@@ -291,14 +314,42 @@ def test_dense_build_eigendecomposes_each_hamiltonian_once(monkeypatch):
     _count_calls(monkeypatch, gibbs_mod, "exp_of_eigensystem", block_exps)
     _count_calls(monkeypatch, gibbs_mod, "dense_matrix", dense_matrices)
     _count_calls(monkeypatch, merge_mod, "dense_matrix", dense_matrices)
-    spec = chain(8)
-    _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
-    assert report.engine == "dense" and report.per_layer_error[0] == 0.0
-    assert len(eighs) == 8          # 12 with a recomputed reference per leaf
-    assert len(block_exps) == 7     # 4 leaves + 3 layer references
-    # 4 leaves + 3 joined blocks + final; the merges build none (14 when
-    # each merge built its own H_AB and H_A + H_B)
-    assert len(dense_matrices) == 8
+    # (n, eigh, exp_of_eigensystem, dense_matrix); the merges build no
+    # dense Hamiltonian (n=8 read 14 when each merge built its own H_AB
+    # and H_A + H_B)
+    for n, n_eigh, n_exp, n_dense in ((8, 8, 7, 8), (9, 10, 11, 10)):
+        for calls in (eighs, block_exps, dense_matrices):
+            calls.clear()
+        spec = chain(n)
+        _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
+        assert report.engine == "dense" and report.per_layer_error[0] == 0.0
+        assert len(eighs) == n_eigh
+        assert len(block_exps) == n_exp
+        assert len(dense_matrices) == n_dense
+
+
+@pytest.mark.parametrize("case", ["dense_n9", "lossy_tfi_a3"])
+def test_layer_bond_maxima_are_pinned(case):
+    # the integers a build reports per layer: the leaves' exact bonds, each
+    # layer's refactorized blocks (an odd trailing leaf keeps its bond 1)
+    if case == "dense_n9":
+        spec, policy = chain(9), CompressionPolicy()
+        layers = [[4, 4, 4, 4, 1], [10, 10, 1], [21, 1], [21]]
+        profile, engine = [1, 4, 12, 20, 31, 36, 26, 13, 4, 1], "dense"
+    else:
+        path = Path(__file__).resolve().parents[1] / "configs" \
+            / "thermal_tfi_a3.json"
+        spec = spec_from_config(json.loads(path.read_text())["model"])
+        policy = CompressionPolicy.parse("tol=1e-10")
+        layers = [[4, 4, 4, 4], [3, 3], [3]]
+        profile, engine = [1, 2, 3, 3, 3, 3, 3, 2, 1], "mpo"
+    _, report = build_gibbs_mpo(spec, 4 * base_step(spec), 1e-2, policy)
+    assert report.per_layer_max_bond == layers
+    assert report.bond_profile == profile
+    assert report.engine == engine
+    if case == "dense_n9":
+        assert report.budget.order == 29 and report.budget.steps == 5
+        assert report.per_layer_error[0] == 0.0
 
 
 def test_in_build_merges_match_standalone_merges(monkeypatch):
