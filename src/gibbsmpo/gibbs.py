@@ -229,8 +229,8 @@ class Block:
     true cut ranks).  A leaf and the result of a dense merge also hold the
     dense operator and the eigensystem of the block's Hamiltonian, which
     the layer reference and the parent merge read; a dense parent merge
-    drops them.  A block passing through a layer is the same object in
-    the next one.
+    drops them.  A measured layer gives its MPO blocks their eigensystem.
+    A block passing through a layer is the same object in the next one.
     """
 
     interval: Interval
@@ -260,6 +260,7 @@ class LayerDiagnostics:
     errors: list[float] = field(default_factory=list)       # max rel S2 error
     bond_profiles: list[list[int]] = field(default_factory=list)
     discarded_weight: float = 0.0
+    top_eig: Eigensystem | None = None  # the top block's, if it holds one
 
 
 def _merges_densely(policy: CompressionPolicy, dim: int,
@@ -350,13 +351,14 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
         if measure:
             errors = []
             for b in blocks:
-                eig = b.eig or _eigensystem(run_spec, b.interval)
+                b.eig = b.eig or _eigensystem(run_spec, b.interval)
                 op = b.dense if b.dense is not None \
                     else b.mpo.densify(cap=dense_cap)
-                errors.append(relative_error(exp_of_eigensystem(*eig, -beta0),
-                                             op, 2))
+                errors.append(relative_error(
+                    exp_of_eigensystem(*b.eig, -beta0), op, 2))
             diag.errors.append(max(errors))
         diag.bond_profiles.append([max(b.mpo.bond_profile) for b in blocks])
+    diag.top_eig = blocks[0].eig
     return blocks[0].mpo, diag
 
 
@@ -413,8 +415,12 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
     With a lossless policy the result carries only the certified truncation
     error of the budget; measured relative Schatten errors against the
     dense oracle are included whenever the chain fits the dense cap (beyond
-    it the report keeps predictions only).  Truncating policies merge and
-    power on MPOs; their predictions are heuristic and flagged.  The
+    it the report keeps predictions only).  A difference D from the
+    reference whose anti-Hermitian part A obeys ||A||_F <= 1e-12 ||ref||_inf
+    and sqrt(dim) ||A||_F <= 1e-12 ||ref||_1 is measured by ``eigvalsh`` of
+    its Hermitian part, every Schatten ratio then within 1e-12 of an SVD's
+    (Weyl); any other difference takes the SVD.  Truncating policies merge
+    and power on MPOs; their predictions are heuristic and flagged.  The
     report's ``engine`` is "dense" when the top merge ran densely (see
     :func:`merge_layer`), else "mpo".
     """
@@ -458,10 +464,17 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
     measured: dict[str, float] = {}
     dense_ok = spec.d ** spec.n <= dense_cap
     if dense_ok:
-        reference, ref_sv = exp_with_spectrum(
-            dense_matrix(spec, cap=dense_cap), -budget.beta)
+        eig = diag.top_eig if run_spec is spec \
+            else np.linalg.eigh(dense_matrix(spec, cap=dense_cap))
+        reference, ref_sv = exp_with_spectrum(*eig, -budget.beta)
         diff = reference - m_final.densify(cap=dense_cap)
-        diff_sv = np.linalg.svd(diff, compute_uv=False)
+        sym = (diff + diff.conj().T) / 2.0
+        asym = np.linalg.norm(diff - sym)
+        if asym <= 1e-12 * ref_sv[0] \
+                and math.sqrt(diff.shape[0]) * asym <= 1e-12 * ref_sv.sum():
+            diff_sv = np.sort(np.abs(np.linalg.eigvalsh(sym)))[::-1]
+        else:
+            diff_sv = np.linalg.svd(diff, compute_uv=False)
         for p in pnorms:
             measured[_pkey(p)] = (schatten_from_spectrum(diff_sv, p)
                                   / schatten_from_spectrum(ref_sv, p))

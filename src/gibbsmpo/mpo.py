@@ -183,24 +183,27 @@ def random_mpo(n: int, d: int, bond: int, seed: int | None = None,
 def from_dense(op: np.ndarray, n: int, d: int) -> MPO:
     """Exact tensor-train factorization of a dense operator.
 
-    Sequential SVDs keep every singular value above the numerical-zero
-    threshold, so the result reproduces the operator to machine precision
-    with bonds equal to the true cut ranks.
+    At each cut the unfolding M of the remainder is M = R^T Q^T, with R
+    the R factor of a QR of M^T, so the SVD of the small R^T gives M's
+    singular values and left singular vectors u at the cost of M's thin
+    side; u^H M is the next remainder.  Every singular value above the
+    numerical-zero threshold of M's shape is kept, so the result
+    reproduces the operator to machine precision with bonds equal to the
+    true cut ranks.
     """
     dim = d ** n
     if op.shape != (dim, dim):
         raise ValueError(f"expected shape {(dim, dim)}, got {op.shape}")
-    t = op.reshape((d,) * (2 * n))
     perm = [ax for j in range(n) for ax in (j, n + j)]
-    t = np.ascontiguousarray(t.transpose(perm))
+    rest = op.reshape((d,) * (2 * n)).transpose(perm).reshape(d * d, -1)
     cores = []
     left = 1
-    rest = t.reshape(left * d * d, -1)
     for j in range(n - 1):
-        u, s, vh = np.linalg.svd(rest, full_matrices=False)
+        r = np.linalg.qr(rest.T, mode="r")
+        u, s, _ = np.linalg.svd(r.T, full_matrices=False)
         keep = _split_rank(s, CompressionPolicy(), rest.shape)[0]
         cores.append(u[:, :keep].reshape(left, d, d, keep))
-        rest = (s[:keep, None] * vh[:keep]).reshape(keep * d * d, -1)
+        rest = (u[:, :keep].conj().T @ rest).reshape(keep * d * d, -1)
         left = keep
     cores.append(rest.reshape(left, d, d, 1))
     return MPO(cores)

@@ -30,15 +30,14 @@ def exp_of_eigensystem(w: np.ndarray, v: np.ndarray,
     return (v * np.exp(factor * w)) @ v.conj().T
 
 
-def exp_with_spectrum(ham: np.ndarray,
+def exp_with_spectrum(w: np.ndarray, v: np.ndarray,
                       factor: complex) -> tuple[np.ndarray, np.ndarray]:
-    """exp(factor * ham) for Hermitian ham and its singular values.
+    """exp(factor * H) for H = v diag(w) v^H and its singular values.
 
     The singular values of V diag(e^{factor*w}) V^H are |e^{factor*w}|
     (e^{-beta*w} on a thermal step, ones on a real-time one), returned in
     descending order without an SVD.
     """
-    w, v = np.linalg.eigh(ham)
     return (exp_of_eigensystem(w, v, factor),
             np.sort(np.abs(np.exp(factor * w)))[::-1])
 

@@ -28,6 +28,7 @@ from gibbsmpo.model import (
     boundary_bound,
     dense_matrix,
     extensivity_constant,
+    nearest_neighbor_ising,
     power_law_ising,
     restrict,
     spec_from_config,
@@ -328,6 +329,24 @@ def test_dense_build_eigendecomposes_each_hamiltonian_once(monkeypatch):
         assert len(dense_matrices) == n_dense
 
 
+def test_generic_build_eigendecomposes_the_chain_once(monkeypatch):
+    # without a surrogate Hamiltonian the final reference is built from the
+    # top block's eigensystem, which the last merge already computed
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    spec = nearest_neighbor_ising(8)
+    _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
+    assert not report.budget.two_local_path and report.engine == "dense"
+    assert report.measured
+    assert sizes == [4, 4, 4, 4, 16, 16, 256]
+
+
 @pytest.mark.parametrize("case", ["dense_n9", "lossy_tfi_a3"])
 def test_layer_bond_maxima_are_pinned(case):
     # the integers a build reports per layer: the leaves' exact bonds, each
@@ -376,18 +395,49 @@ def test_in_build_merges_match_standalone_merges(monkeypatch):
 
 def test_measurement_reference_spectrum_matches_svd():
     # the reported errors are unchanged by reading the reference's singular
-    # values from its eigenvalues instead of an SVD
-    for spec, beta, real_time in ((chain(6), 0.4, False),
-                                  (chain(5), 0.3, True)):
-        mpo, report = build_gibbs_mpo(spec, beta, 1e-2, real_time=real_time)
+    # values from its eigenvalues, and a lossless thermal difference's from
+    # the eigenvalues of its Hermitian part, instead of an SVD
+    for spec, beta, real_time, policy in (
+            (chain(6), 0.4, False, "none"), (chain(5), 0.3, True, "none"),
+            (chain(6), 0.4, False, "tol=1e-10")):
+        mpo, report = build_gibbs_mpo(spec, beta, 1e-2,
+                                      CompressionPolicy.parse(policy),
+                                      real_time=real_time)
         reference = dense_exp(dense_matrix(spec),
                               -(1j * beta if real_time else beta))
         diff = np.linalg.svd(reference - mpo.densify(), compute_uv=False)
         ref = np.linalg.svd(reference, compute_uv=False)
         assert report.measured["p1"] == pytest.approx(
-            diff.sum() / ref.sum(), rel=1e-10)
+            diff.sum() / ref.sum(), rel=1e-10, abs=1e-12)
+        assert report.measured["p2"] == pytest.approx(
+            np.linalg.norm(diff) / np.linalg.norm(ref), rel=1e-10, abs=1e-12)
         assert report.measured["pinf"] == pytest.approx(
-            diff[0] / ref[0], rel=1e-10)
+            diff[0] / ref[0], rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("real_time, policy, full_svds", [
+    (False, "none", 0), (True, "none", 1), (False, "tol=1e-10", 1)])
+def test_only_non_hermitian_differences_take_the_svd(monkeypatch, real_time,
+                                                     policy, full_svds):
+    # a lossless thermal difference is Hermitian up to roundoff and is
+    # measured by eigvalsh; a real-time one is not Hermitian and a lossy one
+    # is asymmetric at the truncation level, so each takes one values-only
+    # SVD of the full difference
+    spec = chain(6)
+    dim = 2 ** spec.n
+    calls = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    _, report = build_gibbs_mpo(spec, 0.4, 1e-2,
+                                CompressionPolicy.parse(policy),
+                                real_time=real_time)
+    assert report.measured
+    assert calls.count(((dim, dim), False)) == full_svds
 
 
 def test_high_temp_diagnostics_layers():

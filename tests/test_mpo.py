@@ -36,6 +36,7 @@ from gibbsmpo.mpo import (
     scale,
     zero_mpo,
 )
+from gibbsmpo.oracle import dense_exp
 
 RNG = np.random.default_rng(777)
 
@@ -246,6 +247,64 @@ def test_from_dense_rank_reduction():
     a = random_mpo(6, 2, 2, rng=RNG)
     rebuilt = from_dense(a.densify(), 6, 2)
     assert max(rebuilt.bond_profile) <= 4  # true rank of a bond-2 operator
+
+
+def unfolding(op, n, d, cut):
+    """The dense operator as a matrix over sites 1..cut versus the rest."""
+    perm = [ax for j in range(n) for ax in (j, n + j)]
+    return op.reshape((d,) * (2 * n)).transpose(perm).reshape(d ** (2 * cut), -1)
+
+
+@pytest.mark.parametrize("n, t", [(5, 0.7), (8, 1.0)])
+def test_from_dense_roundtrips_real_time_propagator(n, t):
+    op = dense_exp(dense_matrix(power_law_ising(n, 3.0)), -1j * t)
+    out = from_dense(op, n, 2)
+    assert all(np.iscomplexobj(c) for c in out.cores)
+    assert np.linalg.norm(out.densify() - op) <= 1e-13 * np.linalg.norm(op)
+
+
+def test_from_dense_bonds_are_unfolding_ranks():
+    # bond 5 is below the full rank of every interior cut but the first and
+    # the last (4): the profile must be the ranks, not the input's bonds
+    n = 6
+    op = random_mpo(n, 2, 5, seed=11).densify()
+    ranks = [np.linalg.matrix_rank(unfolding(op, n, 2, c)) for c in range(1, n)]
+    assert ranks == [4, 5, 5, 5, 4]
+    assert from_dense(op, n, 2).bond_profile == (1, *ranks, 1)
+
+
+def test_from_dense_factors_wide_and_tall_cuts(monkeypatch):
+    # at n=9 a full-rank propagator's remainder is wide (more columns than
+    # rows) on the first cuts and tall on the last ones; one path serves both
+    n = 9
+    op = dense_exp(dense_matrix(power_law_ising(n, 3.0)), -1j)
+    shapes = []
+    qr = np.linalg.qr
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.T.shape)  # the unfolding of the remainder
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    out = from_dense(op, n, 2)
+    assert any(r < c for r, c in shapes) and any(r > c for r, c in shapes)
+    assert out.bond_profile == (1, 4, 16, 64, 256, 256, 64, 16, 4, 1)
+    assert np.linalg.norm(out.densify() - op) <= 1e-13 * np.linalg.norm(op)
+
+
+def test_from_dense_peak_memory_stays_near_the_input():
+    # the transposed copy of the input is the first remainder and is
+    # released at the first cut; no full-size SVD factor is formed
+    import tracemalloc
+    op = dense_exp(dense_matrix(power_law_ising(9, 3.0)), -0.1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        from_dense(op, 9, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 2.5 * op.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def test_reference_spectrum_matches_svd(factor):
     # thermal: e^{-beta*w}, sorted; real time: ones.  The SVD resolves each
     # singular value to about eps times the largest, so compare on that scale.
     ham = dense_matrix(power_law_ising(6, 3.0))
-    op, sv = exp_with_spectrum(ham, factor)
+    op, sv = exp_with_spectrum(*np.linalg.eigh(ham), factor)
     want = np.linalg.svd(op, compute_uv=False)
     assert np.all(np.diff(sv) <= 0.0)
     assert np.abs(sv - want).max() <= 1e-13 * want[0]
