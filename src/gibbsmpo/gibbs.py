@@ -455,6 +455,7 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
     m_base, diag = build_high_temp_mpo(run_spec, budget, policy,
                                        dense_cap=dense_cap, max_bond=max_bond,
                                        force=force)
+    top_eig, diag.top_eig = diag.top_eig if run_spec is spec else None, None
     t_power = time.perf_counter()
     m_final, extra_discard = _power_step(m_base, budget.steps, policy,
                                          dense_cap, max_bond)
@@ -464,15 +465,14 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
     measured: dict[str, float] = {}
     dense_ok = spec.d ** spec.n <= dense_cap
     if dense_ok:
-        eig = diag.top_eig if run_spec is spec \
-            else np.linalg.eigh(dense_matrix(spec, cap=dense_cap))
-        reference, ref_sv = exp_with_spectrum(*eig, -budget.beta)
+        reference, ref_sv = exp_with_spectrum(*(top_eig or np.linalg.eigh(
+            dense_matrix(spec, cap=dense_cap))), -budget.beta)
+        del top_eig
         diff = reference - m_final.densify(cap=dense_cap)
-        sym = (diff + diff.conj().T) / 2.0
-        asym = np.linalg.norm(diff - sym)
-        if asym <= 1e-12 * ref_sv[0] \
-                and math.sqrt(diff.shape[0]) * asym <= 1e-12 * ref_sv.sum():
-            diff_sv = np.sort(np.abs(np.linalg.eigvalsh(sym)))[::-1]
+        asym = np.linalg.norm(diff - diff.conj().T) / 2.0
+        if asym <= 1e-12 * min(ref_sv[0], ref_sv.sum() / len(diff) ** 0.5):
+            diff += diff.conj().T  # twice the Hermitian part, in place
+            diff_sv = np.sort(np.abs(np.linalg.eigvalsh(diff)))[::-1] / 2.0
         else:
             diff_sv = np.linalg.svd(diff, compute_uv=False)
         for p in pnorms:
