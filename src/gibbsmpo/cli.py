@@ -23,7 +23,8 @@ import numpy as np
 
 from .expsum import fit_kernel
 from .gibbs import BudgetError, build_gibbs_mpo, build_real_time_mpo, plan_budget
-from .merge import MAX_TAYLOR_ORDER, certify_merge_truncation, merge_spec_for
+from .merge import MAX_TAYLOR_ORDER, certify_merge_truncation, merge_spec_for, \
+    merge_spectra
 from .model import ConfigError, Interval, boundary_bound, spec_from_config
 from .mpo import BondCapError, CompressionPolicy, save_mpo
 from .oracle import DenseCapError
@@ -293,12 +294,16 @@ def _sweep_order(spec, sweep) -> list[dict]:
     beta0 = verify_mod.base_step(spec)
     gtilde = boundary_bound(spec)
     cut = spec.n // 2
+    spectra = None  # H_AB, H_A and H_B do not depend on the order
 
     def evaluate(order):
+        nonlocal spectra
         ms = merge_spec_for(spec, Interval(1, cut), Interval(cut + 1, spec.n),
                             beta0, order)
+        if spectra is None:
+            spectra = merge_spectra(ms)
         rep = certify_merge_truncation(ms, gtilde=gtilde, max_order_terms=0,
-                                       check=False)
+                                       check=False, spectra=spectra)
         return dict(measured=rep["measured_error"], bound=rep["error_bound"],
                     within_bound=rep["measured_error"] <= rep["error_bound"])
 

@@ -272,7 +272,9 @@ def certify_merge_truncation(ms: MergeOperatorSpec, *,
                              gtilde: float | None = None,
                              max_order_terms: int = 10,
                              cap: int = DEFAULT_DENSE_CAP,
-                             check: bool = True) -> dict:
+                             check: bool = True,
+                             spectra: tuple[Eigensystem, ...] | None = None,
+                             ) -> dict:
     """Measure ||Psi - Psi~|| and the per-order norms against their bounds.
 
     ``gtilde`` defaults to the joined block's own uniform boundary bound; a
@@ -281,7 +283,10 @@ def certify_merge_truncation(ms: MergeOperatorSpec, *,
     :class:`CertificationError` carrying both values); the norms of the
     order terms 0..``max_order_terms`` are always reported against
     (2*C*|b0|)^m * exp(gt/C), C = 6*g*k^2.  H_AB, H_A and H_B are built
-    once.  The error is ||M o (e^Z - (1 + phi_m0(Z)))||, unitarily
+    once, and only when ``spectra`` (their eigensystems, as
+    :func:`merge_spectra` returns them; a sweep over orders passes the same
+    ones to every order) are absent or order terms past the identity are
+    asked for.  The error is ||M o (e^Z - (1 + phi_m0(Z)))||, unitarily
     equivalent to ||Psi - Psi~||: a difference of two O(1) kernels, so its
     floating-point floor stays visible.  The norms come from
     :func:`_order_terms`.
@@ -293,15 +298,21 @@ def certify_merge_truncation(ms: MergeOperatorSpec, *,
     c0 = tail_prefactor(g, k, gtilde)
     comm_scale = 6.0 * g * k * k
     certified = ms.certified_regime(g, k)
-    hams = _dense_hamiltonians(ms, cap)
+    if spectra is None or max_order_terms:
+        hams = _dense_hamiltonians(ms, cap)
+    if spectra is None:
+        spectra = tuple(np.linalg.eigh(h) for h in hams)
+    norms = [1.0]  # the order-0 term is the identity
+    if max_order_terms:
+        terms = _order_terms(*hams, ms.beta0, max_order_terms)
+        next(terms)
+        norms += [float(np.linalg.norm(term, ord=2)) for term in terms]
     orders = []
-    for m, term in enumerate(_order_terms(*hams, ms.beta0, max_order_terms)):
-        norm_m = float(np.linalg.norm(term, ord=2))
+    for m, norm_m in enumerate(norms):
         order_bound = (2.0 * comm_scale * abs(ms.beta0)) ** m * math.exp(gtilde / comm_scale)
         orders.append({"m": m, "norm": norm_m, "bound": order_bound,
                        "ok": norm_m <= order_bound * (1 + 1e-9)})
-    m_basis, z = _eigenbasis_kernel(tuple(np.linalg.eigh(h) for h in hams),
-                                    ms.beta0)
+    m_basis, z = _eigenbasis_kernel(spectra, ms.beta0)
     gap = np.exp(z) - (1 + _expm1_taylor(z, ms.order))
     measured = float(np.linalg.norm(m_basis * gap, ord=2))
     bound = c0 * 2.0 ** (-ms.order)

@@ -17,7 +17,7 @@ from .expsum import approximate_hamiltonian, fit_kernel, kernel_error_constant, 
     kernel_order
 from .gibbs import build_gibbs_mpo, build_real_time_mpo, plan_budget
 from .merge import build_merge_mpo, certified_step, certify_merge_truncation, \
-    merge_spec_for, truncated_merge_dense
+    merge_spec_for, merge_spectra, truncated_merge_dense
 from .model import HamiltonianSpec, Interval, boundary_bound, dense_matrix, \
     extensivity_constant, power_law_ising
 from .oracle import dense_exp, schatten_norm
@@ -45,18 +45,25 @@ def base_step(spec: HamiltonianSpec) -> float:
 
 def check_merge_truncation_sweep(spec: HamiltonianSpec | None = None,
                                  orders=range(2, 13)) -> dict:
-    """Truncation error <= c0 * 2^-m0 across a sweep of orders (half cut)."""
+    """Truncation error <= c0 * 2^-m0 across a sweep of orders (half cut).
+
+    H_AB, H_A and H_B do not depend on the order: their eigensystems are
+    computed once and serve every order.
+    """
     spec = spec or default_chain(8)
     beta0 = base_step(spec)
     gtilde = boundary_bound(spec)
     cut = spec.n // 2
     rows = []
     ok = True
+    spectra = None
     for order in orders:
         ms = merge_spec_for(spec, Interval(1, cut), Interval(cut + 1, spec.n),
                             beta0, order)
+        if spectra is None:
+            spectra = merge_spectra(ms)
         rep = certify_merge_truncation(ms, gtilde=gtilde, max_order_terms=0,
-                                       check=False)
+                                       check=False, spectra=spectra)
         good = rep["measured_error"] <= rep["error_bound"] * _SLACK
         ok &= good
         rows.append({"order": order, "measured": rep["measured_error"],
@@ -439,7 +446,6 @@ _FAST_OVERRIDES = {
     "layer_recursion": {"n": 6},
     "end_to_end": {"ns": (4, 6), "beta_mults": (1.0, 4.0)},
     "real_time": {"times": (0.25,), "n": 4},
-    "kernel_certification": {"epsilons": (1e-2, 1e-3)},
     "hamiltonian_replacement": {"n": 6, "alphas": (3.0,), "ham_tols": (1e-1, 1e-2)},
     "disjoint_product_lemma": {"trials": 25},
     "perturbation_lemma": {"trials": 25},

@@ -217,17 +217,29 @@ def read_rows(path):
     return [json.loads(line) for line in open(path)]
 
 
-def test_sweep_order_rows_within_bound(tmp_path):
+def test_sweep_order_rows_within_bound(tmp_path, monkeypatch):
+    import numpy as np
+    from gibbsmpo import verify
+    from gibbsmpo.model import power_law_ising
     cfg = write_config(tmp_path, {
         "format": 1,
         "model": {"name": "power_law_ising", "n": 6, "alpha": 3.0},
         "sweep": {"kind": "order", "orders": [2, 4, 6]}})
     out = tmp_path / "sw"
+    eighs = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: eighs.append(h) or real(h))
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert len(eighs) == 3  # one H_AB, H_A, H_B for the whole sweep
     rows = read_rows(out / "sweep.jsonl")
     assert len(rows) == 3
     assert all(r["within_bound"] for r in rows)
     assert all("runtime_s" in r for r in rows)
+    monkeypatch.undo()
+    check = verify.check_merge_truncation_sweep(power_law_ising(6, 3.0),
+                                                [2, 4, 6])
+    assert [r["measured"] for r in rows] == \
+        [r["measured"] for r in check["details"]["rows"]]
 
 
 def test_sweep_epsilon_reports_fit(tmp_path):

@@ -76,6 +76,18 @@ def test_fit_validation():
         fit_kernel(2.5, 1e-2, certify=False)
 
 
+@pytest.mark.parametrize("grid", [
+    {"r_max": 0.5}, {"r_max": math.inf}, {"r_max": math.nan},
+    {"grid_step": -1.0}, {"grid_step": 0.0}, {"grid_step": math.inf},
+    {"grid_step": math.nan}, {"r_max": 1e300, "grid_step": 1e-300},
+])
+@pytest.mark.parametrize("certify", [True, False])
+def test_fit_rejects_grids_that_certify_nothing(grid, certify):
+    # an empty, unbounded or endless grid has no certificate to offer
+    with pytest.raises(ValueError, match="certification grid"):
+        fit(3.0, 1e-2, certify=certify, **grid)
+
+
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------
@@ -123,6 +135,57 @@ def test_certificate_skipping_underflowed_terms_is_the_all_terms_max(
     series = fit(alpha, eps, r_max=r_max)
     assert series.rates[-1] > 800.0  # some terms are skipped at r = 1
     assert series.certified_sup_error == all_terms_grid_sup_error(series)
+
+
+def counted_fit(monkeypatch, alpha, eps, **kw):
+    """The fit and the grid chunks its certificate evaluated."""
+    chunks = []
+    real = expsum._sup_error
+    monkeypatch.setattr(expsum, "_sup_error",
+                        lambda series, r: chunks.append(r) or real(series, r))
+    return fit(alpha, eps, **kw), chunks
+
+
+def test_fit_on_the_one_point_grid(monkeypatch):
+    # r_max = 1 certifies r = 1 alone; the evaluator's dot product runs over
+    # the 25 terms that do not underflow there, and BLAS rounds that
+    # shorter sum differently from all 33 terms, hence the tolerance
+    series, chunks = counted_fit(monkeypatch, 3.0, 1e-2, r_max=1.0)
+    assert [r.tolist() for r in chunks] == [[1.0]]
+    assert series.certified_sup_error == pytest.approx(
+        abs(1.0 - series.kernel(1.0)), rel=1e-12, abs=0.0)
+
+
+def test_pruned_scan_stops_after_the_first_chunk(monkeypatch):
+    # the max sits near r = 1; from the second chunk on (r >= 257) both
+    # r**-3 and the series are below half of it
+    series, chunks = counted_fit(monkeypatch, 3.0, 1e-2)
+    assert len(chunks) == 1
+    assert series.certified_sup_error == all_terms_sup_error(
+        series, 1.0 + series.grid_step * np.arange(expsum._GRID_CHUNK))
+
+
+@pytest.mark.parametrize("alpha, eps, grid", [
+    (2.5, 1e-2, {"grid_step": 2.0 ** -10, "r_max": 2.0 ** 8}),
+    (3.0, 1e-3, {"grid_step": 2.0 ** -10, "r_max": 2.0 ** 8}),
+    (4.0, 1e-4, {"grid_step": 2.0 ** -10, "r_max": 2.0 ** 8}),
+    (2.5, 1e-6, {}),
+])
+def test_pruned_scan_over_several_chunks_is_the_all_terms_max(
+        monkeypatch, alpha, eps, grid):
+    # the scan stops early but past the first chunk; the certificate is
+    # still the same float as every term at every grid point
+    series, chunks = counted_fit(monkeypatch, alpha, eps, **grid)
+    npts = int(round((series.r_max - 1.0) / series.grid_step)) + 1
+    assert 1 < len(chunks) < -(-npts // expsum._GRID_CHUNK)
+    assert series.certified_sup_error == all_terms_grid_sup_error(series)
+
+
+def test_fast_suite_certifies_the_full_suites_kernel_grid():
+    (fast,) = verify.run_checks(["kernel_certification"], fast=True)
+    (full,) = verify.run_checks(["kernel_certification"])
+    assert fast == full
+    assert {row["eps"] for row in fast["details"]["rows"]} == {1e-2, 1e-3, 1e-4}
 
 
 def test_distance_certificate_is_the_all_terms_max():

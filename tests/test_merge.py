@@ -280,6 +280,48 @@ def test_certify_builds_hamiltonian_pair_once(monkeypatch, max_order_terms):
     assert sorted(s.n for s, in calls) == [2, 2, 4]
 
 
+@pytest.mark.parametrize("max_order_terms", [0, 3])
+@pytest.mark.parametrize("phase", [1.0, 1j])
+def test_certify_with_given_spectra_is_the_same_report(monkeypatch,
+                                                       max_order_terms, phase):
+    # passed eigensystems replace the ones certify would compute; without
+    # order terms past the identity no Hamiltonian is built at all
+    import gibbsmpo.merge as merge_mod
+    spec = chain(6)
+    ms = half_merge(spec, phase * window(spec), 5)
+    spectra = merge_spectra(ms)
+    own = certify_merge_truncation(ms, max_order_terms=max_order_terms)
+    builds = []
+    real = merge_mod.dense_matrix
+    monkeypatch.setattr(merge_mod, "dense_matrix",
+                        lambda *a, **k: builds.append(a) or real(*a, **k))
+    given = certify_merge_truncation(ms, max_order_terms=max_order_terms,
+                                     spectra=spectra)
+    assert given == own
+    assert len(builds) == (3 if max_order_terms else 0)
+
+
+def test_order_sweep_shares_one_set_of_eigensystems(monkeypatch):
+    # H_AB, H_A and H_B do not depend on the order: three eigh per sweep,
+    # and every row is the one a standalone certification reports
+    from gibbsmpo import verify
+    spec = chain(8)
+    orders = range(2, 9)
+    eighs = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: eighs.append(h.shape) or real(h))
+    rows = verify.check_merge_truncation_sweep(spec, orders)["details"]["rows"]
+    assert sorted(eighs) == [(16, 16), (16, 16), (256, 256)]
+    monkeypatch.undo()
+    for order, row in zip(orders, rows):
+        rep = certify_merge_truncation(
+            half_merge(spec, verify.base_step(spec), order),
+            gtilde=boundary_bound(spec), max_order_terms=0, check=False)
+        assert (row["measured"], row["bound"]) == \
+            (rep["measured_error"], rep["error_bound"])
+
+
 @pytest.mark.parametrize("order,max_order_terms", [(4, 0), (4, 10), (12, 3)])
 @pytest.mark.parametrize("phase", [1.0, 1j])
 def test_certify_single_pass_matches_separate_evaluators(order, max_order_terms,
