@@ -26,8 +26,8 @@ from .gibbs import BudgetError, build_gibbs_mpo, build_real_time_mpo, plan_budge
 from .merge import MAX_TAYLOR_ORDER, certify_merge_truncation, merge_spec_for, \
     merge_spectra
 from .model import ConfigError, Interval, boundary_bound, spec_from_config
-from .mpo import BondCapError, CompressionPolicy, save_mpo
-from .oracle import DenseCapError
+from .mpo import DEFAULT_MAX_BOND, BondCapError, CompressionPolicy, save_mpo
+from .oracle import DEFAULT_DENSE_CAP, DenseCapError
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -160,9 +160,9 @@ def _cmd_build(args) -> int:
                                          or run.get("compress", "none"))
         pnorms = _parse_pnorms(args.pnorms.split(",") if args.pnorms
                                else run.get("pnorms", [1, 2, "inf"]))
-        dense_cap = int(run.get("dense_cap", 4096) if args.cap_dense is None
-                        else args.cap_dense)
-        max_bond = int(run.get("max_bond", 4096))
+        dense_cap = int(run.get("dense_cap", DEFAULT_DENSE_CAP)
+                        if args.cap_dense is None else args.cap_dense)
+        max_bond = int(run.get("max_bond", DEFAULT_MAX_BOND))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     if dense_cap < 1 or max_bond < 1:

@@ -18,9 +18,11 @@ whole chunk.  ``fit_kernel`` also stops the scan early.  The weights and
 rates are positive, so r**-alpha and the series are both positive and
 decreasing in r, and every point from a chunk's first point r0 on deviates
 by at most max(r0**-alpha, series(r0)).  Once twice that falls to the
-running max, no later chunk can raise it, and the scan ends.  The
-certificate is the same max over the same grid, without the exponentials
-and the chunks that cannot reach it.
+running max, no later chunk can raise it, and the scan ends.  The stop is
+exact: it drops only chunks that cannot reach the max.  The skip is not
+bit-exact per point: the shorter dot product rounds in another order, so a
+certificate can move in its last digits (``fit_kernel(3.0, 1e-2,
+r_max=1.0)`` gives 6.986724372946007e-4, all terms 6.986724372948228e-4).
 
 Replacing r**-alpha by the series turns a power-law pairwise Hamiltonian
 into one whose MPO needs only one decay channel per series term.  A chain
@@ -155,10 +157,11 @@ def fit_kernel(alpha: float, eps: float, *, r_max: float = _DEFAULT_R_MAX,
 
     Returns:
         The series with certified sup error over the grid: the max over all
-        grid points of the all-terms deviation.  Terms that underflow to 0.0
-        on a chunk of the grid are not evaluated there (``_sup_error``), and
-        the scan stops at the first chunk that cannot raise the max; the
-        certificate is unchanged by either.
+        grid points of the deviation.  Terms that underflow to 0.0 on a
+        chunk of the grid are not evaluated there (``_sup_error``), which
+        can move the certificate by the rounding of the shorter dot
+        product; the scan stops at the first chunk that cannot raise the
+        max, which leaves it unchanged.
 
     The stop is exact.  Weights and rates are positive, so r**-alpha and
     the series are positive and decreasing in r: at every grid point r

@@ -3,16 +3,17 @@
 The thermal operator exp(-beta*H) is built in four stages.  (1) Exact
 high-temperature operators exp(-b0*H_leaf) on two-site leaf blocks.
 (2) log2(n) merge layers, each joining adjacent blocks with a truncated
-merge operator.  One rule picks the arithmetic of every merge: a
-lossless merge whose joined block fits the dense cap runs on dense
-matrices, every other merge on MPOs.  Each block of a layer is one
-:class:`Block` record: its MPO, and for a leaf or a dense merge's result
-also its dense operator and Hamiltonian eigensystem, which the parent
-merge reuses.  (3) The result approximates
-exp(-b0*H) with a relative error eps0' that obeys the per-layer
-recursion e_q = a2*d0 + a1*e_{q-1}.  (4) Raising it to the integer
-power Q = beta/b0 by repeated squaring reaches the target temperature with
-relative error at most 5*Q*eps0' in every Schatten norm.
+merge operator.  The layer loop routes every merge: a joined block that
+fits the dense cap has its merge operator evaluated densely in the
+blocks' eigenbases, and a lossless one is multiplied densely too; every
+other product, and every merge operator beyond the cap, runs on MPOs.
+Each block of a layer is one :class:`Block` record: its MPO, for a block
+within the cap its Hamiltonian eigensystem, and for a leaf or a lossless
+dense merge's result its dense operator, which the parent merge reuses.
+(3) The result approximates exp(-b0*H) with a relative error eps0' that
+obeys the per-layer recursion e_q = a2*d0 + a1*e_{q-1}.  (4) Raising it
+to the integer power Q = beta/b0 by repeated squaring reaches the target
+temperature with relative error at most 5*Q*eps0' in every Schatten norm.
 Setting beta = i*t runs the same pipeline for real-time evolution.
 
 The per-merge tolerance d0 is chosen so the powered error meets the
@@ -226,11 +227,11 @@ class Block:
 
     Every block holds its operator as an MPO, made once when the block is
     created; a dense operator is refactorized exactly (bonds equal to the
-    true cut ranks).  A leaf and the result of a dense merge also hold the
-    dense operator and the eigensystem of the block's Hamiltonian, which
-    the layer reference and the parent merge read; a dense parent merge
-    drops them.  A measured layer gives its MPO blocks their eigensystem.
-    A block passing through a layer is the same object in the next one.
+    true cut ranks).  A block within the dense cap also holds the
+    eigensystem of its Hamiltonian, and a leaf or the result of a lossless
+    dense merge its dense operator; the layer reference and the parent
+    merge read them, and a parent merge within the cap drops them.  A
+    block passing through a layer is the same object in the next one.
     """
 
     interval: Interval
@@ -265,8 +266,9 @@ class LayerDiagnostics:
 
 def _merges_densely(policy: CompressionPolicy, dim: int,
                     dense_cap: int) -> bool:
-    """The one dense-vs-MPO rule: lossless arithmetic on at most
-    ``dense_cap`` states runs on dense matrices, everything else on MPOs."""
+    """Lossless products and powers on at most ``dense_cap`` states run on
+    dense matrices, everything else on MPOs; :func:`merge_layer` applies
+    the same rule to each merge's product, and names the engine by it."""
     return policy.lossless and dim <= dense_cap
 
 
@@ -275,46 +277,55 @@ def merge_layer(layer: list[Block], run_spec: HamiltonianSpec,
                 policy: CompressionPolicy = CompressionPolicy(), *,
                 dense_cap: int = DEFAULT_DENSE_CAP,
                 max_bond: int = DEFAULT_MAX_BOND,
-                force: bool = False) -> tuple[list[Block], float]:
-    """Join adjacent block pairs with truncated merge operators.
+                ) -> tuple[list[Block], float]:
+    """Join adjacent block pairs with truncated merge operators; the one
+    place a merge is routed.
 
-    :func:`_merges_densely` decides each pair from the policy and the size
-    of the joined block.  A dense pair multiplies the Kronecker product of
-    its blocks' dense operators by the dense truncated merge, evaluated in
-    the eigensystems of the halves (read from the blocks) and of the joined
-    block (computed here, once per block).  Its halves are always dense: a
-    lossless joined block within the cap has lossless halves within the
-    cap, which are leaves or were merged densely themselves.  The merge
-    consumes them: it drops their dense operators and eigensystems, which
-    no later step reads, before the joined block is refactorized.  Every
-    other pair is merged by the merge MPO and
-    :func:`~gibbsmpo.mpo.product` on its blocks' MPOs.  Returns the next
-    layer and the discarded compression weight: 0 on dense merges and
-    under "none", at roundoff level under tol=0.  An odd trailing block
-    passes through.
+    Every step must lie in its merge's certified window (``ValueError``
+    otherwise).  A joined block of at most ``dense_cap`` states has its
+    merge operator evaluated densely, in the eigensystems of the halves
+    (read from the blocks, which are within the cap too) and of the joined
+    block (computed here, once per block).  Under a lossless policy it
+    multiplies the Kronecker product of the halves' dense operators, which
+    are leaves or lossless dense merges themselves; under a lossy one it is
+    refactorized exactly, compressed by the policy and multiplied into the
+    blocks' MPOs by :func:`~gibbsmpo.mpo.product`.  Either way the merge
+    consumes its halves: it drops their dense operators and eigensystems,
+    which no later step reads, before the joined block is refactorized.
+    Beyond the cap the merge operator is the Horner assembly of
+    :func:`~gibbsmpo.merge.build_merge_mpo`, multiplied by
+    :func:`~gibbsmpo.mpo.product`.  Returns the next layer and the
+    discarded compression weight: 0 on lossless dense merges and under
+    "none", at roundoff level under tol=0.  An odd trailing block passes
+    through.
     """
     d = run_spec.d
     nxt = []
     discarded = 0.0
     for a, b in zip(layer[0::2], layer[1::2]):
         joined = Interval(a.interval.lo, b.interval.hi)
+        n = len(joined)
         ms = merge_spec_for(run_spec, a.interval, b.interval, beta0, order)
-        if _merges_densely(policy, d ** ms.spec_ab.n, dense_cap):
-            ms.require_window(force)
-            eig = _eigensystem(run_spec, joined)
-            merged = truncated_merge_dense(
-                ms, spectra=(eig, a.eig, b.eig)) @ np.kron(a.dense, b.dense)
-            a.dense = a.eig = b.dense = b.eig = None
-            nxt.append(Block(joined,
-                             mpo_ops.from_dense(merged, len(joined), d),
-                             merged, eig))
+        if d ** n > dense_cap:
+            eig = None
+            psi = build_merge_mpo(ms, policy=policy, max_bond=max_bond)
         else:
-            psi = build_merge_mpo(ms, policy=policy, dense_cap=dense_cap,
-                                  max_bond=max_bond, force=force)
-            merged, w = mpo_ops.product(psi, mpo_ops.concat(a.mpo, b.mpo),
-                                        policy, max_bond=max_bond)
-            discarded += w
-            nxt.append(Block(joined, merged))
+            ms.require_window()
+            eig = np.linalg.eigh(dense_matrix(ms.spec_ab, cap=dense_cap))
+            dense = truncated_merge_dense(ms, spectra=(eig, a.eig, b.eig))
+            if policy.lossless:  # the joined block itself, multiplied densely
+                dense = dense @ np.kron(a.dense, b.dense)
+            a.dense = a.eig = b.dense = b.eig = None
+            if policy.lossless:
+                nxt.append(Block(joined, mpo_ops.from_dense(dense, n, d),
+                                 dense, eig))
+                continue
+            psi = mpo_ops.compress(mpo_ops.from_dense(dense, n, d), policy)[0]
+            del dense
+        merged, w = mpo_ops.product(psi, mpo_ops.concat(a.mpo, b.mpo),
+                                    policy, max_bond=max_bond)
+        discarded += w
+        nxt.append(Block(joined, merged, eig=eig))
     if len(layer) % 2 == 1:
         nxt.append(layer[-1])
     return nxt, discarded
@@ -324,7 +335,7 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
                         policy: CompressionPolicy = CompressionPolicy(), *,
                         dense_cap: int = DEFAULT_DENSE_CAP,
                         max_bond: int = DEFAULT_MAX_BOND,
-                        force: bool = False) -> tuple[MPO, LayerDiagnostics]:
+                        ) -> tuple[MPO, LayerDiagnostics]:
     """Run leaves plus all merge layers; returns the merged-chain MPO.
 
     The leaves are :func:`leaf_block` records, and :func:`merge_layer`
@@ -332,8 +343,8 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
     :func:`build_merge_plan`.  Each layer logs its blocks' bond maxima
     and, when the chain fits ``dense_cap``, its error: the largest
     relative S2 distance of a block from exp(-b0*H_block), built from the
-    block's eigensystem (a fresh one for an MPO block).  The leaves are
-    exact, so the first error is 0.
+    eigensystem the block holds (every block does when the chain fits the
+    cap).  The leaves are exact, so the first error is 0.
     """
     diag = LayerDiagnostics()
     beta0 = budget.beta0
@@ -346,12 +357,11 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
     while len(blocks) > 1:
         blocks, w = merge_layer(blocks, run_spec, beta0, budget.order,
                                 policy, dense_cap=dense_cap,
-                                max_bond=max_bond, force=force)
+                                max_bond=max_bond)
         diag.discarded_weight += w
         if measure:
             errors = []
             for b in blocks:
-                b.eig = b.eig or _eigensystem(run_spec, b.interval)
                 op = b.dense if b.dense is not None \
                     else b.mpo.densify(cap=dense_cap)
                 errors.append(relative_error(
@@ -450,11 +460,9 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
         notes.append("truncating compression active: error predictions are "
                      "heuristic, not certified")
 
-    force = override_order is not None
     t_merge = time.perf_counter()
     m_base, diag = build_high_temp_mpo(run_spec, budget, policy,
-                                       dense_cap=dense_cap, max_bond=max_bond,
-                                       force=force)
+                                       dense_cap=dense_cap, max_bond=max_bond)
     top_eig, diag.top_eig = diag.top_eig if run_spec is spec else None, None
     t_power = time.perf_counter()
     m_final, extra_discard = _power_step(m_base, budget.steps, policy,

@@ -38,7 +38,7 @@ recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,11 +85,11 @@ def truncation_order_for(delta0: float, g: float, k: int, gtilde: float) -> int:
 
 @dataclass(frozen=True)
 class MergeOperatorSpec:
-    """One merge of adjacent regions, with block-local Hamiltonian specs.
+    """One merge of adjacent regions, with a block-local Hamiltonian spec.
 
     ``spec_ab`` is the joined-block Hamiltonian re-indexed to local sites;
-    ``spec_sum`` is the same with every cut-crossing term removed (H_A + H_B).
-    ``beta0`` may be imaginary for real-time evolution.
+    the halves H_A and H_B are its restrictions to either side of
+    :attr:`cut`.  ``beta0`` may be imaginary for real-time evolution.
     """
 
     region_a: Interval
@@ -97,7 +97,6 @@ class MergeOperatorSpec:
     beta0: complex
     order: int
     spec_ab: HamiltonianSpec
-    spec_sum: HamiltonianSpec
 
     def __post_init__(self) -> None:
         if self.region_a.hi + 1 != self.region_b.lo:
@@ -122,25 +121,20 @@ class MergeOperatorSpec:
             return True
         return abs(self.beta0) <= certified_step(g, k) * (1 + 1e-12)
 
-    def require_window(self, force: bool) -> None:
-        """Refuse a step outside the certified window unless ``force``."""
-        if not force and not self.certified_regime():
+    def require_window(self) -> None:
+        """Refuse a step outside the certified window."""
+        if not self.certified_regime():
             raise ValueError(
                 f"|beta0|={abs(self.beta0):.3e} is outside the certified "
-                "window 1/(24*g*k^2); pass force=True to build anyway")
+                "window 1/(24*g*k^2)")
 
 
 def merge_spec_for(spec: HamiltonianSpec, region_a: Interval, region_b: Interval,
                    beta0: complex, order: int) -> MergeOperatorSpec:
     """Build the local merge description for two adjacent regions of a chain."""
-    joined = Interval(region_a.lo, region_b.hi)
-    local = restrict(spec, joined)
-    cut = len(region_a)
-    kept = tuple(t for t in local.terms
-                 if t.sites[-1] <= cut or t.sites[0] > cut)
-    spec_sum = replace(local, terms=kept, exp_channels=None)
+    local = restrict(spec, Interval(region_a.lo, region_b.hi))
     return MergeOperatorSpec(region_a=region_a, region_b=region_b, beta0=beta0,
-                             order=order, spec_ab=local, spec_sum=spec_sum)
+                             order=order, spec_ab=local)
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +151,18 @@ def _halves(ms: MergeOperatorSpec) -> tuple[HamiltonianSpec, HamiltonianSpec]:
             restrict(ms.spec_ab, Interval(cut + 1, n)))
 
 
-def _dense_hamiltonians(ms: MergeOperatorSpec, cap: int):
+def _dense_hamiltonians(ms: MergeOperatorSpec):
     """Dense H_AB, H_A and H_B: the one place this module builds dense
-    Hamiltonians.  Real matrices and a real step keep every evaluator in
-    real arithmetic, where a product costs a quarter of a complex one."""
-    return tuple(dense_matrix(s, cap=cap) for s in (ms.spec_ab, *_halves(ms)))
+    Hamiltonians, up to the default dense cap.  Real matrices and a real
+    step keep every evaluator in real arithmetic, where a product costs a
+    quarter of a complex one."""
+    return tuple(dense_matrix(s, cap=DEFAULT_DENSE_CAP)
+                 for s in (ms.spec_ab, *_halves(ms)))
 
 
-def merge_spectra(ms: MergeOperatorSpec,
-                  cap: int = DEFAULT_DENSE_CAP) -> tuple[Eigensystem, ...]:
+def merge_spectra(ms: MergeOperatorSpec) -> tuple[Eigensystem, ...]:
     """Eigensystems of H_AB, H_A and H_B, the input of every dense merge."""
-    return tuple(np.linalg.eigh(h) for h in _dense_hamiltonians(ms, cap))
+    return tuple(np.linalg.eigh(h) for h in _dense_hamiltonians(ms))
 
 
 def _kron_right(x: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
@@ -236,14 +231,12 @@ def _order_terms(h_ab: np.ndarray, h_a: np.ndarray, h_b: np.ndarray,
         yield term
 
 
-def merge_operator_dense(ms: MergeOperatorSpec,
-                         cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def merge_operator_dense(ms: MergeOperatorSpec) -> np.ndarray:
     """Exact merge operator 1 + U (M o expm1(Z)) (U_A (x) U_B)^H."""
-    return _merge_from_eigenbasis(merge_spectra(ms, cap), ms.beta0, np.expm1)
+    return _merge_from_eigenbasis(merge_spectra(ms), ms.beta0, np.expm1)
 
 
 def truncated_merge_dense(ms: MergeOperatorSpec,
-                          cap: int = DEFAULT_DENSE_CAP,
                           spectra: tuple[Eigensystem, ...] | None = None,
                           ) -> np.ndarray:
     """Dense order-m0 truncated merge operator
@@ -254,16 +247,15 @@ def truncated_merge_dense(ms: MergeOperatorSpec,
     holds, and without them they are computed here.
     """
     if spectra is None:
-        spectra = merge_spectra(ms, cap)
+        spectra = merge_spectra(ms)
     return _merge_from_eigenbasis(spectra, ms.beta0,
                                   lambda z: _expm1_taylor(z, ms.order))
 
 
-def merge_order_term_dense(ms: MergeOperatorSpec, m: int,
-                           cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def merge_order_term_dense(ms: MergeOperatorSpec, m: int) -> np.ndarray:
     """Dense order-m term b0^m sum_{s1+s2=m} (-H_AB)^s1 (H_A+H_B)^s2/(s1! s2!),
     taken from the recurrence of :func:`_order_terms` (2*m products)."""
-    for term in _order_terms(*_dense_hamiltonians(ms, cap), ms.beta0, m):
+    for term in _order_terms(*_dense_hamiltonians(ms), ms.beta0, m):
         pass
     return term
 
@@ -271,7 +263,6 @@ def merge_order_term_dense(ms: MergeOperatorSpec, m: int,
 def certify_merge_truncation(ms: MergeOperatorSpec, *,
                              gtilde: float | None = None,
                              max_order_terms: int = 10,
-                             cap: int = DEFAULT_DENSE_CAP,
                              check: bool = True,
                              spectra: tuple[Eigensystem, ...] | None = None,
                              ) -> dict:
@@ -299,7 +290,7 @@ def certify_merge_truncation(ms: MergeOperatorSpec, *,
     comm_scale = 6.0 * g * k * k
     certified = ms.certified_regime(g, k)
     if spectra is None or max_order_terms:
-        hams = _dense_hamiltonians(ms, cap)
+        hams = _dense_hamiltonians(ms)
     if spectra is None:
         spectra = tuple(np.linalg.eigh(h) for h in hams)
     norms = [1.0]  # the order-0 term is the identity
@@ -375,29 +366,17 @@ def bond_ledger(ms: MergeOperatorSpec) -> int:
 
 def build_merge_mpo(ms: MergeOperatorSpec, *,
                     policy: CompressionPolicy = CompressionPolicy(),
-                    dense_cap: int = DEFAULT_DENSE_CAP,
-                    max_bond: int = DEFAULT_MAX_BOND,
-                    force: bool = False) -> MPO:
-    """MPO of the truncated merge operator on the joined block.
-
-    A lossy policy on a joined block of at most ``dense_cap`` states takes
-    the dense evaluation, an exact tensor-train refactorization (bonds equal
-    to true cut ranks) and one compression by ``policy``.  Every other merge
-    is the Horner assembly from the Hamiltonian MPOs, 2*m0 products by
-    :func:`~gibbsmpo.mpo.product`: exact under policy "none", with bond
+                    max_bond: int = DEFAULT_MAX_BOND) -> MPO:
+    """MPO of the truncated merge operator on the joined block: the Horner
+    assembly from the Hamiltonian MPOs, 2*m0 products by
+    :func:`~gibbsmpo.mpo.product`.  Exact under policy "none", with bond
     profile :func:`assembly_bond_profile` within :func:`bond_ledger`; any
     other policy (tol=0 included) rounds every product and sum.  A lossless
     assembly over ``max_bond`` is refused before it starts with a
     :class:`~gibbsmpo.mpo.BondCapError` carrying the analytic ledger.
-
-    Outside the certified |beta0| window the builder refuses unless
-    ``force`` is set (certification reports then mark the run uncertified).
+    Outside the certified |beta0| window it refuses (``ValueError``).
     """
-    ms.require_window(force)
-    n, d = ms.spec_ab.n, ms.spec_ab.d
-    if not policy.lossless and d ** n <= dense_cap:
-        dense = truncated_merge_dense(ms, cap=dense_cap)
-        return mpo_ops.compress(mpo_ops.from_dense(dense, n, d), policy)[0]
+    ms.require_window()
     hams = _hamiltonian_mpos(ms)
     if policy.lossless and max(_assembly_profile(*hams, ms.order)) > max_bond:
         ledger = bond_ledger(ms)

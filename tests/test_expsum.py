@@ -131,7 +131,9 @@ def all_terms_grid_sup_error(series):
 def test_certificate_skipping_underflowed_terms_is_the_all_terms_max(
         alpha, eps, r_max):
     # the grid evaluator skips terms whose exponentials are exactly 0.0 on a
-    # chunk; the certificate is the same float as the all-terms evaluation
+    # chunk; on these grids the certificate is the same float as the
+    # all-terms evaluation (test_fit_on_the_one_point_grid shows a grid
+    # where the shorter dot product rounds differently)
     series = fit(alpha, eps, r_max=r_max)
     assert series.rates[-1] > 800.0  # some terms are skipped at r = 1
     assert series.certified_sup_error == all_terms_grid_sup_error(series)

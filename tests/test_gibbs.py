@@ -20,7 +20,8 @@ from gibbsmpo.gibbs import (
     plan_budget,
     recursion_constants,
 )
-from gibbsmpo.merge import tail_prefactor, truncation_order_for
+from gibbsmpo.merge import certified_step, merge_spec_for, tail_prefactor, \
+    truncated_merge_dense, truncation_order_for
 from gibbsmpo.model import (
     HamiltonianSpec,
     Interval,
@@ -29,6 +30,7 @@ from gibbsmpo.model import (
     dense_matrix,
     extensivity_constant,
     nearest_neighbor_ising,
+    power_law_heisenberg,
     power_law_ising,
     restrict,
     spec_from_config,
@@ -240,6 +242,96 @@ def test_merge_layer_eigendecomposes_only_joined_blocks(monkeypatch):
         layer = nxt
 
 
+def test_lossy_in_cap_merge_is_the_refactorized_dense_merge():
+    # within the dense cap every merge operator is the dense eigenbasis
+    # evaluation; a lossy policy refactorizes and compresses it and
+    # multiplies it into the blocks' MPOs, reading the eigensystems the
+    # blocks hold: bit for bit the standalone evaluation, which computes
+    # its own.  n=8 runs this on leaves and on merged blocks alike
+    spec = chain(8)
+    policy = CompressionPolicy.parse("tol=1e-10")
+    beta0 = window(spec)
+    layer = leaf_ops(spec, beta0)
+    while len(layer) > 1:
+        want = []
+        for a, b in zip(layer[0::2], layer[1::2]):
+            ms = merge_spec_for(spec, a.interval, b.interval, beta0, 3)
+            psi = mpo_module.from_dense(truncated_merge_dense(ms), ms.spec_ab.n,
+                                        spec.d)
+            psi = mpo_module.compress(psi, policy)[0]
+            want.append(mpo_module.product(
+                psi, mpo_module.concat(a.mpo, b.mpo), policy)[0])
+        layer, _ = merge_layer(layer, spec, beta0, 3, policy)
+        for block, ref in zip(layer, want):
+            assert block.eig is not None and block.dense is None
+            assert len(block.mpo.cores) == len(ref.cores)
+            for got, core in zip(block.mpo.cores, ref.cores):
+                assert np.array_equal(got, core)
+
+
+def test_lossy_build_eigendecomposes_each_block_once(monkeypatch):
+    # a lossy in-cap merge reads its halves' eigensystems from the blocks
+    # and each layer's reference reads the blocks' own: one eigh per block
+    # plus the power-law reference (17 when each lossy merge computed all
+    # three and each measured layer its MPO blocks' again)
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    spec = chain(8)
+    _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2,
+                                CompressionPolicy.parse("tol=1e-10"))
+    assert report.engine == "mpo" and report.budget.two_local_path
+    assert len(report.per_layer_error) == 3  # every layer measured
+    assert sizes == [4, 4, 4, 4, 16, 16, 256, 256]
+
+
+@pytest.mark.parametrize("policy, dense_cap", [
+    ("none", DEFAULT_DENSE_CAP), ("tol=1e-10", DEFAULT_DENSE_CAP),
+    ("none", 4), ("tol=1e-10", 4),
+], ids=["dense", "lossy-dense", "mpo", "lossy-mpo"])
+def test_merge_layer_refuses_a_step_outside_the_window(policy, dense_cap):
+    spec = chain(4)
+    beta0 = 60 * window(spec)
+    with pytest.raises(ValueError, match="certified window"):
+        merge_layer(leaf_ops(spec, beta0), spec, beta0, 1,
+                    CompressionPolicy.parse(policy), dense_cap=dense_cap)
+
+
+def _planner_step(spec):
+    """The planner's largest step 1/(24*g*k^2), g = 1 for a zero
+    Hamiltonian."""
+    return certified_step(extensivity_constant(spec) or 1.0, spec.k)
+
+
+@pytest.mark.parametrize("spec", [
+    *(power_law_ising(n, alpha) for alpha in (2.5, 3.0, 4.0)
+      for n in range(4, 10)),
+    power_law_heisenberg(6, 3.0), nearest_neighbor_ising(8),
+    HamiltonianSpec(n=4, d=2, k=2, terms=()),
+], ids=[*(f"ising-a{alpha}-n{n}" for alpha in (2.5, 3.0, 4.0)
+          for n in range(4, 10)), "heisenberg-n6", "nn-n8", "zero-n4"])
+def test_every_planned_merge_is_inside_its_window(spec):
+    # a block's extensivity is at most the chain's, so the planned step is
+    # inside every merge's window: builds need no way around the check
+    step = _planner_step(spec)
+    runs = [dict(beta=m * step) for m in (1, 4, 16)]
+    runs += [dict(beta=t, real_time=True) for t in (0.25, 1.0)]
+    minimum = plan_budget(spec, 4 * step, 1e-2)[0].steps
+    runs += [dict(beta=4 * step, force_steps=minimum + 3)]
+    for run in runs:
+        budget, run_spec, _ = plan_budget(spec, epsilon=1e-2, **run)
+        for layer in build_merge_plan(spec.n)[:-1]:
+            for a, b in zip(layer[0::2], layer[1::2]):
+                ms = merge_spec_for(run_spec, a, b, budget.beta0,
+                                    budget.order)
+                assert ms.certified_regime(), (run, a, b)
+
+
 def test_engines_agree_at_forced_low_order():
     # the exact MPO assembly's bonds explode with the order, so the
     # cross-check runs one merge at a deliberately small order; a dense cap
@@ -378,8 +470,8 @@ def test_in_build_merges_match_standalone_merges(monkeypatch):
     merges = []
     original = gibbs_mod.truncated_merge_dense
 
-    def recording(ms, cap=DEFAULT_DENSE_CAP, spectra=None):
-        out = original(ms, cap=cap, spectra=spectra)
+    def recording(ms, spectra=None):
+        out = original(ms, spectra=spectra)
         merges.append((ms, spectra, out))
         return out
 

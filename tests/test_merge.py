@@ -11,6 +11,7 @@ import scipy.linalg
 from gibbsmpo.merge import (
     CertificationError,
     MergeOperatorSpec,
+    _halves,
     assembly_bond_profile,
     bond_ledger,
     build_merge_mpo,
@@ -47,6 +48,12 @@ def half_merge(spec, beta0, order):
 
 def window(spec):
     return 1.0 / (24.0 * extensivity_constant(spec) * spec.k ** 2)
+
+
+def dense_sum(ms):
+    """Dense H_A + H_B, from the two halves of the cut."""
+    h_a, h_b = (dense_matrix(s) for s in _halves(ms))
+    return np.kron(h_a, np.eye(len(h_b))) + np.kron(np.eye(len(h_a)), h_b)
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +94,7 @@ def test_merge_spec_locality_and_cut():
     spec = chain(6)
     ms = half_merge(spec, window(spec), 4)
     assert ms.spec_ab.n == 6 and ms.cut == 3
-    crossing = [t for t in ms.spec_sum.terms
-                if t.sites[0] <= ms.cut < t.sites[-1]]
-    assert crossing == []
-    assert len(ms.spec_ab.terms) > len(ms.spec_sum.terms)
+    assert [h.n for h in _halves(ms)] == [3, 3]
 
 
 def test_merge_spec_requires_adjacency():
@@ -99,7 +103,7 @@ def test_merge_spec_requires_adjacency():
         merge_spec_for(spec, Interval(1, 2), Interval(4, 6), 0.01, 3)
     with pytest.raises(ValueError):
         MergeOperatorSpec(Interval(1, 3), Interval(4, 6), 0.01, 99,
-                          spec_ab=chain(6), spec_sum=chain(6))
+                          spec_ab=chain(6))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +155,7 @@ def test_zero_beta0_exact_identity():
 
 def literal_merge(ms):
     """sum_{s1+s2<=m0} (-b0 H_AB)^s1/s1! (b0 (H_A+H_B))^s2/s2!, term by term."""
-    h_ab, h_sum = dense_matrix(ms.spec_ab), dense_matrix(ms.spec_sum)
+    h_ab, h_sum = dense_matrix(ms.spec_ab), dense_sum(ms)
     mp = np.linalg.matrix_power
     out = np.zeros_like(h_ab, dtype=complex)
     for s1 in range(ms.order + 1):
@@ -172,12 +176,12 @@ def test_horner_matches_literal_double_sum(order, phase):
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     # the MPO assembly applies Horner's rule to the same sum; its exact
     # bonds grow like D_H^m0, so higher orders compress to roundoff on the
-    # way (a dense cap below the block keeps lossy merges on MPOs)
+    # way
     if order <= 2:
         got, rel = build_merge_mpo(ms).densify(), 1e-13
     else:
         policy = CompressionPolicy(mode="tolerance", tolerance=1e-24)
-        got = build_merge_mpo(ms, policy=policy, dense_cap=4).densify()
+        got = build_merge_mpo(ms, policy=policy).densify()
         rel = 1e-11
     assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
 
@@ -222,7 +226,7 @@ def test_complex_hamiltonian_merge_matches_literal_double_sum(order, phase):
 @pytest.mark.parametrize("phase", [1.0, 1j])
 def test_exact_merge_matches_matrix_exponentials(spec, phase):
     ms = half_merge(spec, phase * window(spec), 0)
-    h_ab, h_sum = dense_matrix(ms.spec_ab), dense_matrix(ms.spec_sum)
+    h_ab, h_sum = dense_matrix(ms.spec_ab), dense_sum(ms)
     ref = scipy.linalg.expm(-ms.beta0 * h_ab) @ scipy.linalg.expm(
         ms.beta0 * h_sum)
     assert np.abs(merge_operator_dense(ms) - ref).max() <= 1e-13
@@ -233,7 +237,7 @@ def test_kronecker_eigenvalues_are_those_of_the_halves_sum(spec):
     ms = merge_spec_for(spec, Interval(1, 2), Interval(3, spec.n),
                         window(spec), 3)
     _, (a, _), (b, _) = merge_spectra(ms)
-    want = np.linalg.eigvalsh(dense_matrix(ms.spec_sum))
+    want = np.linalg.eigvalsh(dense_sum(ms))
     assert np.abs(np.sort(np.add.outer(a, b).ravel()) - want).max() <= 1e-13
 
 
@@ -370,7 +374,7 @@ def test_per_order_decay_general_beta0():
 def mp_literal_order_terms(ms, up_to, dps=40):
     """Order terms b0^m sum_{s1+s2=m} (-H_AB)^s1 (H_A+H_B)^s2 / (s1! s2!)
     as the literal double sum, in mpmath at ``dps`` digits."""
-    h_ab, h_sum = dense_matrix(ms.spec_ab), dense_matrix(ms.spec_sum)
+    h_ab, h_sum = dense_matrix(ms.spec_ab), dense_sum(ms)
     assert not (h_ab.imag.any() or h_sum.imag.any())
     with mpmath.workdps(dps):
         h_ab = mpmath.matrix(h_ab.real.tolist())
@@ -428,9 +432,7 @@ def test_certification_error_carries_values():
     rep = certify_merge_truncation(ms, check=False)
     assert not rep["certified_regime"]
     with pytest.raises(ValueError):
-        build_merge_mpo(ms)  # refuses outside the window without force
-    built = build_merge_mpo(ms, force=True)
-    assert built.n == 4
+        build_merge_mpo(ms)  # refuses outside the window
 
 
 def test_certification_raises_inside_regime_on_violation():
@@ -448,17 +450,11 @@ def test_certification_raises_inside_regime_on_violation():
 # ---------------------------------------------------------------------------
 
 def test_routes_agree_dense_vs_mpo():
-    # a lossless merge is the Horner assembly; a lossy one inside the dense
-    # cap is the refactorized dense evaluation
+    # the exact Horner assembly and the dense eigenbasis evaluation
     spec = chain(5)
     ms = half_merge(spec, window(spec), 3)
     ref = truncated_merge_dense(ms)
-    via_mpo = build_merge_mpo(ms).densify()
-    via_dense = build_merge_mpo(
-        ms, policy=CompressionPolicy(mode="tolerance", tolerance=1e-24)
-    ).densify()
-    assert np.abs(via_mpo - ref).max() < 1e-10
-    assert np.abs(via_dense - ref).max() < 1e-10
+    assert np.abs(build_merge_mpo(ms).densify() - ref).max() < 1e-10
 
 
 def test_real_time_merge_routes_agree():
@@ -483,19 +479,11 @@ def test_assembly_profile_matches_and_obeys_ledger(order):
 
 
 def test_bond_cap_fails_fast_with_ledger():
-    # inside the dense cap too: a lossless merge has no dense fallback
+    # the assembly has no dense fallback: inside the dense cap too it refuses
     spec = chain(6)
     ms = half_merge(spec, window(spec), 12)
     with pytest.raises(BondCapError) as err:
         build_merge_mpo(ms, max_bond=256)
-    assert err.value.estimate == bond_ledger(ms)
-
-
-def test_auto_route_beyond_both_caps_reports_estimate():
-    spec = chain(6)
-    ms = half_merge(spec, window(spec), 12)
-    with pytest.raises(BondCapError) as err:
-        build_merge_mpo(ms, max_bond=64, dense_cap=4)
     assert err.value.estimate == bond_ledger(ms)
 
 
@@ -522,7 +510,7 @@ def test_compressed_assembly_stays_close():
     ms = half_merge(spec, window(spec), 3)
     ref = truncated_merge_dense(ms)
     policy = CompressionPolicy(mode="tolerance", tolerance=1e-24)
-    built = build_merge_mpo(ms, policy=policy, dense_cap=4)
+    built = build_merge_mpo(ms, policy=policy)
     assert np.abs(built.densify() - ref).max() < 1e-8
     assert max(built.bond_profile) <= max(assembly_bond_profile(ms))
 
@@ -541,7 +529,7 @@ def test_lossy_assembly_makes_two_products_per_order(monkeypatch):
     spec = chain(4)
     ms = half_merge(spec, window(spec), 8)
     policy = CompressionPolicy(mode="tolerance", tolerance=1e-10)
-    built = build_merge_mpo(ms, policy=policy, dense_cap=4)
+    built = build_merge_mpo(ms, policy=policy)
     assert len(calls) == 2 * 8
     # dropped weight 1e-10 per cut: amplitude errors of order sqrt(1e-10)
     assert np.abs(built.densify() - truncated_merge_dense(ms)).max() < 1e-5
