@@ -413,12 +413,53 @@ def test_bundled_demo_build_runs(tmp_path):
 # installed entry point
 # ---------------------------------------------------------------------------
 
-def test_console_script_help():
+def _child_env():
     # the child imports the same package as the tests, installed or not
     src = os.path.dirname(os.path.dirname(gibbsmpo.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_script_help():
     proc = subprocess.run([sys.executable, "-m", "gibbsmpo.cli", "--help"],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "build" in proc.stdout and "verify" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies: numpy only
+# ---------------------------------------------------------------------------
+
+def test_no_module_imports_scipy():
+    # a lazy import inside a function counts too
+    import re
+    from pathlib import Path
+    for path in Path(gibbsmpo.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"^\s*(import|from)\s+scipy\b", text, re.M), path
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, gibbsmpo, gibbsmpo.cli; "
+            "sys.exit('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--config", "configs/thermal_tfi_a3.json", "--out", "{tmp}/build"],
+    ["verify", "--fast", "--out", "{tmp}/verify"],
+    ["fit", "--alpha", "3", "--epsilon", "1e-3"],
+], ids=["build", "verify-fast", "fit"])
+def test_cli_runs_with_scipy_blocked(tmp_path, argv):
+    # a None entry in sys.modules makes every scipy import raise ImportError
+    from pathlib import Path
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from gibbsmpo.cli import main; sys.exit(main(sys.argv[1:]))")
+    args = [a.format(tmp=tmp_path) for a in argv]
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=root,
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == EXIT_OK, proc.stderr

@@ -1,8 +1,11 @@
 """Hamiltonian spec construction, subset/boundary algebra, dense assembly."""
 
 import json
+import math
 import tracemalloc
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from gibbsmpo.model import (
     power_law_ising,
     power_law_pairwise,
     restrict,
+    riemann_zeta,
     site_basis,
     spec_from_config,
     subset_hamiltonian,
@@ -159,11 +163,67 @@ def test_boundary_bound_power_law_below_zeta():
     assert boundary_bound(spec) <= zeta2 + 1e-6
 
 
+def mp_zeta(s):
+    """Independent oracle: mpmath's zeta at the exact float s, 40 digits."""
+    with mpmath.workdps(40):
+        return float(mpmath.zeta(mpmath.mpf(s)))
+
+
+ZETA_GRID = sorted({1 + 1e-6, 1.5, 2.0, 3.0}
+                   | {float(s) for s in np.linspace(1.01, 40.0, 160)}
+                   | {1 + float(h) for h in np.logspace(-9, 0, 40)})
+
+
+def test_riemann_zeta_against_mpmath():
+    for s in ZETA_GRID:
+        assert riemann_zeta(s) == pytest.approx(mp_zeta(s), rel=1e-15, abs=0), s
+
+
+def test_riemann_zeta_large_and_infinite_argument():
+    # from s = 54 on zeta(s) - 1 < 2**-53 rounds to 1.0; at s = inf the
+    # Euler-Maclaurin corrections alone would form inf * 0 = nan
+    for s in (50.0, 53.5, 54.0, 60.0, 1e3, 1e300):
+        assert riemann_zeta(s) == mp_zeta(s), s
+    assert riemann_zeta(math.inf) == 1.0
+    assert power_law_boundary_bound(math.inf, 2.0) == 2.0
+
+
+@pytest.mark.parametrize("s", [1.0, 0.5, -2.0, math.nan, -math.inf])
+def test_riemann_zeta_rejects_s_at_most_one(s):
+    with pytest.raises(ValueError):
+        riemann_zeta(s)
+
+
 def test_power_law_boundary_bound_values():
-    zeta2 = zeta_partial(2.0)
-    assert power_law_boundary_bound(3.0, 1.0) == pytest.approx(zeta2, abs=2e-6)
+    assert power_law_boundary_bound(3.0, 1.0) == pytest.approx(
+        mp_zeta(2.0), rel=1e-15, abs=0)
+    assert power_law_boundary_bound(4.5, 2.5) == pytest.approx(
+        2.5 * mp_zeta(3.5), rel=1e-15, abs=0)
     with pytest.raises(ValueError):
         power_law_boundary_bound(2.0, 1.0)
+
+
+def test_boundary_bound_rejects_crossing_sum_above_zeta():
+    # power-law metadata (J = 1, alpha = 3) on terms whose cut-1 crossing sum
+    # exceeds J * zeta(2): the consistency check must fire, with its 1e-12
+    # slack and no more
+    spec = zz_chain(4, 3.0)
+    zeta2 = mp_zeta(2.0)
+    rest = sum(abs(t.coefficient) for t in boundary_interaction(spec, 1).terms
+               if t.sites != (1, 2))
+
+    def with_cut1_sum(total):
+        return replace(spec, terms=tuple(
+            replace(t, coefficient=total - rest) if t.sites == (1, 2) else t
+            for t in spec.terms))
+
+    for excess in (1.0, 1e-6, 1e-11):
+        with pytest.raises(AssertionError, match="exceeds analytic bound"):
+            boundary_bound(with_cut1_sum(zeta2 * (1 + excess)))
+    # inside the slack the measured sum comes back unchanged
+    inside = with_cut1_sum(zeta2 * (1 + 1e-13))
+    assert boundary_bound(inside) == sum(
+        abs(t.coefficient) for t in boundary_interaction(inside, 1).terms)
 
 
 def test_boundary_bound_monotone_under_restriction():
