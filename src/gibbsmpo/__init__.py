@@ -9,6 +9,7 @@ at small system sizes.
 
 from .model import (
     ConfigError,
+    DenseCapError,
     HamiltonianSpec,
     Interval,
     LocalTerm,
@@ -28,7 +29,6 @@ from .model import (
     subset_hamiltonian,
 )
 from .oracle import (
-    DenseCapError,
     dense_exp,
     gibbs_dense,
     partition_function,

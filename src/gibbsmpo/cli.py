@@ -23,11 +23,10 @@ import numpy as np
 
 from .expsum import fit_kernel
 from .gibbs import BudgetError, build_gibbs_mpo, build_real_time_mpo, plan_budget
-from .merge import MAX_TAYLOR_ORDER, certify_merge_truncation, merge_spec_for, \
-    merge_spectra
-from .model import ConfigError, Interval, boundary_bound, spec_from_config
+from .merge import MAX_TAYLOR_ORDER
+from .model import DEFAULT_DENSE_CAP, ConfigError, DenseCapError, \
+    spec_from_config
 from .mpo import DEFAULT_MAX_BOND, BondCapError, CompressionPolicy, save_mpo
-from .oracle import DEFAULT_DENSE_CAP, DenseCapError
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -50,7 +49,7 @@ _CHECK_NAMES = [tuple(verify_mod.ALL_CHECKS)]
 _SECTION_KEYS = {
     "run": {"mode": tuple(_MODE_EXCLUDED_KEYS), "beta": float,
             "beta_steps": float, "time": float, "epsilon": float,
-            "compress": str, "pnorms": list, "dense_cap": int,
+            "compress": str, "dense_cap": int,
             "max_bond": int, "two_local": _TWO_LOCAL, "override_order": _ORDER},
     "verify": {"checks": _CHECK_NAMES, "fast": bool,
                "expect_fail": _CHECK_NAMES, "seed": int},
@@ -111,19 +110,6 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _parse_pnorms(values) -> tuple:
-    out = []
-    for v in values:
-        try:
-            p = float(v)  # "inf" and "Inf" included
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"cannot parse Schatten order {v!r}") from exc
-        if not p >= 1:  # NaN fails too
-            raise ConfigError(f"Schatten order must be >= 1, got {v}")
-        out.append(p)
-    return tuple(out)
-
-
 def _dump_json(data: dict, path: Path) -> None:
     path.write_text(json.dumps(data, sort_keys=True, indent=2,
                                allow_nan=True) + "\n", encoding="utf-8")
@@ -158,8 +144,6 @@ def _cmd_build(args) -> int:
         epsilon = float(run.get("epsilon", 1e-2))
         policy = CompressionPolicy.parse(args.compress
                                          or run.get("compress", "none"))
-        pnorms = _parse_pnorms(args.pnorms.split(",") if args.pnorms
-                               else run.get("pnorms", [1, 2, "inf"]))
         dense_cap = int(run.get("dense_cap", DEFAULT_DENSE_CAP)
                         if args.cap_dense is None else args.cap_dense)
         max_bond = int(run.get("max_bond", DEFAULT_MAX_BOND))
@@ -174,7 +158,6 @@ def _cmd_build(args) -> int:
         dense_cap=dense_cap,
         max_bond=max_bond,
         override_order=run.get("override_order"),
-        pnorms=pnorms,
     )
     if mode == "real_time":
         if "time" not in run:
@@ -291,21 +274,12 @@ def _sweep_rows(key: str, values, evaluate) -> list[dict]:
 
 def _sweep_order(spec, sweep) -> list[dict]:
     orders = sweep.get("orders", list(range(2, 13)))
-    beta0 = verify_mod.base_step(spec)
-    gtilde = boundary_bound(spec)
-    cut = spec.n // 2
-    spectra = None  # H_AB, H_A and H_B do not depend on the order
+    truncation = verify_mod.half_cut_truncation(spec)
 
     def evaluate(order):
-        nonlocal spectra
-        ms = merge_spec_for(spec, Interval(1, cut), Interval(cut + 1, spec.n),
-                            beta0, order)
-        if spectra is None:
-            spectra = merge_spectra(ms)
-        rep = certify_merge_truncation(ms, gtilde=gtilde, max_order_terms=0,
-                                       check=False, spectra=spectra)
-        return dict(measured=rep["measured_error"], bound=rep["error_bound"],
-                    within_bound=rep["measured_error"] <= rep["error_bound"])
+        measured, bound = truncation(order)
+        return dict(measured=measured, bound=bound,
+                    within_bound=measured <= bound)
 
     return _sweep_rows("order", [int(o) for o in orders], evaluate)
 
@@ -389,7 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--cap-dense", type=int, default=None)
     p_build.add_argument("--compress", default=None,
                          help="none, tol=REAL or maxbond=INT")
-    p_build.add_argument("--pnorms", default=None, help="comma list, e.g. 1,2,inf")
     p_build.set_defaults(func=_cmd_build)
 
     p_verify = sub.add_parser("verify", help="run the bound-verification suite")

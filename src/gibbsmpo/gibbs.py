@@ -31,14 +31,14 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .expsum import ExpSumApprox, approximate_hamiltonian
-from .model import HamiltonianSpec, Interval, boundary_bound, dense_matrix, \
+from .model import HamiltonianSpec, Interval, boundary_bound, \
     extensivity_constant, restrict, spec_digest
-from .oracle import DEFAULT_DENSE_CAP, exp_of_eigensystem, \
-    exp_with_spectrum, relative_error, schatten_from_spectrum
+from .oracle import DEFAULT_DENSE_CAP, Eigensystem, eigensystem, \
+    exp_of_eigensystem, exp_with_spectrum, relative_error, schatten_errors
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, CompressionPolicy, hamiltonian_mpo
-from .merge import MAX_TAYLOR_ORDER, Eigensystem, build_merge_mpo, \
-    certified_step, merge_bond_ledger, merge_spec_for, tail_prefactor, \
+from .merge import MAX_TAYLOR_ORDER, build_merge_mpo, certified_step, \
+    merge_bond_ledger, merge_spec_for, tail_prefactor, \
     truncated_merge_dense, truncation_order_for
 
 
@@ -139,8 +139,10 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
     MPO stage budgeted eps/3) so the composed error stays below eps.
 
     Returns (budget, run spec, kernel series or None).  The run spec is the
-    Hamiltonian the pipeline actually exponentiates.  ``dense_cap`` is not
-    read.
+    Hamiltonian the pipeline actually exponentiates, and its boundary bound
+    enters the budget; a replaced Hamiltonian's input spec is bounded too,
+    which runs :func:`~gibbsmpo.model.boundary_bound`'s zeta consistency
+    check.  ``dense_cap`` is not read.
     """
     if not 0.0 < epsilon <= 1.0:
         raise BudgetError(f"target error must lie in (0, 1], got {epsilon}")
@@ -174,6 +176,8 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
 
     g = extensivity_constant(run_spec)
     gtilde = boundary_bound(run_spec)
+    if run_spec is not spec:  # only the input carries the zeta check's metadata
+        boundary_bound(spec)
     k = run_spec.k
     if g <= 0.0:
         # zero Hamiltonian: a single exact step suffices
@@ -240,16 +244,11 @@ class Block:
     eig: Eigensystem | None = None
 
 
-def _eigensystem(run_spec: HamiltonianSpec, interval: Interval) -> Eigensystem:
-    """Eigensystem of one block's Hamiltonian."""
-    local = restrict(run_spec, interval)
-    return np.linalg.eigh(dense_matrix(local, cap=local.d ** local.n))
-
-
 def leaf_block(run_spec: HamiltonianSpec, leaf: Interval,
                beta0: complex) -> Block:
-    """The exact exp(-b0*H_leaf) of one leaf, from its eigensystem."""
-    eig = _eigensystem(run_spec, leaf)
+    """The exact exp(-b0*H_leaf) of one leaf, from its eigensystem (taken
+    whatever the dense cap)."""
+    eig = eigensystem(restrict(run_spec, leaf), cap=run_spec.d ** len(leaf))
     op = exp_of_eigensystem(*eig, -beta0)
     return Block(leaf, mpo_ops.from_dense(op, len(leaf), run_spec.d), op, eig)
 
@@ -311,7 +310,7 @@ def merge_layer(layer: list[Block], run_spec: HamiltonianSpec,
             psi = build_merge_mpo(ms, policy=policy, max_bond=max_bond)
         else:
             ms.require_window()
-            eig = np.linalg.eigh(dense_matrix(ms.spec_ab, cap=dense_cap))
+            eig = eigensystem(ms.spec_ab, cap=dense_cap)
             dense = truncated_merge_dense(ms, spectra=(eig, a.eig, b.eig))
             if policy.lossless:  # the joined block itself, multiplied densely
                 dense = dense @ np.kron(a.dense, b.dense)
@@ -419,20 +418,19 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
                     max_bond: int = DEFAULT_MAX_BOND,
                     override_order: int | None = None,
                     override_steps: int | None = None,
-                    pnorms: tuple = (1, 2, np.inf)) -> tuple[MPO, ErrorReport]:
+                    ) -> tuple[MPO, ErrorReport]:
     """Build the MPO approximation of exp(-beta*H) with its error report.
 
     With a lossless policy the result carries only the certified truncation
-    error of the budget; measured relative Schatten errors against the
-    dense oracle are included whenever the chain fits the dense cap (beyond
-    it the report keeps predictions only).  A difference D from the
-    reference whose anti-Hermitian part A obeys ||A||_F <= 1e-12 ||ref||_inf
-    and sqrt(dim) ||A||_F <= 1e-12 ||ref||_1 is measured by ``eigvalsh`` of
-    its Hermitian part, every Schatten ratio then within 1e-12 of an SVD's
-    (Weyl); any other difference takes the SVD.  Truncating policies merge
-    and power on MPOs; their predictions are heuristic and flagged.  The
-    report's ``engine`` is "dense" when the top merge ran densely (see
-    :func:`merge_layer`), else "mpo".
+    error of the budget; the relative Schatten-1, -2 and -inf errors against
+    the dense oracle (:func:`~gibbsmpo.oracle.schatten_errors`), and on a
+    thermal run the relative trace error, are measured whenever the chain
+    fits the dense cap (beyond it the report keeps predictions only).  The
+    reference reuses the top block's eigensystem when the run Hamiltonian
+    is the input one.  Truncating policies merge and power on MPOs; their
+    predictions are heuristic and flagged.  The report's ``engine`` is
+    "dense" when the top merge ran densely (see :func:`merge_layer`), else
+    "mpo".
     """
     t_start = time.perf_counter()
     policy = policy or CompressionPolicy()
@@ -471,21 +469,12 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
     t_measure = time.perf_counter()
 
     measured: dict[str, float] = {}
-    dense_ok = spec.d ** spec.n <= dense_cap
-    if dense_ok:
-        reference, ref_sv = exp_with_spectrum(*(top_eig or np.linalg.eigh(
-            dense_matrix(spec, cap=dense_cap))), -budget.beta)
+    if spec.d ** spec.n <= dense_cap:
+        reference, ref_sv = exp_with_spectrum(
+            *(top_eig or eigensystem(spec, cap=dense_cap)), -budget.beta)
         del top_eig
-        diff = reference - m_final.densify(cap=dense_cap)
-        asym = np.linalg.norm(diff - diff.conj().T) / 2.0
-        if asym <= 1e-12 * min(ref_sv[0], ref_sv.sum() / len(diff) ** 0.5):
-            diff += diff.conj().T  # twice the Hermitian part, in place
-            diff_sv = np.sort(np.abs(np.linalg.eigvalsh(diff)))[::-1] / 2.0
-        else:
-            diff_sv = np.linalg.svd(diff, compute_uv=False)
-        for p in pnorms:
-            measured[_pkey(p)] = (schatten_from_spectrum(diff_sv, p)
-                                  / schatten_from_spectrum(ref_sv, p))
+        measured = schatten_errors(reference, ref_sv,
+                                   m_final.densify(cap=dense_cap))
         if not real_time:  # tr exp(-iHt) can vanish; only thermal traces compared
             ref_trace = complex(np.trace(reference))
             measured["trace"] = abs(complex(m_final.trace()) - ref_trace) / abs(ref_trace)
@@ -515,10 +504,6 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
         },
     )
     return m_final, report
-
-
-def _pkey(p) -> str:
-    return "pinf" if p == np.inf else f"p{p:g}"
 
 
 def _trivial_identity_run(spec, epsilon, real_time, policy):

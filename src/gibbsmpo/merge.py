@@ -44,7 +44,7 @@ import numpy as np
 
 from .model import HamiltonianSpec, Interval, boundary_bound, dense_matrix, \
     extensivity_constant, restrict, spec_digest
-from .oracle import DEFAULT_DENSE_CAP
+from .oracle import Eigensystem, eigensystem
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, BondCapError, CompressionPolicy, \
     hamiltonian_mpo
@@ -141,9 +141,6 @@ def merge_spec_for(spec: HamiltonianSpec, region_a: Interval, region_b: Interval
 # dense evaluation (oracle scale)
 # ---------------------------------------------------------------------------
 
-Eigensystem = tuple[np.ndarray, np.ndarray]  # (w, v) as np.linalg.eigh gives
-
-
 def _halves(ms: MergeOperatorSpec) -> tuple[HamiltonianSpec, HamiltonianSpec]:
     """Local specs of H_A and H_B, the two sides of the cut."""
     n, cut = ms.spec_ab.n, ms.cut
@@ -152,17 +149,16 @@ def _halves(ms: MergeOperatorSpec) -> tuple[HamiltonianSpec, HamiltonianSpec]:
 
 
 def _dense_hamiltonians(ms: MergeOperatorSpec):
-    """Dense H_AB, H_A and H_B: the one place this module builds dense
-    Hamiltonians, up to the default dense cap.  Real matrices and a real
-    step keep every evaluator in real arithmetic, where a product costs a
-    quarter of a complex one."""
-    return tuple(dense_matrix(s, cap=DEFAULT_DENSE_CAP)
-                 for s in (ms.spec_ab, *_halves(ms)))
+    """Dense H_AB, H_A and H_B, up to the default dense cap, for the order
+    terms and for a certification given no spectra.  Real matrices and a
+    real step keep every evaluator in real arithmetic, where a product
+    costs a quarter of a complex one."""
+    return tuple(dense_matrix(s) for s in (ms.spec_ab, *_halves(ms)))
 
 
 def merge_spectra(ms: MergeOperatorSpec) -> tuple[Eigensystem, ...]:
     """Eigensystems of H_AB, H_A and H_B, the input of every dense merge."""
-    return tuple(np.linalg.eigh(h) for h in _dense_hamiltonians(ms))
+    return tuple(eigensystem(s) for s in (ms.spec_ab, *_halves(ms)))
 
 
 def _kron_right(x: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:

@@ -23,6 +23,13 @@ class ConfigError(ValueError):
     """Raised for malformed or unknown configuration content."""
 
 
+DEFAULT_DENSE_CAP = 4096  # 2**12 states, n = 12 qubits
+
+
+class DenseCapError(RuntimeError):
+    """Requested dense operation exceeds the configured state cap."""
+
+
 # ---------------------------------------------------------------------------
 # single-site operator bases
 # ---------------------------------------------------------------------------
@@ -131,13 +138,6 @@ class LocalTerm:
         if any(b < a for a, b in zip(self.sites, self.sites[1:])):
             raise ValueError(f"sites must be ascending, got {self.sites}")
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return self.sites
-
-    def span(self) -> Interval:
-        return Interval(self.sites[0], self.sites[-1])
-
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
@@ -176,10 +176,6 @@ class HamiltonianSpec:
             for name in t.ops:
                 if name not in basis:
                     raise ValueError(f"unknown operator {name!r} for d={self.d}")
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     def two_local_pairwise(self) -> bool:
         """True when the long-range content is given by pairwise channels."""
@@ -303,7 +299,8 @@ def riemann_zeta(s: float) -> float:
     return math.fsum(terms)
 
 
-def dense_matrix(spec: HamiltonianSpec, cap: int = 4096) -> np.ndarray:
+def dense_matrix(spec: HamiltonianSpec,
+                 cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Dense d**n x d**n matrix of the spec (oracle support).
 
     Each term is assembled from the nonzero pattern of its site operators
@@ -316,10 +313,8 @@ def dense_matrix(spec: HamiltonianSpec, cap: int = 4096) -> np.ndarray:
     The assembly runs in float64 up to the first term with a nonzero
     imaginary value, so a real Hamiltonian peaks at its own size.
 
-    Raises :class:`~gibbsmpo.oracle.DenseCapError` beyond ``cap`` states.
+    Raises :class:`DenseCapError` beyond ``cap`` states.
     """
-    from .oracle import DenseCapError  # local import to avoid a cycle
-
     dim = spec.d ** spec.n
     if dim > cap:
         raise DenseCapError(f"dense dimension {dim} exceeds cap {cap}")
@@ -396,20 +391,15 @@ def _pairwise_terms(n: int, channels, coeff_of_r, kernel_generated=False):
 def power_law_ising(n: int, alpha: float, coupling: float = 1.0,
                     transverse_field: float = 0.5) -> HamiltonianSpec:
     """ZZ chain with couplings J/r**alpha plus a transverse X field."""
-    channels = (("Z", "Z", 1.0),)
-    terms = _pairwise_terms(n, channels, lambda r: coupling * r ** (-alpha))
-    terms += [LocalTerm((i,), transverse_field, ("X",)) for i in range(1, n + 1)
-              if transverse_field != 0.0]
-    return HamiltonianSpec(n=n, d=2, k=2, terms=tuple(terms), alpha=alpha,
-                           coupling=coupling, pair_channels=channels)
+    fields = [("X", transverse_field)] if transverse_field != 0.0 else []
+    return power_law_pairwise(n, alpha, [("Z", "Z", 1.0)], coupling, fields)
 
 
 def power_law_heisenberg(n: int, alpha: float, coupling: float = 1.0) -> HamiltonianSpec:
     """Isotropic XX+YY+ZZ chain with couplings J/r**alpha."""
-    channels = (("X", "X", 1.0), ("Y", "Y", 1.0), ("Z", "Z", 1.0))
-    terms = _pairwise_terms(n, channels, lambda r: coupling * r ** (-alpha))
-    return HamiltonianSpec(n=n, d=2, k=2, terms=tuple(terms), alpha=alpha,
-                           coupling=coupling, pair_channels=channels)
+    return power_law_pairwise(
+        n, alpha, [("X", "X", 1.0), ("Y", "Y", 1.0), ("Z", "Z", 1.0)],
+        coupling)
 
 
 def nearest_neighbor_ising(n: int, coupling: float = 1.0,

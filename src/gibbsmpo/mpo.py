@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HamiltonianSpec, site_basis
-from .oracle import DEFAULT_DENSE_CAP, DenseCapError
+from .model import DEFAULT_DENSE_CAP, DenseCapError, HamiltonianSpec, \
+    site_basis
 
 DEFAULT_MAX_BOND = 4096
 

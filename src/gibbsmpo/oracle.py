@@ -1,21 +1,27 @@
-"""Exact dense reference: matrix exponentials and Schatten-p norms.
+"""Exact dense reference: eigensystems, matrix exponentials and
+Schatten-p norms.
 
 Everything here works on explicit d**n x d**n matrices and is only meant
-for system sizes below the dense cap.  All error measurements in the rest
-of the package are taken against these routines.
+for system sizes below the dense cap.  Every eigendecomposition of a
+spec's Hamiltonian is :func:`eigensystem`, and a build's final error is
+measured by :func:`schatten_errors`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import HamiltonianSpec, dense_matrix
+from .model import DEFAULT_DENSE_CAP, DenseCapError, HamiltonianSpec, \
+    dense_matrix  # DenseCapError is re-exported for callers of the oracle
 
-DEFAULT_DENSE_CAP = 4096  # 2**12 states, n = 12 qubits
+Eigensystem = tuple[np.ndarray, np.ndarray]  # (w, v) as np.linalg.eigh gives
 
 
-class DenseCapError(RuntimeError):
-    """Requested dense operation exceeds the configured state cap."""
+def eigensystem(spec: HamiltonianSpec,
+                cap: int = DEFAULT_DENSE_CAP) -> Eigensystem:
+    """Eigensystem of the spec's dense Hamiltonian; raises
+    :class:`DenseCapError` beyond ``cap`` states."""
+    return np.linalg.eigh(dense_matrix(spec, cap=cap))
 
 
 def exp_of_eigensystem(w: np.ndarray, v: np.ndarray,
@@ -51,7 +57,7 @@ def dense_exp(ham: np.ndarray, factor: complex) -> np.ndarray:
 def gibbs_dense(spec: HamiltonianSpec, beta: complex,
                 cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Unnormalized thermal operator exp(-beta * H); normalization is separate."""
-    return dense_exp(dense_matrix(spec, cap=cap), -beta)
+    return exp_of_eigensystem(*eigensystem(spec, cap), -beta)
 
 
 def schatten_norm(op: np.ndarray, p: float) -> float:
@@ -91,6 +97,33 @@ def relative_error(reference: np.ndarray, approx: np.ndarray, p: float) -> float
     if denom == 0.0:
         raise ZeroDivisionError("reference operator has zero norm")
     return schatten_norm(reference - approx, p) / denom
+
+
+def schatten_errors(reference: np.ndarray, ref_sv: np.ndarray,
+                    approx: np.ndarray) -> dict[str, float]:
+    """Relative Schatten-1, -2 and -inf distances of ``approx`` from
+    ``reference``, keyed p1, p2 and pinf.
+
+    ``ref_sv`` are the reference's singular values in descending order, as
+    :func:`exp_with_spectrum` gives them.  The difference D is written into
+    ``approx``, which is consumed.  When its anti-Hermitian part A obeys
+    ||A||_F <= 1e-12 ||ref||_inf and sqrt(dim) ||A||_F <= 1e-12 ||ref||_1,
+    D is measured by ``eigvalsh`` of its Hermitian part, every ratio then
+    within 1e-12 of an SVD's (Weyl); any other difference takes the SVD.
+    """
+    # a real approx of a complex reference (the real MPO of a zero
+    # Hamiltonian's real-time step) is promoted; otherwise no copy
+    approx = approx.astype(np.result_type(reference, approx), copy=False)
+    diff = np.subtract(reference, approx, out=approx)
+    asym = np.linalg.norm(diff - diff.conj().T) / 2.0
+    if asym <= 1e-12 * min(ref_sv[0], ref_sv.sum() / len(diff) ** 0.5):
+        diff += diff.conj().T  # twice the Hermitian part, in place
+        diff_sv = np.sort(np.abs(np.linalg.eigvalsh(diff)))[::-1] / 2.0
+    else:
+        diff_sv = np.linalg.svd(diff, compute_uv=False)
+    return {key: schatten_from_spectrum(diff_sv, p)
+            / schatten_from_spectrum(ref_sv, p)
+            for key, p in (("p1", 1), ("p2", 2), ("pinf", np.inf))}
 
 
 def partition_function(spec: HamiltonianSpec, beta: float,

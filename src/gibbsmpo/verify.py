@@ -43,32 +43,48 @@ def base_step(spec: HamiltonianSpec) -> float:
 # merge-operator bounds
 # ---------------------------------------------------------------------------
 
-def check_merge_truncation_sweep(spec: HamiltonianSpec | None = None,
-                                 orders=range(2, 13)) -> dict:
-    """Truncation error <= c0 * 2^-m0 across a sweep of orders (half cut).
+def half_cut_truncation(spec: HamiltonianSpec):
+    """Evaluator order -> (measured, bound) of the merge truncation error
+    ||Psi - Psi~|| across the half cut of ``spec`` at its base step, with
+    bound c0 * 2^-m0 (the chain's boundary bound in c0).
 
     H_AB, H_A and H_B do not depend on the order: their eigensystems are
-    computed once and serve every order.
+    computed at the first call and serve every later one.
     """
-    spec = spec or default_chain(8)
     beta0 = base_step(spec)
     gtilde = boundary_bound(spec)
     cut = spec.n // 2
-    rows = []
-    ok = True
     spectra = None
-    for order in orders:
+
+    def evaluate(order: int) -> tuple[float, float]:
+        nonlocal spectra
         ms = merge_spec_for(spec, Interval(1, cut), Interval(cut + 1, spec.n),
                             beta0, order)
         if spectra is None:
             spectra = merge_spectra(ms)
         rep = certify_merge_truncation(ms, gtilde=gtilde, max_order_terms=0,
                                        check=False, spectra=spectra)
-        good = rep["measured_error"] <= rep["error_bound"] * _SLACK
+        return rep["measured_error"], rep["error_bound"]
+
+    return evaluate
+
+
+def check_merge_truncation_sweep(spec: HamiltonianSpec | None = None,
+                                 orders=range(2, 13)) -> dict:
+    """Truncation error <= c0 * 2^-m0 across a sweep of orders (half cut;
+    see :func:`half_cut_truncation`)."""
+    spec = spec or default_chain(8)
+    evaluate = half_cut_truncation(spec)
+    rows = []
+    ok = True
+    for order in orders:
+        measured, bound = evaluate(order)
+        good = measured <= bound * _SLACK
         ok &= good
-        rows.append({"order": order, "measured": rep["measured_error"],
-                     "bound": rep["error_bound"], "ok": good})
-    return _result("merge_truncation_sweep", ok, beta0=beta0, rows=rows)
+        rows.append({"order": order, "measured": measured, "bound": bound,
+                     "ok": good})
+    return _result("merge_truncation_sweep", ok, beta0=base_step(spec),
+                   rows=rows)
 
 
 def check_per_order_decay(ns=(4, 6), max_m: int = 10) -> dict:

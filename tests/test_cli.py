@@ -114,22 +114,19 @@ def test_build_bad_flag_values_exit_config(tmp_path):
         == EXIT_CONFIG
     assert main(["build", "--config", cfg, "--compress", "tol=nan"]) \
         == EXIT_CONFIG
-    assert main(["build", "--config", cfg, "--pnorms", "1,zero"]) \
-        == EXIT_CONFIG
-    assert main(["build", "--config", cfg, "--pnorms", "0.5"]) == EXIT_CONFIG
-    assert main(["build", "--config", cfg, "--pnorms", "nan"]) == EXIT_CONFIG
     assert main(["build", "--config", cfg, "--cap-dense", "0"]) == EXIT_CONFIG
-    for key in ("pnorms", "dense_cap", "max_bond"):
-        value = ["nan"] if key == "pnorms" else 0
-        bad = write_config(tmp_path, demo_config(**{key: value}), "bad.json")
+    for key in ("dense_cap", "max_bond"):
+        bad = write_config(tmp_path, demo_config(**{key: 0}), "bad.json")
         assert main(["build", "--config", bad]) == EXIT_CONFIG, key
 
 
 def test_removed_seed_and_sweep_keys_are_rejected(tmp_path):
     # the model section alone fixes the chain and a build is deterministic,
     # so neither a seed nor sweep-level n/alpha is accepted; the policy and
-    # the dense cap decide dense vs MPO arithmetic, so no engine either
-    for key, value in (("seed", 7), ("engine", "mpo")):
+    # the dense cap decide dense vs MPO arithmetic, so no engine either; and
+    # one spectrum serves every Schatten order, so no pnorms subset
+    for key, value in (("seed", 7), ("engine", "mpo"),
+                       ("pnorms", [2, "inf"])):
         removed = demo_config()
         removed["run"][key] = value
         assert main(["build", "--config", write_config(
@@ -140,9 +137,11 @@ def test_removed_seed_and_sweep_keys_are_rejected(tmp_path):
     assert main(["sweep", "--config",
                  write_config(tmp_path, sweep, "sweep.json")]) == EXIT_CONFIG
     cfg = write_config(tmp_path, demo_config())
-    for command in ("build", "sweep"):
+    for command, flag, value in (("build", "--seed", "1"),
+                                 ("sweep", "--seed", "1"),
+                                 ("build", "--pnorms", "2,inf")):
         with pytest.raises(SystemExit) as err:
-            main([command, "--config", cfg, "--seed", "1"])
+            main([command, "--config", cfg, flag, value])
         assert err.value.code == EXIT_CONFIG
 
 
@@ -169,10 +168,10 @@ def test_build_flag_overrides(tmp_path):
     cfg = write_config(tmp_path, demo_config(n=6))
     out = tmp_path / "flags"
     assert main(["build", "--config", cfg, "--out", str(out),
-                 "--compress", "maxbond=16", "--pnorms", "2,inf"]) == EXIT_OK
+                 "--compress", "maxbond=16"]) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["policy"] == "maxbond=16"
-    assert set(report["measured"]) == {"p2", "pinf", "trace"}
+    assert set(report["measured"]) == {"p1", "p2", "pinf", "trace"}
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,19 @@ def test_budget_generic_path_opt_out():
                     two_local="on")
 
 
+def test_power_law_build_runs_the_zeta_check(monkeypatch):
+    # the kernel-replaced run spec carries no power-law metadata, so the
+    # plan bounds the input spec too: boundary_bound's zeta consistency
+    # check runs on a default power-law build
+    import gibbsmpo.model as model_mod
+    calls = []
+    _count_calls(monkeypatch, model_mod, "power_law_boundary_bound", calls)
+    spec = power_law_ising(6, 3)
+    _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
+    assert report.budget.two_local_path
+    assert len(calls) >= 1
+
+
 def test_budget_layer_count_matches_plan():
     for n in (2, 3, 4, 5, 6, 8, 11):
         spec = chain(n)
@@ -401,11 +414,13 @@ def test_dense_build_eigendecomposes_each_hamiltonian_once(monkeypatch):
     # 2 + 1 + 1 joined blocks, and 3 + 2 + 1 layer references.
     import gibbsmpo.gibbs as gibbs_mod
     import gibbsmpo.merge as merge_mod
+    import gibbsmpo.oracle as oracle_mod
 
     eighs, block_exps, dense_matrices = [], [], []
     _count_calls(monkeypatch, np.linalg, "eigh", eighs)
     _count_calls(monkeypatch, gibbs_mod, "exp_of_eigensystem", block_exps)
-    _count_calls(monkeypatch, gibbs_mod, "dense_matrix", dense_matrices)
+    # every Hamiltonian a build decomposes is built by oracle.eigensystem
+    _count_calls(monkeypatch, oracle_mod, "dense_matrix", dense_matrices)
     _count_calls(monkeypatch, merge_mod, "dense_matrix", dense_matrices)
     # (n, eigh, exp_of_eigensystem, dense_matrix); the merges build no
     # dense Hamiltonian (n=8 read 14 when each merge built its own H_AB

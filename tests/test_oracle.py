@@ -14,10 +14,12 @@ from gibbsmpo.model import (
 )
 from gibbsmpo.oracle import (
     dense_exp,
+    eigensystem,
     exp_with_spectrum,
     gibbs_dense,
     partition_function,
     relative_error,
+    schatten_errors,
     schatten_norm,
 )
 
@@ -175,3 +177,35 @@ def test_partition_function_real_path():
     w = np.linalg.eigvalsh(dense_matrix(spec))
     assert partition_function(spec, 0.6) == pytest.approx(
         float(np.sum(np.exp(-0.6 * w))), rel=1e-13)
+
+
+def test_eigensystem_is_eigh_of_the_dense_hamiltonian():
+    spec = power_law_heisenberg(5, 3.0)
+    for got, want in zip(eigensystem(spec), np.linalg.eigh(dense_matrix(spec))):
+        assert np.array_equal(got, want)
+    from gibbsmpo.model import DenseCapError
+    with pytest.raises(DenseCapError):
+        eigensystem(spec, cap=16)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_schatten_errors_match_relative_error(hermitian):
+    # the eigvalsh path (a Hermitian difference) and the SVD path (any
+    # other) both agree with relative_error's SVD at every reported order,
+    # and the difference is written into the approximation's buffer
+    w, v = np.linalg.eigh(dense_matrix(power_law_ising(5, 3.0)))
+    reference, ref_sv = exp_with_spectrum(w, v, -0.8)
+    pert = RNG.standard_normal(reference.shape)
+    if hermitian:
+        pert = pert + pert.T
+    approx = reference + 1e-3 * pert
+    kept = approx.copy()
+    got = schatten_errors(reference, ref_sv, approx)
+    assert set(got) == {"p1", "p2", "pinf"}
+    for key, p in (("p1", 1), ("p2", 2), ("pinf", np.inf)):
+        assert got[key] == pytest.approx(relative_error(reference, kept, p),
+                                         rel=1e-10)
+    if hermitian:  # the Hermitian path doubles the difference in place
+        assert np.allclose(approx, 2 * (reference - kept), rtol=0, atol=1e-15)
+    else:
+        assert np.array_equal(approx, reference - kept)
