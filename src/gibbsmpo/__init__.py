@@ -57,12 +57,15 @@ from .mpo import (
 from .merge import (
     MergeOperatorSpec,
     build_merge_mpo,
-    certify_merge_truncation,
     merge_operator_dense,
     merge_order_term_dense,
     merge_spec_for,
+    order_term_bound,
+    order_term_norms,
     tail_prefactor,
     truncated_merge_dense,
+    truncation_bound,
+    truncation_error,
     truncation_order_for,
 )
 from .gibbs import (

@@ -294,9 +294,11 @@ def merge_layer(layer: list[Block], run_spec: HamiltonianSpec,
     Beyond the cap the merge operator is the Horner assembly of
     :func:`~gibbsmpo.merge.build_merge_mpo`, multiplied by
     :func:`~gibbsmpo.mpo.product`.  Returns the next layer and the
-    discarded compression weight: 0 on lossless dense merges and under
-    "none", at roundoff level under tol=0.  An odd trailing block passes
-    through.
+    discarded compression weight, summed over every truncation of the
+    layer: the merge operator's (the Horner assembly's products and sums,
+    or the compression of the dense one) and the product's.  It is 0 on
+    lossless dense merges and under "none", at roundoff level under tol=0.
+    An odd trailing block passes through.
     """
     d = run_spec.d
     nxt = []
@@ -307,7 +309,7 @@ def merge_layer(layer: list[Block], run_spec: HamiltonianSpec,
         ms = merge_spec_for(run_spec, a.interval, b.interval, beta0, order)
         if d ** n > dense_cap:
             eig = None
-            psi = build_merge_mpo(ms, policy=policy, max_bond=max_bond)
+            psi, w_psi = build_merge_mpo(ms, policy=policy, max_bond=max_bond)
         else:
             ms.require_window()
             eig = eigensystem(ms.spec_ab, cap=dense_cap)
@@ -319,11 +321,12 @@ def merge_layer(layer: list[Block], run_spec: HamiltonianSpec,
                 nxt.append(Block(joined, mpo_ops.from_dense(dense, n, d),
                                  dense, eig))
                 continue
-            psi = mpo_ops.compress(mpo_ops.from_dense(dense, n, d), policy)[0]
+            psi, w_psi = mpo_ops.compress(mpo_ops.from_dense(dense, n, d),
+                                          policy)
             del dense
         merged, w = mpo_ops.product(psi, mpo_ops.concat(a.mpo, b.mpo),
                                     policy, max_bond=max_bond)
-        discarded += w
+        discarded += w_psi + w
         nxt.append(Block(joined, merged, eig=eig))
     if len(layer) % 2 == 1:
         nxt.append(layer[-1])

@@ -13,8 +13,12 @@ polynomial surrogate
 
 whose error obeys ||Psi - Psi~|| <= c0 * 2^-m0 whenever
 |b0| <= 1/(24*g*k^2), with c0 = exp(gt / (6*g*k^2)) for any uniform bound
-gt on the boundary-interaction norm.  The certification helpers measure
-those bounds densely at oracle scale.
+gt on the boundary-interaction norm, and the order-m terms of the
+expansion obey ||T_m|| <= (2*C*|b0|)^m * exp(gt/C) with C = 6*g*k^2.
+:func:`truncation_error` and :func:`order_term_norms` measure the error
+and the term norms densely at oracle scale, :func:`truncation_bound` and
+:func:`order_term_bound` evaluate their bounds, and callers compare the
+two.
 
 Densely, Psi~ is evaluated in the blocks' eigenbases.  With
 H_AB = U diag(d) U^H, H_A = U_A diag(a) U_A^H and H_B = U_B diag(b) U_B^H,
@@ -32,7 +36,7 @@ elementwise Horner steps, whatever the order.  The individual order terms
 come from a two-product-per-order recurrence instead, which keeps each
 to full relative precision.  The MPO assembly applies Horner's rule in
 H_AB, which keeps its exact bonds far below those of the order-term
-recurrence.
+recurrence, and returns the weight its truncations discard.
 """
 
 from __future__ import annotations
@@ -42,18 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HamiltonianSpec, Interval, boundary_bound, dense_matrix, \
-    extensivity_constant, restrict, spec_digest
+from .model import HamiltonianSpec, Interval, dense_matrix, \
+    extensivity_constant, restrict
 from .oracle import Eigensystem, eigensystem
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, BondCapError, CompressionPolicy, \
     hamiltonian_mpo
 
 MAX_TAYLOR_ORDER = 60  # float factorials stay exact far below this; see notes
-
-
-class CertificationError(AssertionError):
-    """A measured quantity violated its analytic bound."""
 
 
 def certified_step(g: float, k: int) -> float:
@@ -113,13 +113,12 @@ class MergeOperatorSpec:
         """Local index of the last site of region A."""
         return len(self.region_a)
 
-    def certified_regime(self, g: float | None = None, k: int | None = None) -> bool:
+    def certified_regime(self) -> bool:
         """True when |beta0| is inside the proven high-temperature window."""
-        g = extensivity_constant(self.spec_ab) if g is None else g
-        k = self.spec_ab.k if k is None else k
+        g = extensivity_constant(self.spec_ab)
         if g == 0.0:  # zero block Hamiltonian: every step size is exact
             return True
-        return abs(self.beta0) <= certified_step(g, k) * (1 + 1e-12)
+        return abs(self.beta0) <= certified_step(g, self.spec_ab.k) * (1 + 1e-12)
 
     def require_window(self) -> None:
         """Refuse a step outside the certified window."""
@@ -150,9 +149,8 @@ def _halves(ms: MergeOperatorSpec) -> tuple[HamiltonianSpec, HamiltonianSpec]:
 
 def _dense_hamiltonians(ms: MergeOperatorSpec):
     """Dense H_AB, H_A and H_B, up to the default dense cap, for the order
-    terms and for a certification given no spectra.  Real matrices and a
-    real step keep every evaluator in real arithmetic, where a product
-    costs a quarter of a complex one."""
+    terms.  Real matrices and a real step keep the recurrence in real
+    arithmetic, where a product costs a quarter of a complex one."""
     return tuple(dense_matrix(s) for s in (ms.spec_ab, *_halves(ms)))
 
 
@@ -256,71 +254,48 @@ def merge_order_term_dense(ms: MergeOperatorSpec, m: int) -> np.ndarray:
     return term
 
 
-def certify_merge_truncation(ms: MergeOperatorSpec, *,
-                             gtilde: float | None = None,
-                             max_order_terms: int = 10,
-                             check: bool = True,
-                             spectra: tuple[Eigensystem, ...] | None = None,
-                             ) -> dict:
-    """Measure ||Psi - Psi~|| and the per-order norms against their bounds.
+def truncation_error(ms: MergeOperatorSpec,
+                     spectra: tuple[Eigensystem, ...] | None = None) -> float:
+    """Measured ||Psi - Psi~|| as ||M o (e^Z - (1 + phi_m0(Z)))||.
 
-    ``gtilde`` defaults to the joined block's own uniform boundary bound; a
-    chain-level bound may be passed to match pipeline-wide constants.  With
-    ``check`` the truncation bound is enforced (violations raise
-    :class:`CertificationError` carrying both values); the norms of the
-    order terms 0..``max_order_terms`` are always reported against
-    (2*C*|b0|)^m * exp(gt/C), C = 6*g*k^2.  H_AB, H_A and H_B are built
-    once, and only when ``spectra`` (their eigensystems, as
-    :func:`merge_spectra` returns them; a sweep over orders passes the same
-    ones to every order) are absent or order terms past the identity are
-    asked for.  The error is ||M o (e^Z - (1 + phi_m0(Z)))||, unitarily
-    equivalent to ||Psi - Psi~||: a difference of two O(1) kernels, so its
-    floating-point floor stays visible.  The norms come from
-    :func:`_order_terms`.
+    Unitarily equivalent to the operator difference, and a difference of
+    two O(1) kernels, so its floating-point floor stays visible.
+    ``spectra`` are the eigensystems of H_AB, H_A and H_B as
+    :func:`merge_spectra` returns them (a sweep over orders passes the same
+    ones to every order); without them they are computed here.
     """
-    g = extensivity_constant(ms.spec_ab)
-    k = ms.spec_ab.k
-    if gtilde is None:
-        gtilde = boundary_bound(ms.spec_ab)
-    c0 = tail_prefactor(g, k, gtilde)
-    comm_scale = 6.0 * g * k * k
-    certified = ms.certified_regime(g, k)
-    if spectra is None or max_order_terms:
-        hams = _dense_hamiltonians(ms)
     if spectra is None:
-        spectra = tuple(np.linalg.eigh(h) for h in hams)
-    norms = [1.0]  # the order-0 term is the identity
-    if max_order_terms:
-        terms = _order_terms(*hams, ms.beta0, max_order_terms)
-        next(terms)
-        norms += [float(np.linalg.norm(term, ord=2)) for term in terms]
-    orders = []
-    for m, norm_m in enumerate(norms):
-        order_bound = (2.0 * comm_scale * abs(ms.beta0)) ** m * math.exp(gtilde / comm_scale)
-        orders.append({"m": m, "norm": norm_m, "bound": order_bound,
-                       "ok": norm_m <= order_bound * (1 + 1e-9)})
+        spectra = merge_spectra(ms)
     m_basis, z = _eigenbasis_kernel(spectra, ms.beta0)
     gap = np.exp(z) - (1 + _expm1_taylor(z, ms.order))
-    measured = float(np.linalg.norm(m_basis * gap, ord=2))
-    bound = c0 * 2.0 ** (-ms.order)
-    report = {
-        "model_digest": spec_digest(ms.spec_ab),
-        "order": ms.order,
-        "beta0": complex(ms.beta0),
-        "extensivity": g,
-        "boundary_norm": gtilde,
-        "tail_prefactor": c0,
-        "measured_error": measured,
-        "error_bound": bound,
-        "certified_regime": certified,
-        "per_order": orders,
-        "ok": measured <= bound * (1 + 1e-9) and all(o["ok"] for o in orders),
-    }
-    if check and certified and measured > bound * (1 + 1e-9):
-        raise CertificationError(
-            f"truncation error {measured:.3e} exceeds bound {bound:.3e} "
-            f"at order {ms.order}")
-    return report
+    return float(np.linalg.norm(m_basis * gap, ord=2))
+
+
+def order_term_norms(ms: MergeOperatorSpec, up_to: int) -> list[float]:
+    """Spectral norms of the order terms 0..``up_to`` of Psi, from
+    :func:`_order_terms`; the order-0 term is the identity, norm 1.0, and
+    no Hamiltonian is built for it alone."""
+    norms = [1.0]
+    if up_to:
+        terms = _order_terms(*_dense_hamiltonians(ms), ms.beta0, up_to)
+        next(terms)
+        norms += [float(np.linalg.norm(term, ord=2)) for term in terms]
+    return norms
+
+
+def truncation_bound(ms: MergeOperatorSpec, gtilde: float) -> float:
+    """Analytic bound c0 * 2^-m0 on ||Psi - Psi~||, with the joined block's
+    g and k and the boundary bound ``gtilde`` in c0."""
+    c0 = tail_prefactor(extensivity_constant(ms.spec_ab), ms.spec_ab.k, gtilde)
+    return c0 * 2.0 ** (-ms.order)
+
+
+def order_term_bound(ms: MergeOperatorSpec, gtilde: float, m: int) -> float:
+    """Analytic bound (2*C*|b0|)^m * exp(gt/C), C = 6*g*k^2, on the norm of
+    the order-m term, with the joined block's g and k."""
+    k = ms.spec_ab.k
+    comm_scale = 6.0 * extensivity_constant(ms.spec_ab) * k * k
+    return (2.0 * comm_scale * abs(ms.beta0)) ** m * math.exp(gtilde / comm_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -362,42 +337,43 @@ def bond_ledger(ms: MergeOperatorSpec) -> int:
 
 def build_merge_mpo(ms: MergeOperatorSpec, *,
                     policy: CompressionPolicy = CompressionPolicy(),
-                    max_bond: int = DEFAULT_MAX_BOND) -> MPO:
-    """MPO of the truncated merge operator on the joined block: the Horner
-    assembly from the Hamiltonian MPOs, 2*m0 products by
-    :func:`~gibbsmpo.mpo.product`.  Exact under policy "none", with bond
+                    max_bond: int = DEFAULT_MAX_BOND) -> tuple[MPO, float]:
+    """MPO of the truncated merge operator on the joined block and the
+    discarded weight of building it.
+
+    Horner's rule in H_AB on Hamiltonian MPOs: Psi~ = sum_{j<=m0}
+    (-b0 H_AB)^j/j! P_{m0-j}, with the partial Taylor sums P_k of
+    exp(b0 (H_A+H_B)) streamed alongside.  2*m0 products by
+    :func:`~gibbsmpo.mpo.product`, H_AB on the left, each sum compressed by
+    ``policy``; the discarded weight sums every product's and every
+    compression's.  Exact under policy "none" (weight 0), with bond
     profile :func:`assembly_bond_profile` within :func:`bond_ledger`; any
-    other policy (tol=0 included) rounds every product and sum.  A lossless
+    other policy (tol=0 included) rounds every product and sum.  Horner
+    keeps the exact bonds there; the order-term recurrence of
+    :func:`_order_terms` would grow them like (pa + ps)^m.  A lossless
     assembly over ``max_bond`` is refused before it starts with a
     :class:`~gibbsmpo.mpo.BondCapError` carrying the analytic ledger.
     Outside the certified |beta0| window it refuses (``ValueError``).
     """
     ms.require_window()
-    hams = _hamiltonian_mpos(ms)
-    if policy.lossless and max(_assembly_profile(*hams, ms.order)) > max_bond:
-        ledger = bond_ledger(ms)
+    h_ab, h_sum = _hamiltonian_mpos(ms)
+    if policy.lossless and max(_assembly_profile(h_ab, h_sum, ms.order)) > max_bond:
+        ledger = merge_bond_ledger(ms.order, max(h_ab.max_bond, h_sum.max_bond))
         raise BondCapError(f"uncompressed merge assembly needs bond ~{ledger} "
                            f"(> cap {max_bond})", estimate=ledger)
-    return _assemble_merge_mpo(ms, *hams, policy, max_bond)
+    discarded = 0.0
 
-
-def _assemble_merge_mpo(ms: MergeOperatorSpec, h_ab: MPO, h_sum: MPO,
-                        policy: CompressionPolicy = CompressionPolicy(),
-                        max_bond: int = DEFAULT_MAX_BOND) -> MPO:
-    """Horner's rule in H_AB on Hamiltonian MPOs: Psi~ = sum_{j<=m0}
-    (-b0 H_AB)^j/j! P_{m0-j}, with the partial Taylor sums P_k of
-    exp(b0 (H_A+H_B)) streamed alongside.  2*m0 products by
-    :func:`~gibbsmpo.mpo.product`, H_AB on the left, each sum compressed by
-    ``policy`` (a no-op under "none").  Horner keeps the exact bonds at
-    :func:`assembly_bond_profile`; the order-term recurrence of
-    :func:`_order_terms` would grow them like (pa + ps)^m.
-    """
     def times(h: MPO, x: MPO, coef: complex) -> MPO:
-        prod, _ = mpo_ops.product(h, x, policy, max_bond=max_bond)
+        nonlocal discarded
+        prod, w = mpo_ops.product(h, x, policy, max_bond=max_bond)
+        discarded += w
         return mpo_ops.scale(prod, coef)
 
     def plus(x: MPO, y: MPO) -> MPO:
-        return mpo_ops.compress(mpo_ops.add(x, y, max_bond=max_bond), policy)[0]
+        nonlocal discarded
+        total, w = mpo_ops.compress(mpo_ops.add(x, y, max_bond=max_bond), policy)
+        discarded += w
+        return total
 
     acc = term = partial = mpo_ops.identity_mpo(ms.spec_ab.n, ms.spec_ab.d)
     for k in range(1, ms.order + 1):
@@ -406,4 +382,4 @@ def _assemble_merge_mpo(ms: MergeOperatorSpec, h_ab: MPO, h_sum: MPO,
         term = times(h_sum, term, ms.beta0 / k)
         partial = plus(partial, term)
         acc = plus(acc, partial)
-    return acc
+    return acc, discarded

@@ -89,8 +89,9 @@ class CompressionPolicy:
 class MPO:
     """Chain of (left, d, d, right) tensors with unit boundary bonds.
 
-    Values are immutable after construction: every operation returns a new
-    MPO, so instances are safe to share between threads.
+    Values are immutable after construction: cores are read-only, every
+    operation returns a new MPO and MPOs share cores freely, so instances
+    are safe to share between threads.
     """
 
     __slots__ = ("cores", "d")
@@ -158,8 +159,7 @@ class MPO:
 # ---------------------------------------------------------------------------
 
 def identity_mpo(n: int, d: int) -> MPO:
-    eye = np.eye(d).reshape(1, d, d, 1)
-    return MPO([eye.copy() for _ in range(n)])
+    return MPO([np.eye(d).reshape(1, d, d, 1)] * n)
 
 
 def zero_mpo(n: int, d: int) -> MPO:
@@ -213,7 +213,7 @@ def concat(a: MPO, b: MPO) -> MPO:
     """Tensor product of operators on adjacent blocks (chain join)."""
     if a.d != b.d:
         raise ValueError("local dimensions differ")
-    return MPO([c.copy() for c in a.cores] + [c.copy() for c in b.cores])
+    return MPO([*a.cores, *b.cores])
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +269,7 @@ def add(a: MPO, b: MPO, max_bond: int = DEFAULT_MAX_BOND) -> MPO:
 
 def scale(a: MPO, c: complex) -> MPO:
     """Scalar multiple (complex scalars supported throughout)."""
-    cores = [a.cores[0] * c] + [core.copy() for core in a.cores[1:]]
-    return MPO(cores)
+    return MPO([a.cores[0] * c, *a.cores[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +306,7 @@ def compress(a: MPO, policy: CompressionPolicy) -> tuple[MPO, float]:
     if policy.is_none:
         return a, 0.0
     d = a.d
-    cores = [c.copy() for c in a.cores]
+    cores = list(a.cores)
     for j in range(len(cores) - 1):
         l, _, _, r = cores[j].shape
         q, rr = np.linalg.qr(cores[j].reshape(l * d * d, r))

@@ -439,6 +439,15 @@ def test_no_module_imports_scipy():
         assert not re.search(r"^\s*(import|from)\s+scipy\b", text, re.M), path
 
 
+def test_only_the_oracle_eigendecomposes():
+    # every Hamiltonian eigendecomposition goes through the oracle
+    from pathlib import Path
+    for path in Path(gibbsmpo.__file__).parent.glob("*.py"):
+        if path.name != "oracle.py":
+            text = path.read_text(encoding="utf-8")
+            assert "np.linalg.eigh(" not in text, path
+
+
 def test_import_loads_no_scipy():
     code = ("import sys, gibbsmpo, gibbsmpo.cli; "
             "sys.exit('scipy' in sys.modules)")

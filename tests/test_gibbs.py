@@ -282,6 +282,27 @@ def test_lossy_in_cap_merge_is_the_refactorized_dense_merge():
                 assert np.array_equal(got, core)
 
 
+def test_lossy_report_counts_every_product_weight(monkeypatch):
+    # beyond a 4-state cap every merge is the Horner assembly; the report
+    # sums every truncation, so it is at least what the products alone
+    # discard, the assembly's included
+    weights = []
+    real = mpo_module.product
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        weights.append(out[1])
+        return out
+
+    monkeypatch.setattr(mpo_module, "product", recording)
+    spec = chain(8)
+    _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2,
+                                CompressionPolicy.parse("tol=1e-10"),
+                                dense_cap=4)
+    assert sum(weights) > 0.0
+    assert report.discarded_weight >= sum(weights)
+
+
 def test_lossy_build_eigendecomposes_each_block_once(monkeypatch):
     # a lossy in-cap merge reads its halves' eigensystems from the blocks
     # and each layer's reference reads the blocks' own: one eigh per block

@@ -9,19 +9,21 @@ import pytest
 import scipy.linalg
 
 from gibbsmpo.merge import (
-    CertificationError,
     MergeOperatorSpec,
     _halves,
     assembly_bond_profile,
     bond_ledger,
     build_merge_mpo,
-    certify_merge_truncation,
     merge_operator_dense,
     merge_order_term_dense,
     merge_spec_for,
     merge_spectra,
+    order_term_bound,
+    order_term_norms,
     tail_prefactor,
     truncated_merge_dense,
+    truncation_bound,
+    truncation_error,
     truncation_order_for,
 )
 from gibbsmpo.model import (
@@ -129,7 +131,7 @@ def test_binomial_cancellation_identity_dense(order):
 def test_binomial_cancellation_identity_mpo_route():
     spec = decoupled(4)
     ms = half_merge(spec, window(spec), 3)
-    got = build_merge_mpo(ms).densify()
+    got = build_merge_mpo(ms)[0].densify()
     assert np.abs(got - np.eye(16)).max() < 1e-13
 
 
@@ -137,15 +139,14 @@ def test_order_zero_is_identity():
     spec = chain(4)
     ms = half_merge(spec, window(spec), 0)
     assert np.abs(truncated_merge_dense(ms) - np.eye(16)).max() == 0.0
-    assert np.abs(build_merge_mpo(ms).densify()
+    assert np.abs(build_merge_mpo(ms)[0].densify()
                   - np.eye(16)).max() < 1e-14
 
 
 def test_zero_beta0_exact_identity():
     spec = chain(4)
     ms = half_merge(spec, 0.0, 6)
-    rep = certify_merge_truncation(ms)
-    assert rep["measured_error"] < 1e-12
+    assert truncation_error(ms) < 1e-12
     assert np.abs(merge_operator_dense(ms) - np.eye(16)).max() < 1e-12
 
 
@@ -178,10 +179,10 @@ def test_horner_matches_literal_double_sum(order, phase):
     # bonds grow like D_H^m0, so higher orders compress to roundoff on the
     # way
     if order <= 2:
-        got, rel = build_merge_mpo(ms).densify(), 1e-13
+        got, rel = build_merge_mpo(ms)[0].densify(), 1e-13
     else:
         policy = CompressionPolicy(mode="tolerance", tolerance=1e-24)
-        got = build_merge_mpo(ms, policy=policy).densify()
+        got = build_merge_mpo(ms, policy=policy)[0].densify()
         rel = 1e-11
     assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
 
@@ -245,14 +246,20 @@ def test_kronecker_eigenvalues_are_those_of_the_halves_sum(spec):
 # truncation bound and per-order decay
 # ---------------------------------------------------------------------------
 
+def within(measured, bound):
+    """The comparison the verification checks make: 1e-9 relative slack."""
+    return measured <= bound * (1 + 1e-9)
+
+
 def test_truncation_bound_n4_order8():
     spec = chain(4, hx=0.0)
     ms = half_merge(spec, window(spec), 8)
-    rep = certify_merge_truncation(ms)
-    assert rep["certified_regime"]
-    assert rep["error_bound"] == pytest.approx(
-        rep["tail_prefactor"] * 2.0 ** -8)
-    assert rep["measured_error"] <= rep["error_bound"]
+    gt = boundary_bound(ms.spec_ab)
+    assert ms.certified_regime()
+    bound = truncation_bound(ms, gt)
+    assert bound == pytest.approx(
+        tail_prefactor(extensivity_constant(ms.spec_ab), 2, gt) * 2.0 ** -8)
+    assert truncation_error(ms) <= bound
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -261,15 +268,18 @@ def test_truncation_bound_order_sweep(n):
     gt = boundary_bound(spec)
     for order in range(2, 9):
         ms = half_merge(spec, window(spec), order)
-        rep = certify_merge_truncation(ms, gtilde=gt, max_order_terms=0)
-        assert rep["ok"], (order, rep["measured_error"], rep["error_bound"])
+        measured, bound = truncation_error(ms), truncation_bound(ms, gt)
+        assert within(measured, bound), (order, measured, bound)
+        assert within(order_term_norms(ms, 0)[0], order_term_bound(ms, gt, 0))
 
 
 @pytest.mark.parametrize("max_order_terms", [0, 10])
 def test_certify_builds_hamiltonian_pair_once(monkeypatch, max_order_terms):
-    # one H_AB, one H_A and one H_B serve the exact operator, the truncated
-    # sum and every order term (H_A+H_B is their Kronecker sum)
+    # each measurement builds one H_AB, one H_A and one H_B: the error
+    # through their eigensystems, the order terms directly (H_A+H_B is
+    # their Kronecker sum); the identity term alone needs none
     import gibbsmpo.merge as merge_mod
+    import gibbsmpo.oracle as oracle_mod
     calls = []
     real = merge_mod.dense_matrix
 
@@ -278,36 +288,47 @@ def test_certify_builds_hamiltonian_pair_once(monkeypatch, max_order_terms):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(merge_mod, "dense_matrix", counting)
+    monkeypatch.setattr(oracle_mod, "dense_matrix", counting)
     spec = chain(4)
-    certify_merge_truncation(half_merge(spec, window(spec), 4),
-                             max_order_terms=max_order_terms)
+    ms = half_merge(spec, window(spec), 4)
+    truncation_error(ms)
     assert sorted(s.n for s, in calls) == [2, 2, 4]
+    calls.clear()
+    order_term_norms(ms, max_order_terms)
+    assert sorted(s.n for s, in calls) == ([2, 2, 4] if max_order_terms else [])
 
 
 @pytest.mark.parametrize("max_order_terms", [0, 3])
 @pytest.mark.parametrize("phase", [1.0, 1j])
 def test_certify_with_given_spectra_is_the_same_report(monkeypatch,
                                                        max_order_terms, phase):
-    # passed eigensystems replace the ones certify would compute; without
-    # order terms past the identity no Hamiltonian is built at all
+    # passed eigensystems replace the ones the error would compute, and
+    # then no Hamiltonian is built for it; the order terms past the
+    # identity build their own
     import gibbsmpo.merge as merge_mod
+    import gibbsmpo.oracle as oracle_mod
     spec = chain(6)
     ms = half_merge(spec, phase * window(spec), 5)
     spectra = merge_spectra(ms)
-    own = certify_merge_truncation(ms, max_order_terms=max_order_terms)
+    own = truncation_error(ms)
     builds = []
     real = merge_mod.dense_matrix
-    monkeypatch.setattr(merge_mod, "dense_matrix",
-                        lambda *a, **k: builds.append(a) or real(*a, **k))
-    given = certify_merge_truncation(ms, max_order_terms=max_order_terms,
-                                     spectra=spectra)
-    assert given == own
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(merge_mod, "dense_matrix", counting)
+    monkeypatch.setattr(oracle_mod, "dense_matrix", counting)
+    assert truncation_error(ms, spectra) == own
+    assert builds == []
+    order_term_norms(ms, max_order_terms)
     assert len(builds) == (3 if max_order_terms else 0)
 
 
 def test_order_sweep_shares_one_set_of_eigensystems(monkeypatch):
     # H_AB, H_A and H_B do not depend on the order: three eigh per sweep,
-    # and every row is the one a standalone certification reports
+    # and every row is the one a standalone measurement gives
     from gibbsmpo import verify
     spec = chain(8)
     orders = range(2, 9)
@@ -319,40 +340,47 @@ def test_order_sweep_shares_one_set_of_eigensystems(monkeypatch):
     assert sorted(eighs) == [(16, 16), (16, 16), (256, 256)]
     monkeypatch.undo()
     for order, row in zip(orders, rows):
-        rep = certify_merge_truncation(
-            half_merge(spec, verify.base_step(spec), order),
-            gtilde=boundary_bound(spec), max_order_terms=0, check=False)
+        ms = half_merge(spec, verify.base_step(spec), order)
         assert (row["measured"], row["bound"]) == \
-            (rep["measured_error"], rep["error_bound"])
+            (truncation_error(ms), truncation_bound(ms, boundary_bound(spec)))
+
+
+def test_per_order_decay_makes_no_eigendecomposition(monkeypatch):
+    # the order-term norms come from the recurrence alone
+    from gibbsmpo import verify
+    eighs = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: eighs.append(h.shape) or real(h))
+    (result,) = verify.run_checks(["per_order_decay"], fast=True)
+    assert result["passed"] and eighs == []
 
 
 @pytest.mark.parametrize("order,max_order_terms", [(4, 0), (4, 10), (12, 3)])
 @pytest.mark.parametrize("phase", [1.0, 1j])
 def test_certify_single_pass_matches_separate_evaluators(order, max_order_terms,
                                                          phase):
-    # one pass feeds both prefixes: terms 0..order into Psi~ and terms
-    # 0..max_order_terms into the norms, whichever is longer
+    # the eigenbasis error and the recurrence's norms agree with the dense
+    # operators they measure
     spec = chain(6)
     ms = half_merge(spec, phase * window(spec), order)
-    rep = certify_merge_truncation(ms, max_order_terms=max_order_terms)
     gap = merge_operator_dense(ms) - truncated_merge_dense(ms)
-    assert abs(rep["measured_error"] - np.linalg.norm(gap, ord=2)) <= 1e-14
-    assert [row["m"] for row in rep["per_order"]] == \
-        list(range(max_order_terms + 1))
-    for row in rep["per_order"]:
-        norm = np.linalg.norm(merge_order_term_dense(ms, row["m"]), ord=2)
-        assert abs(row["norm"] - norm) <= 1e-14
+    assert abs(truncation_error(ms) - np.linalg.norm(gap, ord=2)) <= 1e-14
+    norms = order_term_norms(ms, max_order_terms)
+    assert len(norms) == max_order_terms + 1
+    for m, got in enumerate(norms):
+        norm = np.linalg.norm(merge_order_term_dense(ms, m), ord=2)
+        assert abs(got - norm) <= 1e-14
 
 
 def test_per_order_decay_at_window_boundary():
     spec = chain(6)
     ms = half_merge(spec, window(spec), 0)
-    rep = certify_merge_truncation(ms, max_order_terms=10, check=False)
-    for row in rep["per_order"]:
-        assert row["ok"], row
-        assert row["bound"] == pytest.approx(
-            2.0 ** -row["m"] * math.exp(rep["boundary_norm"]
-                                        / (6 * rep["extensivity"] * 4)))
+    g, gt = extensivity_constant(ms.spec_ab), boundary_bound(ms.spec_ab)
+    for m, norm in enumerate(order_term_norms(ms, 10)):
+        bound = order_term_bound(ms, gt, m)
+        assert within(norm, bound), (m, norm, bound)
+        assert bound == pytest.approx(2.0 ** -m * math.exp(gt / (6 * g * 4)))
 
 
 def test_per_order_decay_general_beta0():
@@ -421,16 +449,18 @@ def test_truncation_bound_random_pairwise_model():
         beta0 = float(rng.uniform(0.3, 1.0)) * window(spec)
         for order in (3, 6):
             ms = half_merge(spec, beta0, order)
-            rep = certify_merge_truncation(ms, max_order_terms=0)
-            assert rep["certified_regime"] and rep["ok"]
+            gt = boundary_bound(ms.spec_ab)
+            assert ms.certified_regime()
+            assert within(truncation_error(ms), truncation_bound(ms, gt))
+            assert within(order_term_norms(ms, 0)[0],
+                          order_term_bound(ms, gt, 0))
 
 
 def test_certification_error_carries_values():
     spec = chain(4)
     # far outside the window the bound genuinely fails at low order
     ms = half_merge(spec, 60.0 * window(spec), 1)
-    rep = certify_merge_truncation(ms, check=False)
-    assert not rep["certified_regime"]
+    assert not ms.certified_regime()
     with pytest.raises(ValueError):
         build_merge_mpo(ms)  # refuses outside the window
 
@@ -440,9 +470,9 @@ def test_certification_raises_inside_regime_on_violation():
     # of the dense evaluation, which must surface as a violation
     spec = chain(4)
     ms = half_merge(spec, window(spec), 55)
-    with pytest.raises(CertificationError) as err:
-        certify_merge_truncation(ms, max_order_terms=0)
-    assert "exceeds bound" in str(err.value)
+    assert ms.certified_regime()
+    assert not within(truncation_error(ms),
+                      truncation_bound(ms, boundary_bound(ms.spec_ab)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,24 +484,24 @@ def test_routes_agree_dense_vs_mpo():
     spec = chain(5)
     ms = half_merge(spec, window(spec), 3)
     ref = truncated_merge_dense(ms)
-    assert np.abs(build_merge_mpo(ms).densify() - ref).max() < 1e-10
+    assert np.abs(build_merge_mpo(ms)[0].densify() - ref).max() < 1e-10
 
 
 def test_real_time_merge_routes_agree():
     spec = chain(4)
     ms = half_merge(spec, 1j * window(spec), 3)
     ref = truncated_merge_dense(ms)
-    assert np.abs(build_merge_mpo(ms).densify() - ref).max() < 1e-10
-    rep = certify_merge_truncation(ms)
-    assert rep["certified_regime"]
-    assert rep["measured_error"] <= rep["error_bound"]
+    assert np.abs(build_merge_mpo(ms)[0].densify() - ref).max() < 1e-10
+    assert ms.certified_regime()
+    assert truncation_error(ms) <= truncation_bound(ms, boundary_bound(ms.spec_ab))
 
 
 @pytest.mark.parametrize("order", [0, 1, 3])
 def test_assembly_profile_matches_and_obeys_ledger(order):
     spec = chain(4, hx=0.0)
     ms = half_merge(spec, window(spec), order)
-    built = build_merge_mpo(ms)
+    built, discarded = build_merge_mpo(ms)
+    assert discarded == 0.0
     predicted = assembly_bond_profile(ms)
     assert built.bond_profile == predicted
     ledger = bond_ledger(ms)
@@ -500,7 +530,7 @@ def test_exact_auto_merge_builds_hamiltonian_mpos_once(monkeypatch):
     monkeypatch.setattr(merge_mod, "hamiltonian_mpo", counting)
     spec = chain(4)
     ms = half_merge(spec, window(spec), 3)
-    built = build_merge_mpo(ms)
+    built, _ = build_merge_mpo(ms)
     assert sorted(calls) == [2, 2, 4]  # H_A, H_B and H_AB, once each
     assert built.bond_profile == assembly_bond_profile(ms)
 
@@ -510,7 +540,7 @@ def test_compressed_assembly_stays_close():
     ms = half_merge(spec, window(spec), 3)
     ref = truncated_merge_dense(ms)
     policy = CompressionPolicy(mode="tolerance", tolerance=1e-24)
-    built = build_merge_mpo(ms, policy=policy)
+    built, _ = build_merge_mpo(ms, policy=policy)
     assert np.abs(built.densify() - ref).max() < 1e-8
     assert max(built.bond_profile) <= max(assembly_bond_profile(ms))
 
@@ -529,7 +559,7 @@ def test_lossy_assembly_makes_two_products_per_order(monkeypatch):
     spec = chain(4)
     ms = half_merge(spec, window(spec), 8)
     policy = CompressionPolicy(mode="tolerance", tolerance=1e-10)
-    built = build_merge_mpo(ms, policy=policy)
+    built, _ = build_merge_mpo(ms, policy=policy)
     assert len(calls) == 2 * 8
     # dropped weight 1e-10 per cut: amplitude errors of order sqrt(1e-10)
     assert np.abs(built.densify() - truncated_merge_dense(ms)).max() < 1e-5
