@@ -319,8 +319,12 @@ def _sweep_steps(spec, sweep) -> list[dict]:
     def evaluate(q):
         report = build_gibbs_mpo(spec, beta, epsilon, override_order=override,
                                  override_steps=q, two_local=two_local)[1]
-        return dict(predicted=report.budget.powered_error,
-                    measured=report.measured, order=report.budget.order)
+        predicted = report.budget.total_predicted
+        errors = [report.measured[k] for k in ("p1", "p2", "pinf")
+                  if k in report.measured]  # none beyond the dense cap
+        return dict(predicted=predicted, measured=report.measured,
+                    order=report.budget.order,
+                    within_bound=max(errors) <= predicted if errors else None)
 
     return _sweep_rows("steps", range(q_min, q_min + max_steps), evaluate)
 

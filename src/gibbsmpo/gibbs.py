@@ -16,6 +16,13 @@ to the integer power Q = beta/b0 by repeated squaring reaches the target
 temperature with relative error at most 5*Q*eps0' in every Schatten norm.
 Setting beta = i*t runs the same pipeline for real-time evolution.
 
+Every dense eigensystem, exponential and measurement goes through the
+oracle, which splits a spin-flip symmetric Hamiltonian (H = JHJ, J the
+reversal of the basis index) into two half-size blocks; the dense power
+of stage (4) is the oracle's too, taken by the same halves when the
+merged operator is even up to roundoff.  No option selects this: the
+matrices decide.
+
 The per-merge tolerance d0 is chosen so the powered error meets the
 requested target; for power-law pairwise models the Hamiltonian is first
 replaced by its exponential-kernel surrogate and the budget split so the
@@ -33,8 +40,9 @@ import numpy as np
 from .expsum import ExpSumApprox, approximate_hamiltonian
 from .model import HamiltonianSpec, Interval, boundary_bound, \
     extensivity_constant, restrict, spec_digest
-from .oracle import DEFAULT_DENSE_CAP, Eigensystem, eigensystem, \
-    exp_of_eigensystem, exp_with_spectrum, relative_error, schatten_errors
+from .oracle import DEFAULT_DENSE_CAP, Eigensystem, dense_power, \
+    eigensystem, exp_of_eigensystem, exp_with_spectrum, relative_error, \
+    schatten_errors
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, CompressionPolicy, hamiltonian_mpo
 from .merge import MAX_TAYLOR_ORDER, build_merge_mpo, certified_step, \
@@ -249,7 +257,7 @@ def leaf_block(run_spec: HamiltonianSpec, leaf: Interval,
     """The exact exp(-b0*H_leaf) of one leaf, from its eigensystem (taken
     whatever the dense cap)."""
     eig = eigensystem(restrict(run_spec, leaf), cap=run_spec.d ** len(leaf))
-    op = exp_of_eigensystem(*eig, -beta0)
+    op = exp_of_eigensystem(eig, -beta0)
     return Block(leaf, mpo_ops.from_dense(op, len(leaf), run_spec.d), op, eig)
 
 
@@ -367,7 +375,7 @@ def build_high_temp_mpo(run_spec: HamiltonianSpec, budget: ErrorBudget,
                 op = b.dense if b.dense is not None \
                     else b.mpo.densify(cap=dense_cap)
                 errors.append(relative_error(
-                    exp_of_eigensystem(*b.eig, -beta0), op, 2))
+                    exp_of_eigensystem(b.eig, -beta0), op, 2))
             diag.errors.append(max(errors))
         diag.bond_profiles.append([max(b.mpo.bond_profile) for b in blocks])
     diag.top_eig = blocks[0].eig
@@ -474,7 +482,7 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
     measured: dict[str, float] = {}
     if spec.d ** spec.n <= dense_cap:
         reference, ref_sv = exp_with_spectrum(
-            *(top_eig or eigensystem(spec, cap=dense_cap)), -budget.beta)
+            top_eig or eigensystem(spec, cap=dense_cap), -budget.beta)
         del top_eig
         measured = schatten_errors(reference, ref_sv,
                                    m_final.densify(cap=dense_cap))
@@ -536,11 +544,13 @@ def _power_step(m_base: MPO, steps: int, policy: CompressionPolicy,
     """Q-th power of the merged-chain MPO and its discarded weight.
 
     The merge rule (:func:`_merges_densely`) applied to the whole chain
-    picks the arithmetic: a dense matrix power and one refactorization,
-    else the square-and-multiply :func:`~gibbsmpo.mpo.power`.
+    picks the arithmetic: a dense matrix power
+    (:func:`~gibbsmpo.oracle.dense_power`, by reflection halves when the
+    operator is even) and one refactorization, else the square-and-multiply
+    :func:`~gibbsmpo.mpo.power`.
     """
     if steps > 1 and _merges_densely(policy, m_base.d ** m_base.n, dense_cap):
-        powered = np.linalg.matrix_power(m_base.densify(cap=dense_cap), steps)
+        powered = dense_power(m_base.densify(cap=dense_cap), steps)
         return mpo_ops.from_dense(powered, m_base.n, m_base.d), 0.0
     return mpo_ops.power(m_base, steps, policy, max_bond=max_bond)
 

@@ -2,62 +2,200 @@
 Schatten-p norms.
 
 Everything here works on explicit d**n x d**n matrices and is only meant
-for system sizes below the dense cap.  Every eigendecomposition of a
-spec's Hamiltonian is :func:`eigensystem`, and a build's final error is
-measured by :func:`schatten_errors`.
+for system sizes below the dense cap.  Every eigendecomposition is
+:func:`decompose` (of a spec's Hamiltonian, :func:`eigensystem`), and a
+build's final error is measured by :func:`schatten_errors`.
+
+Every bundled model commutes with the global spin flip, the product of X
+on every site.  For qubits that is J, the reversal of the basis index
+i -> dim - 1 - i, so its Hamiltonian is centrosymmetric, H = JHJ, and
+splits exactly into two half-size Hermitian blocks: with
+Q = [[1, 1], [J, -J]] / sqrt(2),
+
+    H = [[A, B], [JBJ, JAJ]],    Q^H H Q = diag(A + BJ, A - BJ)
+
+(Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976); the sector
+method of Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  The split is
+detected on the matrix itself, never declared: :func:`decompose` takes it
+when the dimension is even and H = JHJ holds exactly, and any other
+matrix goes to ``np.linalg.eigh`` as it is.  A split eigensystem records
+which columns of its V belong to each half, so exponentials are formed by
+halves too (:func:`exp_of_eigensystem`).  :func:`schatten_errors`
+measures a difference, and :func:`dense_power` powers an operator, by the
+halves of its reflection-even part when the odd part is small enough.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DEFAULT_DENSE_CAP, DenseCapError, HamiltonianSpec, \
     dense_matrix  # DenseCapError is re-exported for callers of the oracle
 
-Eigensystem = tuple[np.ndarray, np.ndarray]  # (w, v) as np.linalg.eigh gives
+
+@dataclass(frozen=True, eq=False)
+class Eigensystem:
+    """H = v diag(w) v^H with ``w`` ascending, as ``np.linalg.eigh`` gives
+    it; unpacks as ``(w, v)``.
+
+    ``halves`` is set when H was split by the reflection J (see the module
+    docstring): the columns of ``v`` that hold the eigenvectors of A + BJ
+    and those of A - BJ.  With u+ and u- those eigenvectors, v is
+    [[u+, u-], [Ju+, -Ju-]] / sqrt(2) with its columns sorted by
+    eigenvalue, so the top rows of each half's columns are u+- / sqrt(2).
+    """
+
+    w: np.ndarray
+    v: np.ndarray
+    halves: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __iter__(self):
+        return iter((self.w, self.v))
+
+
+def _reflection_halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The blocks A + BJ and A - BJ of the reflection-even part
+    (x + JxJ)/2 = [[A, B], [JBJ, JAJ]] of ``x`` (even dimension), and the
+    Frobenius norm of its odd part (x - JxJ)/2.
+
+    The even part is Q diag(A + BJ, A - BJ) Q^H; for x = JxJ the blocks
+    are A + BJ and A - BJ of x itself, bit for bit, and the odd norm is 0.
+    """
+    m = len(x) // 2
+    top, low = x[:m], x[m:][::-1, ::-1]  # [A, B] and [JDJ, JCJ]
+    odd = float(np.linalg.norm(top - low)) / 2 ** 0.5
+    even = top + low
+    even /= 2
+    a, bj = even[:, :m], even[:, m:][:, ::-1]
+    return a + bj, a - bj, odd
+
+
+def _join_reflection_halves(x_plus: np.ndarray,
+                           x_minus: np.ndarray) -> np.ndarray:
+    """Q diag(x_plus, x_minus) Q^H = [[S, DJ], [JD, JSJ]] with
+    S = (x_plus + x_minus)/2 and D = (x_plus - x_minus)/2, formed in the
+    result's own blocks."""
+    m = len(x_plus)
+    out = np.empty((2 * m, 2 * m), dtype=np.result_type(x_plus, x_minus))
+    s, d = out[:m, :m], out[m:, :m][::-1]  # S, and JD seen row-reversed
+    np.add(x_plus, x_minus, out=s)
+    np.subtract(x_plus, x_minus, out=d)
+    out[:m] /= 2
+    out[m:, :m] /= 2
+    out[:m, m:] = d[:, ::-1]
+    out[m:, m:] = s[::-1, ::-1]
+    return out
+
+
+def decompose(h: np.ndarray) -> Eigensystem:
+    """Eigensystem of the Hermitian matrix ``h``; the package's one
+    eigendecomposition.
+
+    When the dimension is even and h = JhJ holds exactly, the two
+    half-size blocks of :func:`_reflection_halves` are decomposed instead
+    (a quarter of the ``eigh`` flops), and their eigenvectors are written
+    straight into the ascending columns of one V; ``h`` itself is
+    released first when the caller holds no reference to it.  Any other
+    matrix goes to ``np.linalg.eigh`` unchanged.
+    """
+    dim = len(h)
+    if dim % 2 or not np.array_equal(h, h[::-1, ::-1]):
+        return Eigensystem(*np.linalg.eigh(h))
+    m = dim // 2
+    plus, minus, _ = _reflection_halves(h)
+    del h
+    (w_plus, u_plus), (w_minus, u_minus) = (np.linalg.eigh(x)
+                                            for x in (plus, minus))
+    del plus, minus
+    w = np.concatenate((w_plus, w_minus))
+    order = np.argsort(w, kind="stable")
+    col = np.empty_like(order)
+    col[order] = np.arange(dim)  # the sorted column of each half's vector
+    halves = (col[:m], col[m:])
+    v = np.empty((dim, dim), dtype=np.result_type(u_plus, u_minus))
+    for cols, u, sign in zip(halves, (u_plus, u_minus), (1.0, -1.0)):
+        u *= 2 ** -0.5
+        v[:m, cols] = u
+        u *= sign
+        v[m:, cols] = u[::-1]
+    return Eigensystem(w[order], v, halves)
 
 
 def eigensystem(spec: HamiltonianSpec,
                 cap: int = DEFAULT_DENSE_CAP) -> Eigensystem:
-    """Eigensystem of the spec's dense Hamiltonian; raises
-    :class:`DenseCapError` beyond ``cap`` states."""
-    return np.linalg.eigh(dense_matrix(spec, cap=cap))
+    """Eigensystem of the spec's dense Hamiltonian by :func:`decompose`;
+    raises :class:`DenseCapError` beyond ``cap`` states."""
+    return decompose(dense_matrix(spec, cap=cap))
 
 
-def exp_of_eigensystem(w: np.ndarray, v: np.ndarray,
-                       factor: complex) -> np.ndarray:
-    """exp(factor * H) from H = v diag(w) v^H, as ``np.linalg.eigh`` gives.
-
-    One eigenbasis serves both real and imaginary factors, so thermal and
-    real-time propagators share this path.  A real H takes a real ``eigh``;
-    its eigenvectors are real whatever the factor, and the result is real
-    when the factor is.
-    """
+def _exp(w: np.ndarray, v: np.ndarray, factor: complex) -> np.ndarray:
     return (v * np.exp(factor * w)) @ v.conj().T
 
 
-def exp_with_spectrum(w: np.ndarray, v: np.ndarray,
+def exp_of_eigensystem(eig: Eigensystem, factor: complex) -> np.ndarray:
+    """exp(factor * H) from H's :class:`Eigensystem`.
+
+    A split eigensystem forms X+- = u+- e^{factor w+-} u+-^H from the top
+    rows of each half's columns and joins them
+    (:func:`_join_reflection_halves`): two half-size products in place of
+    one full-size one.  One eigenbasis serves both real and imaginary
+    factors, so thermal and real-time propagators share this path.  A real
+    H takes a real ``eigh``; its eigenvectors are real whatever the
+    factor, and the result is real when the factor is.
+    """
+    if eig.halves is None:
+        return _exp(eig.w, eig.v, factor)
+    top = eig.v[:len(eig.w) // 2]  # u+- / sqrt(2) in each half's columns
+    out = _join_reflection_halves(*(_exp(eig.w[cols], top[:, cols], factor)
+                                   for cols in eig.halves))
+    out *= 2
+    return out
+
+
+def exp_with_spectrum(eig: Eigensystem,
                       factor: complex) -> tuple[np.ndarray, np.ndarray]:
-    """exp(factor * H) for H = v diag(w) v^H and its singular values.
+    """exp(factor * H) from H's :class:`Eigensystem`, and its singular
+    values.
 
     The singular values of V diag(e^{factor*w}) V^H are |e^{factor*w}|
     (e^{-beta*w} on a thermal step, ones on a real-time one), returned in
     descending order without an SVD.
     """
-    return (exp_of_eigensystem(w, v, factor),
-            np.sort(np.abs(np.exp(factor * w)))[::-1])
+    return (exp_of_eigensystem(eig, factor),
+            np.sort(np.abs(np.exp(factor * eig.w)))[::-1])
 
 
 def dense_exp(ham: np.ndarray, factor: complex) -> np.ndarray:
-    """exp(factor * ham) for Hermitian ham via eigendecomposition; see
+    """exp(factor * ham) for Hermitian ham via :func:`decompose`; see
     :func:`exp_of_eigensystem`."""
-    return exp_of_eigensystem(*np.linalg.eigh(ham), factor)
+    return exp_of_eigensystem(decompose(ham), factor)
+
+
+def dense_power(m: np.ndarray, steps: int) -> np.ndarray:
+    """m^steps, by reflection halves when m's odd part is roundoff.
+
+    An operator built from a spin-flip symmetric Hamiltonian is even,
+    m = JmJ, up to roundoff (||m - JmJ||_F about 1e-15 ||m||_F on every
+    bundled model).  When ||m - JmJ||_F <= 1e-13 ||m||_F the halves of its
+    even part are powered and joined, two half-size powers in place of
+    one full-size one; any other m is powered whole.
+    """
+    if len(m) % 2 == 0:
+        plus, minus, odd = _reflection_halves(m)  # odd: ||m - JmJ||_F / 2
+        if 2.0 * odd <= 1e-13 * np.linalg.norm(m):
+            return _join_reflection_halves(
+                np.linalg.matrix_power(plus, steps),
+                np.linalg.matrix_power(minus, steps))
+        del plus, minus
+    return np.linalg.matrix_power(m, steps)
 
 
 def gibbs_dense(spec: HamiltonianSpec, beta: complex,
                 cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Unnormalized thermal operator exp(-beta * H); normalization is separate."""
-    return exp_of_eigensystem(*eigensystem(spec, cap), -beta)
+    return exp_of_eigensystem(eigensystem(spec, cap), -beta)
 
 
 def schatten_norm(op: np.ndarray, p: float) -> float:
@@ -106,19 +244,33 @@ def schatten_errors(reference: np.ndarray, ref_sv: np.ndarray,
 
     ``ref_sv`` are the reference's singular values in descending order, as
     :func:`exp_with_spectrum` gives them.  The difference D is written into
-    ``approx``, which is consumed.  When its anti-Hermitian part A obeys
-    ||A||_F <= 1e-12 ||ref||_inf and sqrt(dim) ||A||_F <= 1e-12 ||ref||_1,
-    D is measured by ``eigvalsh`` of its Hermitian part, every ratio then
-    within 1e-12 of an SVD's (Weyl); any other difference takes the SVD.
+    ``approx``, which is consumed.  Write D = E + O + A with A its
+    anti-Hermitian part and O the reflection-odd part (of even dimension)
+    of its Hermitian part (see the module docstring).  When r = ||A||_F
+    obeys r <= 1e-12 ||ref||_inf and sqrt(dim) r <= 1e-12 ||ref||_1, D is
+    measured by ``eigvalsh`` of its Hermitian part; when r = ||A||_F +
+    ||O||_F does, by ``eigvalsh`` of the two half-size blocks of E.  Either
+    way every ratio is then within 1e-12 of an SVD's (Weyl); any other
+    difference takes the SVD.
     """
     # a real approx of a complex reference (the real MPO of a zero
     # Hamiltonian's real-time step) is promoted; otherwise no copy
     approx = approx.astype(np.result_type(reference, approx), copy=False)
     diff = np.subtract(reference, approx, out=approx)
+    floor = 1e-12 * min(ref_sv[0], ref_sv.sum() / len(diff) ** 0.5)
     asym = np.linalg.norm(diff - diff.conj().T) / 2.0
-    if asym <= 1e-12 * min(ref_sv[0], ref_sv.sum() / len(diff) ** 0.5):
+    if asym <= floor:
         diff += diff.conj().T  # twice the Hermitian part, in place
-        diff_sv = np.sort(np.abs(np.linalg.eigvalsh(diff)))[::-1] / 2.0
+        eigs = None
+        if len(diff) % 2 == 0:
+            plus, minus, odd = _reflection_halves(diff)  # odd: 2 ||O||_F
+            if asym + odd / 2.0 <= floor:
+                eigs = np.concatenate([np.linalg.eigvalsh(x)
+                                       for x in (plus, minus)])
+            del plus, minus
+        if eigs is None:
+            eigs = np.linalg.eigvalsh(diff)
+        diff_sv = np.sort(np.abs(eigs))[::-1] / 2.0
     else:
         diff_sv = np.linalg.svd(diff, compute_uv=False)
     return {key: schatten_from_spectrum(diff_sv, p)
@@ -128,6 +280,5 @@ def schatten_errors(reference: np.ndarray, ref_sv: np.ndarray,
 
 def partition_function(spec: HamiltonianSpec, beta: float,
                        cap: int = DEFAULT_DENSE_CAP) -> float:
-    """tr exp(-beta * H) from the eigenvalues."""
-    w = np.linalg.eigvalsh(dense_matrix(spec, cap=cap))
-    return float(np.sum(np.exp(-beta * w)))
+    """tr exp(-beta * H) from the eigenvalues of :func:`eigensystem`."""
+    return float(np.sum(np.exp(-beta * eigensystem(spec, cap).w)))

@@ -218,18 +218,24 @@ def read_rows(path):
 
 def test_sweep_order_rows_within_bound(tmp_path, monkeypatch):
     import numpy as np
-    from gibbsmpo import verify
+    from gibbsmpo import oracle, verify
     from gibbsmpo.model import power_law_ising
     cfg = write_config(tmp_path, {
         "format": 1,
         "model": {"name": "power_law_ising", "n": 6, "alpha": 3.0},
         "sweep": {"kind": "order", "orders": [2, 4, 6]}})
     out = tmp_path / "sw"
-    eighs = []
-    real = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda h: eighs.append(h) or real(h))
+    decomposed, eighs = [], []
+    real, real_decompose = np.linalg.eigh, oracle.decompose
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: eighs.append(len(h)) or real(h))
+    monkeypatch.setattr(oracle, "decompose",
+                        lambda h: decomposed.append(len(h)) or real_decompose(h))
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    assert len(eighs) == 3  # one H_AB, H_A, H_B for the whole sweep
+    # one H_AB, H_A, H_B for the whole sweep, each spin-flip symmetric and
+    # decomposed as two half-size eigh
+    assert decomposed == [64, 8, 8]
+    assert eighs == [32, 32, 4, 4, 4, 4]
     rows = read_rows(out / "sweep.jsonl")
     assert len(rows) == 3
     assert all(r["within_bound"] for r in rows)
@@ -397,6 +403,22 @@ def test_bundled_configs_are_valid():
             warnings.simplefilter("ignore")
             spec = spec_from_config(cfg["model"])
         assert spec.n >= 2
+
+
+def test_bundled_steps_sweeps_are_within_bound(tmp_path):
+    # a steps row predicts the composed error, kernel replacement included,
+    # so every bundled steps sweep measures within it on every row
+    from pathlib import Path
+    cfg_dir = Path(__file__).resolve().parents[1] / "configs"
+    paths = [p for p in sorted(cfg_dir.glob("sweep_*.json"))
+             if json.loads(p.read_text())["sweep"]["kind"] == "steps"]
+    assert paths
+    for path in paths:
+        out = tmp_path / path.stem
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) \
+            == EXIT_OK
+        rows = read_rows(out / "sweep.jsonl")
+        assert rows and all(r["within_bound"] is True for r in rows), rows
 
 
 def test_bundled_demo_build_runs(tmp_path):

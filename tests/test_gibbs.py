@@ -32,13 +32,14 @@ from gibbsmpo.model import (
     nearest_neighbor_ising,
     power_law_heisenberg,
     power_law_ising,
+    power_law_pairwise,
     restrict,
     spec_from_config,
 )
 from gibbsmpo import mpo as mpo_module
 from gibbsmpo.mpo import DEFAULT_MAX_BOND, BondCapError, CompressionPolicy
-from gibbsmpo.oracle import DEFAULT_DENSE_CAP, dense_exp, partition_function, \
-    relative_error
+from gibbsmpo.oracle import DEFAULT_DENSE_CAP, dense_exp, eigensystem, \
+    partition_function, relative_error
 from gibbsmpo.verify import base_step
 
 
@@ -235,18 +236,22 @@ def test_merge_layer_eigendecomposes_only_joined_blocks(monkeypatch):
     # a dense merge reads its halves' eigensystems from their blocks,
     # decomposes only the joined block and drops the halves' dense payload;
     # a block passing through is the same record in the next layer, payload
-    # kept.  n=5: (1,2)(3,4)(5) -> (1..4)(5) -> (1..5)
+    # kept.  n=5: (1,2)(3,4)(5) -> (1..4)(5) -> (1..5).  The joined block
+    # is spin-flip symmetric: its one decomposition is two half-size eigh
     spec = chain(5)
     beta0 = window(spec)
     layer = leaf_ops(spec, beta0)
     eighs = []
-    _count_calls(monkeypatch, np.linalg, "eigh", eighs)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: eighs.append(len(h)) or eigh(h))
     for joined in (Interval(1, 4), Interval(1, 5)):
         eighs.clear()
         nxt, _ = merge_layer(layer, spec, beta0, 3)
-        assert len(eighs) == 1
+        assert eighs == [2 ** len(joined) // 2] * 2
         assert nxt[0].interval == joined
-        want = np.linalg.eigh(dense_matrix(restrict(spec, joined)))
+        want = eigensystem(restrict(spec, joined))
+        assert nxt[0].eig.halves is not None
         for got, ref in zip(nxt[0].eig, want):
             assert np.array_equal(got, ref)
         assert all(b.dense is None and b.eig is None for b in layer[:2])
@@ -305,9 +310,10 @@ def test_lossy_report_counts_every_product_weight(monkeypatch):
 
 def test_lossy_build_eigendecomposes_each_block_once(monkeypatch):
     # a lossy in-cap merge reads its halves' eigensystems from the blocks
-    # and each layer's reference reads the blocks' own: one eigh per block
-    # plus the power-law reference (17 when each lossy merge computed all
-    # three and each measured layer its MPO blocks' again)
+    # and each layer's reference reads the blocks' own: one decomposition
+    # per block plus the power-law reference (17 when each lossy merge
+    # computed all three and each measured layer its MPO blocks' again),
+    # each spin-flip symmetric and so two half-size eigh
     sizes = []
     eigh = np.linalg.eigh
 
@@ -321,7 +327,7 @@ def test_lossy_build_eigendecomposes_each_block_once(monkeypatch):
                                 CompressionPolicy.parse("tol=1e-10"))
     assert report.engine == "mpo" and report.budget.two_local_path
     assert len(report.per_layer_error) == 3  # every layer measured
-    assert sizes == [4, 4, 4, 4, 16, 16, 256, 256]
+    assert sizes == [2] * 8 + [8] * 4 + [128] * 4
 
 
 @pytest.mark.parametrize("policy, dense_cap", [
@@ -432,34 +438,39 @@ def test_dense_build_eigendecomposes_each_hamiltonian_once(monkeypatch):
     # its halves' eigensystems from their blocks, and the final reference's
     # singular values come from its eigenvalues.  n=9 adds a trailing leaf
     # that passes through two layers, keeping its eigensystem: 5 leaves,
-    # 2 + 1 + 1 joined blocks, and 3 + 2 + 1 layer references.
+    # 2 + 1 + 1 joined blocks, and 3 + 2 + 1 layer references.  Every
+    # Hamiltonian is spin-flip symmetric, so each decomposition is two
+    # half-size eigh.
     import gibbsmpo.gibbs as gibbs_mod
     import gibbsmpo.merge as merge_mod
     import gibbsmpo.oracle as oracle_mod
 
-    eighs, block_exps, dense_matrices = [], [], []
+    eighs, decompositions, block_exps, dense_matrices = [], [], [], []
     _count_calls(monkeypatch, np.linalg, "eigh", eighs)
+    _count_calls(monkeypatch, oracle_mod, "decompose", decompositions)
     _count_calls(monkeypatch, gibbs_mod, "exp_of_eigensystem", block_exps)
     # every Hamiltonian a build decomposes is built by oracle.eigensystem
     _count_calls(monkeypatch, oracle_mod, "dense_matrix", dense_matrices)
     _count_calls(monkeypatch, merge_mod, "dense_matrix", dense_matrices)
-    # (n, eigh, exp_of_eigensystem, dense_matrix); the merges build no
-    # dense Hamiltonian (n=8 read 14 when each merge built its own H_AB
-    # and H_A + H_B)
-    for n, n_eigh, n_exp, n_dense in ((8, 8, 7, 8), (9, 10, 11, 10)):
-        for calls in (eighs, block_exps, dense_matrices):
+    # (n, decompositions, exp_of_eigensystem, dense_matrix); the merges
+    # build no dense Hamiltonian (n=8 read 14 when each merge built its own
+    # H_AB and H_A + H_B)
+    for n, n_eig, n_exp, n_dense in ((8, 8, 7, 8), (9, 10, 11, 10)):
+        for calls in (eighs, decompositions, block_exps, dense_matrices):
             calls.clear()
         spec = chain(n)
         _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
         assert report.engine == "dense" and report.per_layer_error[0] == 0.0
-        assert len(eighs) == n_eigh
+        assert len(decompositions) == n_eig
+        assert len(eighs) == 2 * n_eig
         assert len(block_exps) == n_exp
         assert len(dense_matrices) == n_dense
 
 
 def test_generic_build_eigendecomposes_the_chain_once(monkeypatch):
     # without a surrogate Hamiltonian the final reference is built from the
-    # top block's eigensystem, which the last merge already computed
+    # top block's eigensystem, which the last merge already computed; each
+    # spin-flip symmetric decomposition is two half-size eigh
     sizes = []
     eigh = np.linalg.eigh
 
@@ -472,7 +483,7 @@ def test_generic_build_eigendecomposes_the_chain_once(monkeypatch):
     _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
     assert not report.budget.two_local_path and report.engine == "dense"
     assert report.measured
-    assert sizes == [4, 4, 4, 4, 16, 16, 256]
+    assert sizes == [2] * 8 + [8] * 4 + [128] * 2
 
 
 @pytest.mark.parametrize("case", ["dense_n9", "lossy_tfi_a3"])
@@ -859,3 +870,27 @@ def test_thermal_build_of_real_model_is_real(kwargs):
 def test_real_time_build_is_complex():
     m, _ = build_real_time_mpo(chain(4), 0.25, 1e-2)
     assert all(c.dtype == np.complex128 for c in m.cores)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_dense_power_step_by_halves_matches_matrix_power(monkeypatch,
+                                                         symmetric):
+    # a spin-flip even merged operator is powered as two half-size matrix
+    # powers, any other whole; both agree with matrix_power to 1e-12
+    from gibbsmpo.gibbs import _power_step
+    fields = [("X", 0.5)] if symmetric else [("X", 0.5), ("Z", 0.2)]
+    spec = power_law_pairwise(6, 3.0, [("Z", "Z", 1.0)], fields=fields)
+    op = dense_exp(dense_matrix(spec), -0.05)
+    m_base = mpo_module.from_dense(op, spec.n, spec.d)
+    want = np.linalg.matrix_power(m_base.densify(), 5)
+    sizes = []
+    real = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda a, q: sizes.append(len(a)) or real(a, q))
+    powered, discarded = _power_step(m_base, 5, CompressionPolicy(),
+                                     DEFAULT_DENSE_CAP, DEFAULT_MAX_BOND)
+    monkeypatch.undo()
+    assert discarded == 0.0
+    assert sizes == ([32, 32] if symmetric else [64])
+    got = powered.densify()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

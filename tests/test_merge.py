@@ -327,8 +327,9 @@ def test_certify_with_given_spectra_is_the_same_report(monkeypatch,
 
 
 def test_order_sweep_shares_one_set_of_eigensystems(monkeypatch):
-    # H_AB, H_A and H_B do not depend on the order: three eigh per sweep,
-    # and every row is the one a standalone measurement gives
+    # H_AB, H_A and H_B do not depend on the order: three decompositions
+    # per sweep, each spin-flip symmetric and so two half-size eigh, and
+    # every row is the one a standalone measurement gives
     from gibbsmpo import verify
     spec = chain(8)
     orders = range(2, 9)
@@ -337,7 +338,7 @@ def test_order_sweep_shares_one_set_of_eigensystems(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda h: eighs.append(h.shape) or real(h))
     rows = verify.check_merge_truncation_sweep(spec, orders)["details"]["rows"]
-    assert sorted(eighs) == [(16, 16), (16, 16), (256, 256)]
+    assert sorted(eighs) == [(8, 8)] * 4 + [(128, 128)] * 2
     monkeypatch.undo()
     for order, row in zip(orders, rows):
         ms = half_merge(spec, verify.base_step(spec), order)

@@ -11,10 +11,13 @@ from gibbsmpo.model import (
     dense_matrix,
     power_law_heisenberg,
     power_law_ising,
+    power_law_pairwise,
 )
 from gibbsmpo.oracle import (
+    Eigensystem,
     dense_exp,
     eigensystem,
+    exp_of_eigensystem,
     exp_with_spectrum,
     gibbs_dense,
     partition_function,
@@ -164,7 +167,7 @@ def test_reference_spectrum_matches_svd(factor):
     # thermal: e^{-beta*w}, sorted; real time: ones.  The SVD resolves each
     # singular value to about eps times the largest, so compare on that scale.
     ham = dense_matrix(power_law_ising(6, 3.0))
-    op, sv = exp_with_spectrum(*np.linalg.eigh(ham), factor)
+    op, sv = exp_with_spectrum(Eigensystem(*np.linalg.eigh(ham)), factor)
     want = np.linalg.svd(op, compute_uv=False)
     assert np.all(np.diff(sv) <= 0.0)
     assert np.abs(sv - want).max() <= 1e-13 * want[0]
@@ -179,10 +182,22 @@ def test_partition_function_real_path():
         float(np.sum(np.exp(-0.6 * w))), rel=1e-13)
 
 
-def test_eigensystem_is_eigh_of_the_dense_hamiltonian():
+def test_eigensystem_is_eigh_of_the_dense_hamiltonian(monkeypatch):
+    # the spin-flip symmetric Heisenberg chain is decomposed as two
+    # half-size eigh; the eigensystem is the full one's to 1e-12
     spec = power_law_heisenberg(5, 3.0)
-    for got, want in zip(eigensystem(spec), np.linalg.eigh(dense_matrix(spec))):
-        assert np.array_equal(got, want)
+    ham = dense_matrix(spec)
+    eighs = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: eighs.append(len(h)) or real(h))
+    w, v = eigensystem(spec)
+    monkeypatch.undo()
+    assert eighs == [16, 16]
+    scale = np.abs(np.linalg.eigvalsh(ham)).max()
+    assert np.abs(w - np.linalg.eigvalsh(ham)).max() <= 1e-12 * scale
+    assert np.abs(ham @ v - v * w).max() <= 1e-12 * scale
+    assert np.abs(v.conj().T @ v - np.eye(32)).max() <= 1e-12
     from gibbsmpo.model import DenseCapError
     with pytest.raises(DenseCapError):
         eigensystem(spec, cap=16)
@@ -194,7 +209,7 @@ def test_schatten_errors_match_relative_error(hermitian):
     # other) both agree with relative_error's SVD at every reported order,
     # and the difference is written into the approximation's buffer
     w, v = np.linalg.eigh(dense_matrix(power_law_ising(5, 3.0)))
-    reference, ref_sv = exp_with_spectrum(w, v, -0.8)
+    reference, ref_sv = exp_with_spectrum(Eigensystem(w, v), -0.8)
     pert = RNG.standard_normal(reference.shape)
     if hermitian:
         pert = pert + pert.T
@@ -209,3 +224,80 @@ def test_schatten_errors_match_relative_error(hermitian):
         assert np.allclose(approx, 2 * (reference - kept), rtol=0, atol=1e-15)
     else:
         assert np.array_equal(approx, reference - kept)
+
+
+def yz_chain(n):
+    """A complex centrosymmetric Hamiltonian: Y Z on neighbours plus an X
+    field, both even under the global spin flip."""
+    terms = [LocalTerm((i, i + 1), 1.0, ("Y", "Z")) for i in range(1, n)]
+    terms += [LocalTerm((i,), 0.7, ("X",)) for i in range(1, n + 1)]
+    return HamiltonianSpec(n=n, d=2, k=2, terms=tuple(terms))
+
+
+def record_sizes(monkeypatch, name):
+    sizes = []
+    real = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name,
+                        lambda h: sizes.append(len(h)) or real(h))
+    return sizes
+
+
+@pytest.mark.parametrize("spec, is_complex",
+                         [(power_law_ising(6, 3.0), False), (yz_chain(6), True)],
+                         ids=["real", "complex"])
+def test_split_eigensystem_matches_eigh(monkeypatch, spec, is_complex):
+    # a spin-flip symmetric H is decomposed by halves: w ascending and equal
+    # to eigh's, V orthonormal, H V = V diag(w), all to 1e-12
+    ham = dense_matrix(spec)
+    assert np.iscomplexobj(ham) == is_complex
+    sizes = record_sizes(monkeypatch, "eigh")
+    eig = eigensystem(spec)
+    monkeypatch.undo()
+    assert sizes == [32, 32] and eig.halves is not None
+    w, v = eig
+    want = np.linalg.eigvalsh(ham)
+    scale = np.abs(want).max()
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.abs(w - want).max() <= 1e-12 * scale
+    assert np.abs(v.conj().T @ v - np.eye(64)).max() <= 1e-12
+    assert np.abs(ham @ v - v * w).max() <= 1e-12 * scale
+    # the exponential by halves is the full eigenbasis's
+    full = Eigensystem(*np.linalg.eigh(ham))
+    for factor in (-0.7, -0.7j):
+        got = exp_of_eigensystem(eig, factor)
+        ref = exp_of_eigensystem(full, factor)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_asymmetric_eigensystem_is_eigh_bit_for_bit(monkeypatch):
+    # a Z field breaks the spin flip: one full-size eigh, unchanged
+    spec = power_law_pairwise(6, 3.0, [("Z", "Z", 1.0)],
+                              fields=[("X", 0.5), ("Z", 0.2)])
+    ham = dense_matrix(spec)
+    sizes = record_sizes(monkeypatch, "eigh")
+    eig = eigensystem(spec)
+    monkeypatch.undo()
+    assert sizes == [64] and eig.halves is None
+    for got, want in zip(eig, np.linalg.eigh(ham)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("even", [True, False])
+def test_schatten_errors_by_halves_match_svd(monkeypatch, even):
+    # a Hermitian difference with no reflection-odd part is measured by
+    # two half-size eigvalsh, one with an odd part by the full-size one;
+    # both within 1e-12 of the SVD's ratios
+    reference, ref_sv = exp_with_spectrum(eigensystem(power_law_ising(6, 3.0)),
+                                          -0.8)
+    pert = RNG.standard_normal(reference.shape)
+    pert = pert + pert.T
+    if even:
+        pert = pert + pert[::-1, ::-1]
+    approx = reference + 1e-3 * pert
+    kept = approx.copy()
+    sizes = record_sizes(monkeypatch, "eigvalsh")
+    got = schatten_errors(reference, ref_sv, approx)
+    monkeypatch.undo()
+    assert sizes == ([32, 32] if even else [64])
+    for key, p in (("p1", 1), ("p2", 2), ("pinf", np.inf)):
+        assert abs(got[key] - relative_error(reference, kept, p)) <= 1e-12
