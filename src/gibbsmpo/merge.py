@@ -31,16 +31,24 @@ with M = U^H (U_A (x) U_B) and Z_{i,(p,q)} = b0 (a_p + b_q - d_i),
 the divided-difference form of a function of two matrices (Higham,
 Functions of Matrices, SIAM 2008, ch. 3).  The exact Psi is the same with
 expm1.  It costs three eigendecompositions (a build already holds them)
-plus one full product, two with the halves' eigenvectors and m0
-elementwise Horner steps, whatever the order.  The individual order terms
-come from a two-product-per-order recurrence instead, which keeps each
-to full relative precision.  The MPO assembly applies Horner's rule in
+plus m0 elementwise Horner steps, whatever the order, and its products.
+When all three Hamiltonians are split by the spin flip J (see
+:mod:`~gibbsmpo.oracle`), J = J_A (x) J_B makes M block-diagonal by
+parity, so M, Z, the Horner steps and the products run on the two
+half-size sectors (:func:`_sectors`): per sector one half-size product
+with its eigenvectors and two with each of its two column blocks' factors,
+in place of one full product and two with the halves' full eigenvectors.
+The sectors are joined in the end, and an unsplit triple is the one
+sector of the full eigensystems.  The individual order terms come from a
+two-product-per-order recurrence instead, which keeps each to full
+relative precision.  The MPO assembly applies Horner's rule in
 H_AB, which keeps its exact bonds far below those of the order-term
 recurrence, and returns the weight its truncations discard.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,7 +56,7 @@ import numpy as np
 
 from .model import HamiltonianSpec, Interval, dense_matrix, \
     extensivity_constant, restrict
-from .oracle import Eigensystem, eigensystem
+from .oracle import Eigensystem, _join_reflection_halves, eigensystem
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, BondCapError, CompressionPolicy, \
     hamiltonian_mpo
@@ -161,23 +169,54 @@ def merge_spectra(ms: MergeOperatorSpec) -> tuple[Eigensystem, ...]:
 
 def _kron_right(x: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     """x @ (ua (x) ub) as two products with the factors, never forming the
-    Kronecker product."""
+    Kronecker product; the factors may be rectangular."""
     rows, na, nb = x.shape[0], ua.shape[0], ub.shape[0]
-    y = (x.reshape(rows * na, nb) @ ub).reshape(rows, na, nb)
-    return np.matmul(ua.T, y).reshape(rows, na * nb)
+    y = (x.reshape(rows * na, nb) @ ub).reshape(rows, na, ub.shape[1])
+    return np.matmul(ua.T, y).reshape(rows, ua.shape[1] * ub.shape[1])
 
 
-def _eigenbasis_kernel(spectra, beta0: complex):
-    """M = U^H (U_A (x) U_B) and Z_{i,(p,q)} = b0 (a_p + b_q - d_i).
+def _sectors(spectra):
+    """The spin-flip sectors of the merge kernel, as (d, u, blocks) with
+    blocks a list of column blocks (a, ua, b, ub).
+
+    With J = J_A (x) J_B, M = U^H (U_A (x) U_B) is block-diagonal by
+    parity when all three eigensystems are split (see
+    :class:`~gibbsmpo.oracle.Eigensystem`): joined sector s meets only the
+    columns (A sa) (x) (B sb) with sa xor sb = s.  In reflection
+    coordinates (the top half of the rows) a sector's eigenvectors are
+    sqrt(2) times the top rows of its columns of V, for H_AB and for H_A,
+    and H_B's keep their full columns.  Here u is twice H_AB's top rows and
+    ua H_A's top rows, which carries the same two factors of sqrt(2)
+    exactly.  An unsplit triple is the one sector of the full
+    eigensystems.
+    """
+    joined, left, right = spectra
+    if joined.halves is None or left.halves is None or right.halves is None:
+        (d, u), (a, ua), (b, ub) = spectra
+        return [(d, u, [(a, ua, b, ub)])]
+    top = joined.v[:len(joined.w) // 2]
+    top_a = left.v[:len(left.w) // 2]
+    return [(joined.w[cols], 2 * top[:, cols],
+             [(left.w[left.halves[sa]], top_a[:, left.halves[sa]],
+               right.w[right.halves[sa ^ s]], right.v[:, right.halves[sa ^ s]])
+              for sa in (0, 1)])
+            for s, cols in enumerate(joined.halves)]
+
+
+def _eigenbasis_kernel(sector, beta0: complex):
+    """M = U^H (U_A (x) U_B) and Z_{i,(p,q)} = b0 (a_p + b_q - d_i) of one
+    sector of :func:`_sectors`, its column blocks side by side.
 
     H_AB = U diag(d) U^H, and H_A + H_B has eigenvectors U_A (x) U_B with
     eigenvalues a_p + b_q.  In these bases the double sum over
     s1 + s2 <= m0 of (-b0 d_i)^s1/s1! (b0 (a_p + b_q))^s2/s2! is, by the
     binomial theorem, 1 + phi_m0(Z), and the exact product is e^Z.
     """
-    (d, u), (a, ua), (b, ub) = spectra
-    z = np.add.outer(-beta0 * d, beta0 * np.add.outer(a, b).ravel())
-    return _kron_right(u.conj().T, ua, ub), z
+    d, u, blocks = sector
+    m = [_kron_right(u.conj().T, ua, ub) for _, ua, _, ub in blocks]
+    z = np.add.outer(-beta0 * d, beta0 * np.concatenate(
+        [np.add.outer(a, b).ravel() for a, _, b, _ in blocks]))
+    return (m[0] if len(m) == 1 else np.concatenate(m, axis=1)), z
 
 
 def _expm1_taylor(z: np.ndarray, order: int) -> np.ndarray:
@@ -192,15 +231,27 @@ def _expm1_taylor(z: np.ndarray, order: int) -> np.ndarray:
 
 def _merge_from_eigenbasis(spectra, beta0: complex, f) -> np.ndarray:
     """1 + U (M o f(Z)) (U_A (x) U_B)^H for f = phi_m0 (the truncated merge)
-    or expm1 (the exact one); see :func:`_eigenbasis_kernel`.  One full
-    product and two with the halves' eigenvectors."""
-    (_, u), (_, ua), (_, ub) = spectra
-    m, z = _eigenbasis_kernel(spectra, beta0)
-    weights = m * f(z)
-    del m, z  # free before the products
-    out = u @ _kron_right(weights, ua.conj().T, ub.conj().T)
-    out.flat[::out.shape[0] + 1] += 1
-    return out
+    or expm1 (the exact one); see :func:`_eigenbasis_kernel`.  Per sector
+    one product with its eigenvectors and two with each column block's
+    factors; two sectors are joined by
+    :func:`~gibbsmpo.oracle._join_reflection_halves`."""
+    halves = []
+    for sector in _sectors(spectra):
+        _, u, blocks = sector
+        m, z = _eigenbasis_kernel(sector, beta0)
+        weights = m * f(z)
+        del m, z  # free before the products
+        parts, start = [], 0
+        for _, ua, _, ub in blocks:
+            width = ua.shape[1] * ub.shape[1]
+            parts.append(_kron_right(weights[:, start:start + width],
+                                     ua.conj().T, ub.conj().T))
+            start += width
+        del weights
+        out = u @ functools.reduce(np.add, parts)
+        out.flat[::out.shape[0] + 1] += 1
+        halves.append(out)
+    return halves[0] if len(halves) == 1 else _join_reflection_halves(*halves)
 
 
 def _order_terms(h_ab: np.ndarray, h_a: np.ndarray, h_b: np.ndarray,
@@ -256,7 +307,8 @@ def merge_order_term_dense(ms: MergeOperatorSpec, m: int) -> np.ndarray:
 
 def truncation_error(ms: MergeOperatorSpec,
                      spectra: tuple[Eigensystem, ...] | None = None) -> float:
-    """Measured ||Psi - Psi~|| as ||M o (e^Z - (1 + phi_m0(Z)))||.
+    """Measured ||Psi - Psi~|| as ||M o (e^Z - (1 + phi_m0(Z)))||, the
+    largest of its sectors' spectral norms (:func:`_sectors`).
 
     Unitarily equivalent to the operator difference, and a difference of
     two O(1) kernels, so its floating-point floor stays visible.
@@ -266,9 +318,12 @@ def truncation_error(ms: MergeOperatorSpec,
     """
     if spectra is None:
         spectra = merge_spectra(ms)
-    m_basis, z = _eigenbasis_kernel(spectra, ms.beta0)
-    gap = np.exp(z) - (1 + _expm1_taylor(z, ms.order))
-    return float(np.linalg.norm(m_basis * gap, ord=2))
+    norms = []
+    for sector in _sectors(spectra):
+        m_basis, z = _eigenbasis_kernel(sector, ms.beta0)
+        gap = np.exp(z) - (1 + _expm1_taylor(z, ms.order))
+        norms.append(float(np.linalg.norm(m_basis * gap, ord=2)))
+    return max(norms)
 
 
 def order_term_norms(ms: MergeOperatorSpec, up_to: int) -> list[float]:

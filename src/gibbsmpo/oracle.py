@@ -18,11 +18,19 @@ Q = [[1, 1], [J, -J]] / sqrt(2),
 method of Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  The split is
 detected on the matrix itself, never declared: :func:`decompose` takes it
 when the dimension is even and H = JHJ holds exactly, and any other
-matrix goes to ``np.linalg.eigh`` as it is.  A split eigensystem records
-which columns of its V belong to each half, so exponentials are formed by
-halves too (:func:`exp_of_eigensystem`).  :func:`schatten_errors`
-measures a difference, and :func:`dense_power` powers an operator, by the
-halves of its reflection-even part when the odd part is small enough.
+matrix goes to ``np.linalg.eigh`` as it is.  What runs by halves:
+
+* eigensystems (:func:`decompose`) and, with no eigenvectors, the
+  eigenvalues of :func:`partition_function`;
+* exponentials (:func:`exp_of_eigensystem`): a split eigensystem records
+  which columns of its V belong to each half;
+* the dense merge operator, whose eigenbasis kernel runs by the sectors
+  of three split eigensystems (:mod:`~gibbsmpo.merge`);
+* the lossless product m (a (x) b) of a dense merge
+  (:func:`kron_product`), when all three factors are exactly even;
+* measurement (:func:`schatten_errors`) and powering
+  (:func:`dense_power`), by the halves of the reflection-even part when
+  the odd part is small enough.
 """
 
 from __future__ import annotations
@@ -82,11 +90,27 @@ def _join_reflection_halves(x_plus: np.ndarray,
     s, d = out[:m, :m], out[m:, :m][::-1]  # S, and JD seen row-reversed
     np.add(x_plus, x_minus, out=s)
     np.subtract(x_plus, x_minus, out=d)
-    out[:m] /= 2
-    out[m:, :m] /= 2
+    s /= 2
+    d /= 2
     out[:m, m:] = d[:, ::-1]
     out[m:, m:] = s[::-1, ::-1]
     return out
+
+
+def _is_even(x: np.ndarray) -> bool:
+    """True when ``x`` has even dimension and x = JxJ holds exactly (its
+    bottom rows are its top rows reversed): the test that decides every
+    split of this module that is not measured."""
+    m = len(x) // 2
+    return len(x) % 2 == 0 and np.array_equal(x[:m], x[m:][::-1, ::-1])
+
+
+def _even_halves(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A + BJ and A - BJ from the top rows [A, B] of an exactly even
+    matrix; the same as :func:`_reflection_halves` there, bit for bit."""
+    m = len(top)
+    a, bj = top[:, :m], top[:, m:][:, ::-1]
+    return a + bj, a - bj
 
 
 def decompose(h: np.ndarray) -> Eigensystem:
@@ -94,17 +118,17 @@ def decompose(h: np.ndarray) -> Eigensystem:
     eigendecomposition.
 
     When the dimension is even and h = JhJ holds exactly, the two
-    half-size blocks of :func:`_reflection_halves` are decomposed instead
+    half-size blocks A +- BJ (:func:`_even_halves`) are decomposed instead
     (a quarter of the ``eigh`` flops), and their eigenvectors are written
     straight into the ascending columns of one V; ``h`` itself is
     released first when the caller holds no reference to it.  Any other
     matrix goes to ``np.linalg.eigh`` unchanged.
     """
-    dim = len(h)
-    if dim % 2 or not np.array_equal(h, h[::-1, ::-1]):
+    if not _is_even(h):
         return Eigensystem(*np.linalg.eigh(h))
+    dim = len(h)
     m = dim // 2
-    plus, minus, _ = _reflection_halves(h)
+    plus, minus = _even_halves(h[:m])
     del h
     (w_plus, u_plus), (w_minus, u_minus) = (np.linalg.eigh(x)
                                             for x in (plus, minus))
@@ -190,6 +214,24 @@ def dense_power(m: np.ndarray, steps: int) -> np.ndarray:
                 np.linalg.matrix_power(minus, steps))
         del plus, minus
     return np.linalg.matrix_power(m, steps)
+
+
+def kron_product(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """m @ (a (x) b), by reflection halves when all three are exactly even.
+
+    J = J_a (x) J_b, so a (x) b is even too, and its top rows are
+    a's top rows (x) b; its halves a+ (x) bP+ + a- (x) bP- and
+    a+ (x) bP- + a- (x) bP+ (a+- the halves of a, bP+- = (b +- bJ)/2) are
+    read from those rows (:func:`_even_halves`).  Each is multiplied by
+    the same half of m and the two products are joined: neither the full
+    Kronecker product nor a full-size product is formed.  Any other
+    triple is multiplied whole.
+    """
+    if not (_is_even(m) and _is_even(a) and _is_even(b)):
+        return m @ np.kron(a, b)
+    return _join_reflection_halves(*(
+        x @ k for x, k in zip(_even_halves(m[:len(m) // 2]),
+                              _even_halves(np.kron(a[:len(a) // 2], b)))))
 
 
 def gibbs_dense(spec: HamiltonianSpec, beta: complex,
@@ -280,5 +322,13 @@ def schatten_errors(reference: np.ndarray, ref_sv: np.ndarray,
 
 def partition_function(spec: HamiltonianSpec, beta: float,
                        cap: int = DEFAULT_DENSE_CAP) -> float:
-    """tr exp(-beta * H) from the eigenvalues of :func:`eigensystem`."""
-    return float(np.sum(np.exp(-beta * eigensystem(spec, cap).w)))
+    """tr exp(-beta * H) from the eigenvalues of the spec's Hamiltonian
+    alone: ``eigvalsh`` of its two halves when it splits as in
+    :func:`decompose`, else of the whole matrix."""
+    h = dense_matrix(spec, cap=cap)
+    if _is_even(h):
+        w = np.concatenate([np.linalg.eigvalsh(x)
+                            for x in _even_halves(h[:len(h) // 2])])
+    else:
+        w = np.linalg.eigvalsh(h)
+    return float(np.sum(np.exp(-beta * np.sort(w))))

@@ -532,6 +532,45 @@ def test_in_build_merges_match_standalone_merges(monkeypatch):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("symmetric", [True, False], ids=["ising", "lfi"])
+def test_lossless_dense_merges_multiply_by_halves_when_even(monkeypatch,
+                                                            symmetric):
+    # every dense block of a spin-flip symmetric build (leaves and lossless
+    # merges alike) is exactly even, so each lossless product runs by
+    # reflection halves, within 1e-13 of dense @ kron(a.dense, b.dense);
+    # the thermal_lfi_a3 model (a Z field) takes that full product
+    import gibbsmpo.gibbs as gibbs_mod
+    from gibbsmpo.oracle import _is_even
+    spec = chain(9) if symmetric else power_law_pairwise(
+        8, 3.0, [("Z", "Z", 1.0)], fields=[("X", 0.5), ("Z", 0.2)])
+    merges = []
+    original = gibbs_mod.truncated_merge_dense
+
+    def recording(ms, spectra=None):
+        merges.append(original(ms, spectra=spectra))
+        return merges[-1]
+
+    monkeypatch.setattr(gibbs_mod, "truncated_merge_dense", recording)
+    beta0 = window(spec)
+    layer = leaf_ops(spec, beta0)
+    assert all(_is_even(b.dense) == symmetric for b in layer)
+    joined = 0
+    while len(layer) > 1:
+        pairs = [(a.dense, b.dense) for a, b in zip(layer[0::2], layer[1::2])]
+        merges.clear()
+        layer, _ = merge_layer(layer, spec, beta0, 10)
+        for psi, (xa, xb), block in zip(merges, pairs, layer):
+            want = psi @ np.kron(xa, xb)
+            assert _is_even(block.dense) == symmetric
+            if symmetric:
+                assert np.abs(block.dense - want).max() \
+                    <= 1e-13 * np.abs(want).max()
+            else:
+                assert np.array_equal(block.dense, want)
+        joined += len(merges)
+    assert joined == (4 if symmetric else 3)
+
+
 def test_measurement_reference_spectrum_matches_svd():
     # the reported errors are unchanged by reading the reference's singular
     # values from its eigenvalues, and a lossless thermal difference's from

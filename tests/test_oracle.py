@@ -15,11 +15,14 @@ from gibbsmpo.model import (
 )
 from gibbsmpo.oracle import (
     Eigensystem,
+    _join_reflection_halves,
+    _reflection_halves,
     dense_exp,
     eigensystem,
     exp_of_eigensystem,
     exp_with_spectrum,
     gibbs_dense,
+    kron_product,
     partition_function,
     relative_error,
     schatten_errors,
@@ -301,3 +304,66 @@ def test_schatten_errors_by_halves_match_svd(monkeypatch, even):
     assert sizes == ([32, 32] if even else [64])
     for key, p in (("p1", 1), ("p2", 2), ("pinf", np.inf)):
         assert abs(got[key] - relative_error(reference, kept, p)) <= 1e-12
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_partition_function_takes_eigenvalues_only(monkeypatch, symmetric):
+    # no eigenvectors: eigvalsh of the two halves of a spin-flip symmetric
+    # Hamiltonian, of the whole matrix otherwise, and never eigh
+    fields = [("X", 0.5)] if symmetric else [("X", 0.5), ("Z", 0.2)]
+    spec = power_law_pairwise(7, 3.0, [("Z", "Z", 1.0)], fields=fields)
+    want = float(np.sum(np.exp(-0.6 * np.linalg.eigvalsh(dense_matrix(spec)))))
+
+    def refuse(h):
+        raise AssertionError("partition_function called eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    sizes = record_sizes(monkeypatch, "eigvalsh")
+    got = partition_function(spec, 0.6)
+    assert sizes == ([64, 64] if symmetric else [128])
+    assert abs(got - want) <= 1e-12 * want
+
+
+def random_even(dim):
+    """A random real matrix with x = JxJ exactly."""
+    half = dim // 2
+    return _join_reflection_halves(RNG.standard_normal((half, half)),
+                                   RNG.standard_normal((half, half)))
+
+
+KRON_SHAPES = [(256, 2), (16, 16), (4, 8), (2, 2)]
+
+
+@pytest.mark.parametrize("na, nb", KRON_SHAPES)
+def test_kronecker_halves_identity(na, nb):
+    # with J = J_a (x) J_b, the halves of a (x) b are a+ (x) bP+ + a- (x) bP-
+    # and a+ (x) bP- + a- (x) bP+, where bP+- = (b +- bJ)/2
+    a, b = random_even(na), random_even(nb)
+    a_plus, a_minus, odd = _reflection_halves(a)
+    assert odd == 0.0
+    b_plus, b_minus = (b + b[:, ::-1]) / 2, (b - b[:, ::-1]) / 2
+    plus, minus, odd = _reflection_halves(np.kron(a, b))
+    assert odd == 0.0
+    scale = np.abs(a).max() * np.abs(b).max()
+    for got, want in ((np.kron(a_plus, b_plus) + np.kron(a_minus, b_minus),
+                       plus),
+                      (np.kron(a_plus, b_minus) + np.kron(a_minus, b_plus),
+                       minus)):
+        assert np.abs(got - want).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("na, nb", KRON_SHAPES)
+def test_kron_product_by_halves_matches_full_product(na, nb):
+    # three exactly even factors: an exactly even result within 1e-13 of
+    # m @ (a (x) b)
+    m, a, b = random_even(na * nb), random_even(na), random_even(nb)
+    want = m @ np.kron(a, b)
+    got = kron_product(m, a, b)
+    assert np.array_equal(got, got[::-1, ::-1])
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_kron_product_of_an_uneven_triple_is_the_full_product():
+    m, a, b = random_even(32), random_even(8), random_even(4)
+    a[0, 1] += 1e-3  # no longer even
+    assert np.array_equal(kron_product(m, a, b), m @ np.kron(a, b))
