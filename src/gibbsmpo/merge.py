@@ -38,7 +38,7 @@ parity, so M, Z, the Horner steps and the products run on the two
 half-size sectors (:func:`_sectors`): per sector one half-size product
 with its eigenvectors and two with each of its two column blocks' factors,
 in place of one full product and two with the halves' full eigenvectors.
-The sectors are joined in the end, and an unsplit triple is the one
+The sectors are joined in the end, and any other triple is the one
 sector of the full eigensystems.  The individual order terms come from a
 two-product-per-order recurrence instead, which keeps each to full
 relative precision.  The MPO assembly applies Horner's rule in
@@ -183,24 +183,21 @@ def _sectors(spectra):
     parity when all three eigensystems are split (see
     :class:`~gibbsmpo.oracle.Eigensystem`): joined sector s meets only the
     columns (A sa) (x) (B sb) with sa xor sb = s.  In reflection
-    coordinates (the top half of the rows) a sector's eigenvectors are
-    sqrt(2) times the top rows of its columns of V, for H_AB and for H_A,
-    and H_B's keep their full columns.  Here u is twice H_AB's top rows and
-    ua H_A's top rows, which carries the same two factors of sqrt(2)
-    exactly.  An unsplit triple is the one sector of the full
-    eigensystems.
+    coordinates (the top half of the rows) those columns are H_A's sector
+    eigenvectors (x) H_B's full columns, so H_AB's and H_A's sectors are
+    taken as they are and H_B's columns from its full V.  Any other triple
+    is the one sector of the full eigensystems.
     """
     joined, left, right = spectra
-    if joined.halves is None or left.halves is None or right.halves is None:
-        (d, u), (a, ua), (b, ub) = spectra
+    if not all(len(eig.sectors) == 2 for eig in spectra):
+        (d, u), (a, ua), (b, ub) = (eig.full() for eig in spectra)
         return [(d, u, [(a, ua, b, ub)])]
-    top = joined.v[:len(joined.w) // 2]
-    top_a = left.v[:len(left.w) // 2]
-    return [(joined.w[cols], 2 * top[:, cols],
-             [(left.w[left.halves[sa]], top_a[:, left.halves[sa]],
-               right.w[right.halves[sa ^ s]], right.v[:, right.halves[sa ^ s]])
-              for sa in (0, 1)])
-            for s, cols in enumerate(joined.halves)]
+    b, vb = right.full()
+    m = len(b) // 2
+    columns = ((b[:m], vb[:, :m]), (b[m:], vb[:, m:]))
+    return [(d, u, [(a, ua, *columns[sa ^ s])
+                    for sa, (a, ua) in enumerate(left.sectors)])
+            for s, (d, u) in enumerate(joined.sectors)]
 
 
 def _eigenbasis_kernel(sector, beta0: complex):
@@ -235,7 +232,7 @@ def _merge_from_eigenbasis(spectra, beta0: complex, f) -> np.ndarray:
     one product with its eigenvectors and two with each column block's
     factors; two sectors are joined by
     :func:`~gibbsmpo.oracle._join_reflection_halves`."""
-    halves = []
+    results = []
     for sector in _sectors(spectra):
         _, u, blocks = sector
         m, z = _eigenbasis_kernel(sector, beta0)
@@ -250,8 +247,9 @@ def _merge_from_eigenbasis(spectra, beta0: complex, f) -> np.ndarray:
         del weights
         out = u @ functools.reduce(np.add, parts)
         out.flat[::out.shape[0] + 1] += 1
-        halves.append(out)
-    return halves[0] if len(halves) == 1 else _join_reflection_halves(*halves)
+        results.append(out)
+    return (results[0] if len(results) == 1
+            else _join_reflection_halves(*results))
 
 
 def _order_terms(h_ab: np.ndarray, h_a: np.ndarray, h_b: np.ndarray,

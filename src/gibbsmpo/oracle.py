@@ -20,10 +20,11 @@ detected on the matrix itself, never declared: :func:`decompose` takes it
 when the dimension is even and H = JHJ holds exactly, and any other
 matrix goes to ``np.linalg.eigh`` as it is.  What runs by halves:
 
-* eigensystems (:func:`decompose`) and, with no eigenvectors, the
+* eigensystems (:func:`decompose`), held as their two sectors with no
+  full-size V (:class:`Eigensystem`), and, with no eigenvectors, the
   eigenvalues of :func:`partition_function`;
-* exponentials (:func:`exp_of_eigensystem`): a split eigensystem records
-  which columns of its V belong to each half;
+* exponentials (:func:`exp_of_eigensystem`), one half-size product per
+  sector;
 * the dense merge operator, whose eigenbasis kernel runs by the sectors
   of three split eigensystems (:mod:`~gibbsmpo.merge`);
 * the lossless product m (a (x) b) of a dense merge
@@ -45,22 +46,27 @@ from .model import DEFAULT_DENSE_CAP, DenseCapError, HamiltonianSpec, \
 
 @dataclass(frozen=True, eq=False)
 class Eigensystem:
-    """H = v diag(w) v^H with ``w`` ascending, as ``np.linalg.eigh`` gives
-    it; unpacks as ``(w, v)``.
+    """H by its spin-flip sectors, each a pair (w, u) with H's block in
+    that sector equal to u diag(w) u^H, as ``np.linalg.eigh`` gives it.
 
-    ``halves`` is set when H was split by the reflection J (see the module
-    docstring): the columns of ``v`` that hold the eigenvectors of A + BJ
-    and those of A - BJ.  With u+ and u- those eigenvectors, v is
-    [[u+, u-], [Ju+, -Ju-]] / sqrt(2) with its columns sorted by
-    eigenvalue, so the top rows of each half's columns are u+- / sqrt(2).
+    An unsplit H is the one sector ``((w, u),)`` of H itself.  A split one
+    (see the module docstring) is ``((w+, u+), (w-, u-))``, the unit
+    eigenvectors u+- of A +- BJ in reflection coordinates; no full-size
+    matrix is held.
     """
 
-    w: np.ndarray
-    v: np.ndarray
-    halves: tuple[np.ndarray, np.ndarray] | None = None
+    sectors: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    def __iter__(self):
-        return iter((self.w, self.v))
+    def full(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V) with H = V diag(w) V^H: the one sector itself, or
+        V = [[u+, u-], [Ju+, -Ju-]] / sqrt(2) with w = (w+, w-), each
+        sector's columns in their own ascending order."""
+        if len(self.sectors) == 1:
+            return self.sectors[0]
+        (w_plus, u_plus), (w_minus, u_minus) = self.sectors
+        v = np.block([[u_plus, u_minus], [u_plus[::-1], -u_minus[::-1]]])
+        v *= 2 ** -0.5
+        return np.concatenate((w_plus, w_minus)), v
 
 
 def _reflection_halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -76,8 +82,7 @@ def _reflection_halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     odd = float(np.linalg.norm(top - low)) / 2 ** 0.5
     even = top + low
     even /= 2
-    a, bj = even[:, :m], even[:, m:][:, ::-1]
-    return a + bj, a - bj, odd
+    return (*_even_halves(even), odd)
 
 
 def _join_reflection_halves(x_plus: np.ndarray,
@@ -107,44 +112,31 @@ def _is_even(x: np.ndarray) -> bool:
 
 def _even_halves(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A + BJ and A - BJ from the top rows [A, B] of an exactly even
-    matrix; the same as :func:`_reflection_halves` there, bit for bit."""
+    matrix, such as the even part that :func:`_reflection_halves` forms."""
     m = len(top)
     a, bj = top[:, :m], top[:, m:][:, ::-1]
     return a + bj, a - bj
+
+
+def _blocks(h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The halves A + BJ and A - BJ of an exactly even ``h``
+    (:func:`_is_even`, :func:`_even_halves`), else ``(h,)``."""
+    return _even_halves(h[:len(h) // 2]) if _is_even(h) else (h,)
 
 
 def decompose(h: np.ndarray) -> Eigensystem:
     """Eigensystem of the Hermitian matrix ``h``; the package's one
     eigendecomposition.
 
-    When the dimension is even and h = JhJ holds exactly, the two
-    half-size blocks A +- BJ (:func:`_even_halves`) are decomposed instead
-    (a quarter of the ``eigh`` flops), and their eigenvectors are written
-    straight into the ascending columns of one V; ``h`` itself is
-    released first when the caller holds no reference to it.  Any other
-    matrix goes to ``np.linalg.eigh`` unchanged.
+    One ``np.linalg.eigh`` per block of :func:`_blocks`: the two half-size
+    blocks A +- BJ when the dimension is even and h = JhJ holds exactly (a
+    quarter of the flops), else ``h`` itself, unchanged.  A split ``h`` is
+    released before its halves are decomposed when the caller holds no
+    reference to it.
     """
-    if not _is_even(h):
-        return Eigensystem(*np.linalg.eigh(h))
-    dim = len(h)
-    m = dim // 2
-    plus, minus = _even_halves(h[:m])
+    blocks = _blocks(h)
     del h
-    (w_plus, u_plus), (w_minus, u_minus) = (np.linalg.eigh(x)
-                                            for x in (plus, minus))
-    del plus, minus
-    w = np.concatenate((w_plus, w_minus))
-    order = np.argsort(w, kind="stable")
-    col = np.empty_like(order)
-    col[order] = np.arange(dim)  # the sorted column of each half's vector
-    halves = (col[:m], col[m:])
-    v = np.empty((dim, dim), dtype=np.result_type(u_plus, u_minus))
-    for cols, u, sign in zip(halves, (u_plus, u_minus), (1.0, -1.0)):
-        u *= 2 ** -0.5
-        v[:m, cols] = u
-        u *= sign
-        v[m:, cols] = u[::-1]
-    return Eigensystem(w[order], v, halves)
+    return Eigensystem(tuple(np.linalg.eigh(x) for x in blocks))
 
 
 def eigensystem(spec: HamiltonianSpec,
@@ -161,21 +153,15 @@ def _exp(w: np.ndarray, v: np.ndarray, factor: complex) -> np.ndarray:
 def exp_of_eigensystem(eig: Eigensystem, factor: complex) -> np.ndarray:
     """exp(factor * H) from H's :class:`Eigensystem`.
 
-    A split eigensystem forms X+- = u+- e^{factor w+-} u+-^H from the top
-    rows of each half's columns and joins them
-    (:func:`_join_reflection_halves`): two half-size products in place of
-    one full-size one.  One eigenbasis serves both real and imaginary
-    factors, so thermal and real-time propagators share this path.  A real
-    H takes a real ``eigh``; its eigenvectors are real whatever the
-    factor, and the result is real when the factor is.
+    One product u e^{factor w} u^H per sector; a split eigensystem's two
+    half-size results are joined (:func:`_join_reflection_halves`) in
+    place of one full-size product.  One eigenbasis serves both real and
+    imaginary factors, so thermal and real-time propagators share this
+    path.  A real H takes a real ``eigh``; its eigenvectors are real
+    whatever the factor, and the result is real when the factor is.
     """
-    if eig.halves is None:
-        return _exp(eig.w, eig.v, factor)
-    top = eig.v[:len(eig.w) // 2]  # u+- / sqrt(2) in each half's columns
-    out = _join_reflection_halves(*(_exp(eig.w[cols], top[:, cols], factor)
-                                   for cols in eig.halves))
-    out *= 2
-    return out
+    parts = [_exp(w, u, factor) for w, u in eig.sectors]
+    return parts[0] if len(parts) == 1 else _join_reflection_halves(*parts)
 
 
 def exp_with_spectrum(eig: Eigensystem,
@@ -187,8 +173,9 @@ def exp_with_spectrum(eig: Eigensystem,
     (e^{-beta*w} on a thermal step, ones on a real-time one), returned in
     descending order without an SVD.
     """
+    w = np.concatenate([w for w, _ in eig.sectors])
     return (exp_of_eigensystem(eig, factor),
-            np.sort(np.abs(np.exp(factor * eig.w)))[::-1])
+            np.sort(np.abs(np.exp(factor * w)))[::-1])
 
 
 def dense_exp(ham: np.ndarray, factor: complex) -> np.ndarray:
@@ -325,10 +312,6 @@ def partition_function(spec: HamiltonianSpec, beta: float,
     """tr exp(-beta * H) from the eigenvalues of the spec's Hamiltonian
     alone: ``eigvalsh`` of its two halves when it splits as in
     :func:`decompose`, else of the whole matrix."""
-    h = dense_matrix(spec, cap=cap)
-    if _is_even(h):
-        w = np.concatenate([np.linalg.eigvalsh(x)
-                            for x in _even_halves(h[:len(h) // 2])])
-    else:
-        w = np.linalg.eigvalsh(h)
+    w = np.concatenate([np.linalg.eigvalsh(x)
+                        for x in _blocks(dense_matrix(spec, cap=cap))])
     return float(np.sum(np.exp(-beta * np.sort(w))))

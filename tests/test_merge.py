@@ -1,5 +1,6 @@
 """Merge-operator truncation: bounds, cancellation identities, MPO assembly."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -30,6 +31,7 @@ from gibbsmpo.merge import (
 from gibbsmpo.model import (
     HamiltonianSpec,
     Interval,
+    LocalTerm,
     boundary_bound,
     dense_matrix,
     extensivity_constant,
@@ -212,6 +214,14 @@ def xy_chain(n):
                               fields=[("X", 0.5)])
 
 
+def mixed_chain(n):
+    """``chain(n)`` plus a Z field on the last site, which breaks the spin
+    flip of every block that holds it: at the half cut only H_A splits."""
+    spec = chain(n)
+    return dataclasses.replace(
+        spec, terms=spec.terms + (LocalTerm((n,), 0.3, ("Z",)),))
+
+
 @pytest.mark.parametrize("order", [1, 5, 12])
 @pytest.mark.parametrize("phase", [1.0, 1j])
 def test_complex_hamiltonian_merge_matches_literal_double_sum(order, phase):
@@ -224,7 +234,8 @@ def test_complex_hamiltonian_merge_matches_literal_double_sum(order, phase):
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("spec", [chain(6), xy_chain(5)], ids=["real", "xy"])
+@pytest.mark.parametrize("spec", [chain(6), xy_chain(5), mixed_chain(6)],
+                         ids=["real", "xy", "mixed"])
 @pytest.mark.parametrize("phase", [1.0, 1j])
 def test_exact_merge_matches_matrix_exponentials(spec, phase):
     ms = half_merge(spec, phase * window(spec), 0)
@@ -238,7 +249,7 @@ def test_exact_merge_matches_matrix_exponentials(spec, phase):
 def test_kronecker_eigenvalues_are_those_of_the_halves_sum(spec):
     ms = merge_spec_for(spec, Interval(1, 2), Interval(3, spec.n),
                         window(spec), 3)
-    _, (a, _), (b, _) = merge_spectra(ms)
+    _, (a, _), (b, _) = (eig.full() for eig in merge_spectra(ms))
     want = np.linalg.eigvalsh(dense_sum(ms))
     assert np.abs(np.sort(np.add.outer(a, b).ravel()) - want).max() <= 1e-13
 
@@ -256,14 +267,14 @@ def full_kron_right(x, ua, ub):
 
 def full_kernel(spectra, beta0):
     """M = U^H (U_A (x) U_B) and Z on the full eigensystems."""
-    (d, u), (a, ua), (b, ub) = spectra
+    (d, u), (a, ua), (b, ub) = (eig.full() for eig in spectra)
     z = np.add.outer(-beta0 * d, beta0 * np.add.outer(a, b).ravel())
     return full_kron_right(u.conj().T, ua, ub), z
 
 
 def full_merge(spectra, beta0, f):
     """1 + U (M o f(Z)) (U_A (x) U_B)^H with full-size matrices throughout."""
-    (_, u), (_, ua), (_, ub) = spectra
+    (_, u), (_, ua), (_, ub) = (eig.full() for eig in spectra)
     m, z = full_kernel(spectra, beta0)
     out = u @ full_kron_right(m * f(z), ua.conj().T, ub.conj().T)
     out.flat[::out.shape[0] + 1] += 1
@@ -297,7 +308,7 @@ def test_sector_kernel_matches_full_size_kernel(n, cut, phase):
     ms = merge_spec_for(spec, Interval(1, cut), Interval(cut + 1, n),
                         phase * window(spec), 3)
     spectra = merge_spectra(ms)
-    assert all(eig.halves is not None for eig in spectra)
+    assert all(len(eig.sectors) == 2 for eig in spectra)
     for got, want in (
             (truncated_merge_dense(ms, spectra), full_merge(
                 spectra, ms.beta0, lambda z: _expm1_taylor(z, ms.order))),
@@ -315,7 +326,7 @@ def test_unsplit_kernel_is_the_full_size_kernel_bit_for_bit(phase):
     spec = lfi_chain(8)
     ms = half_merge(spec, phase * window(spec), 6)
     spectra = merge_spectra(ms)
-    assert all(eig.halves is None for eig in spectra)
+    assert all(len(eig.sectors) == 1 for eig in spectra)
     assert np.array_equal(truncated_merge_dense(ms, spectra), full_merge(
         spectra, ms.beta0, lambda z: _expm1_taylor(z, ms.order)))
     assert np.array_equal(merge_operator_dense(ms),

@@ -170,7 +170,7 @@ def test_reference_spectrum_matches_svd(factor):
     # thermal: e^{-beta*w}, sorted; real time: ones.  The SVD resolves each
     # singular value to about eps times the largest, so compare on that scale.
     ham = dense_matrix(power_law_ising(6, 3.0))
-    op, sv = exp_with_spectrum(Eigensystem(*np.linalg.eigh(ham)), factor)
+    op, sv = exp_with_spectrum(Eigensystem((np.linalg.eigh(ham),)), factor)
     want = np.linalg.svd(op, compute_uv=False)
     assert np.all(np.diff(sv) <= 0.0)
     assert np.abs(sv - want).max() <= 1e-13 * want[0]
@@ -194,11 +194,11 @@ def test_eigensystem_is_eigh_of_the_dense_hamiltonian(monkeypatch):
     real = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda h: eighs.append(len(h)) or real(h))
-    w, v = eigensystem(spec)
+    w, v = eigensystem(spec).full()
     monkeypatch.undo()
     assert eighs == [16, 16]
     scale = np.abs(np.linalg.eigvalsh(ham)).max()
-    assert np.abs(w - np.linalg.eigvalsh(ham)).max() <= 1e-12 * scale
+    assert np.abs(np.sort(w) - np.linalg.eigvalsh(ham)).max() <= 1e-12 * scale
     assert np.abs(ham @ v - v * w).max() <= 1e-12 * scale
     assert np.abs(v.conj().T @ v - np.eye(32)).max() <= 1e-12
     from gibbsmpo.model import DenseCapError
@@ -212,7 +212,7 @@ def test_schatten_errors_match_relative_error(hermitian):
     # other) both agree with relative_error's SVD at every reported order,
     # and the difference is written into the approximation's buffer
     w, v = np.linalg.eigh(dense_matrix(power_law_ising(5, 3.0)))
-    reference, ref_sv = exp_with_spectrum(Eigensystem(w, v), -0.8)
+    reference, ref_sv = exp_with_spectrum(Eigensystem(((w, v),)), -0.8)
     pert = RNG.standard_normal(reference.shape)
     if hermitian:
         pert = pert + pert.T
@@ -249,23 +249,27 @@ def record_sizes(monkeypatch, name):
                          [(power_law_ising(6, 3.0), False), (yz_chain(6), True)],
                          ids=["real", "complex"])
 def test_split_eigensystem_matches_eigh(monkeypatch, spec, is_complex):
-    # a spin-flip symmetric H is decomposed by halves: w ascending and equal
-    # to eigh's, V orthonormal, H V = V diag(w), all to 1e-12
+    # a spin-flip symmetric H is decomposed by halves: w ascending within
+    # each sector and, sorted, equal to eigh's, V orthonormal,
+    # H V = V diag(w), all to 1e-12; the eigensystem holds its two
+    # sectors and no full-size matrix
     ham = dense_matrix(spec)
     assert np.iscomplexobj(ham) == is_complex
     sizes = record_sizes(monkeypatch, "eigh")
     eig = eigensystem(spec)
     monkeypatch.undo()
-    assert sizes == [32, 32] and eig.halves is not None
-    w, v = eig
+    assert sizes == [32, 32] and len(eig.sectors) == 2
+    w, v = eig.full()
+    assert sum(x.nbytes for sector in eig.sectors for x in sector) \
+        <= v.nbytes // 2 + w.nbytes
     want = np.linalg.eigvalsh(ham)
     scale = np.abs(want).max()
-    assert np.all(np.diff(w) >= 0.0)
-    assert np.abs(w - want).max() <= 1e-12 * scale
+    assert all(np.all(np.diff(ws) >= 0.0) for ws, _ in eig.sectors)
+    assert np.abs(np.sort(w) - want).max() <= 1e-12 * scale
     assert np.abs(v.conj().T @ v - np.eye(64)).max() <= 1e-12
     assert np.abs(ham @ v - v * w).max() <= 1e-12 * scale
     # the exponential by halves is the full eigenbasis's
-    full = Eigensystem(*np.linalg.eigh(ham))
+    full = Eigensystem((np.linalg.eigh(ham),))
     for factor in (-0.7, -0.7j):
         got = exp_of_eigensystem(eig, factor)
         ref = exp_of_eigensystem(full, factor)
@@ -280,8 +284,8 @@ def test_asymmetric_eigensystem_is_eigh_bit_for_bit(monkeypatch):
     sizes = record_sizes(monkeypatch, "eigh")
     eig = eigensystem(spec)
     monkeypatch.undo()
-    assert sizes == [64] and eig.halves is None
-    for got, want in zip(eig, np.linalg.eigh(ham)):
+    assert sizes == [64] and len(eig.sectors) == 1
+    for got, want in zip(eig.full(), np.linalg.eigh(ham)):
         assert np.array_equal(got, want)
 
 
