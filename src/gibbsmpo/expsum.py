@@ -86,7 +86,10 @@ def node_spacing(alpha: float, eps: float) -> float:
 def kernel_order(alpha: float, eps: float) -> int:
     """Truncation half-width m; the series has 2*m + 1 terms."""
     x = node_spacing(alpha, eps)
-    return int(math.ceil((2.0 / x) * math.log(2.0 * alpha / eps)))
+    half = (2.0 / x) * math.log(2.0 * alpha / eps)
+    if not math.isfinite(half):  # 2 * alpha / eps beyond float64
+        raise ValueError(f"alpha={alpha} gives no finite series half-width")
+    return int(math.ceil(half))
 
 
 @dataclass(frozen=True)
@@ -146,9 +149,9 @@ def fit_kernel(alpha: float, eps: float, *, r_max: float = _DEFAULT_R_MAX,
     """Fit the exponential series for r**-alpha with target error eps.
 
     Args:
-        alpha: decay exponent, must be >= 2 (values up to 2.5 trigger a
-            boundary warning since the long-range machinery degrades as
-            alpha approaches 2).
+        alpha: decay exponent, finite and >= 2, with a finite half-width
+            (:func:`kernel_order`); values up to 2.5 trigger a boundary
+            warning since the long-range machinery degrades near 2.
         eps: target kernel error in (0, 1).
         r_max, grid_step: certification grid r in {1, 1+step, ..., r_max};
             r_max >= 1 and grid_step > 0 must be finite.
@@ -179,8 +182,8 @@ def fit_kernel(alpha: float, eps: float, *, r_max: float = _DEFAULT_R_MAX,
     ``_ROUNDING_FACTOR`` = 2 times that bound is at most the running max,
     which covers the rounding with room to spare.
     """
-    if alpha < 2.0:
-        raise ValueError(f"kernel fit requires alpha >= 2, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 2.0):
+        raise ValueError(f"kernel fit requires a finite alpha >= 2, got {alpha}")
     if alpha <= 2.5:
         warnings.warn(f"alpha={alpha} is near the alpha -> 2 boundary; "
                       "long-range error constants grow rapidly there")

@@ -5,8 +5,9 @@ high-temperature operators exp(-b0*H_leaf) on two-site leaf blocks.
 (2) log2(n) merge layers, each joining adjacent blocks with a truncated
 merge operator.  The layer loop routes every merge: a joined block that
 fits the dense cap has its merge operator evaluated densely in the
-blocks' eigenbases, and a lossless one is multiplied densely too; every
-other product, and every merge operator beyond the cap, runs on MPOs.
+blocks' eigenbases, a lossless one with the blocks' dense operators as the
+joined block itself; every other product, and every merge operator beyond
+the cap, runs on MPOs.
 Each block of a layer is one :class:`Block` record: its MPO, for a block
 within the cap its Hamiltonian eigensystem, and for a leaf or a lossless
 dense merge's result its dense operator, which the parent merge reuses.
@@ -18,15 +19,12 @@ Setting beta = i*t runs the same pipeline for real-time evolution.
 
 Every dense eigensystem, exponential and measurement goes through the
 oracle, which splits a spin-flip symmetric Hamiltonian (H = JHJ, J the
-reversal of the basis index) into two half-size blocks.  With the three
-eigensystems of a dense merge split, its merge operator is evaluated by
-sectors, and the lossless product with the Kronecker product of the
-blocks runs by halves whenever all three operators are exactly even,
-which every leaf and every lossless dense merge of such a model is (see
-:func:`~gibbsmpo.oracle.kron_product`).  The dense power of stage (4) is
-the oracle's too, taken by the same halves when the merged operator is
-even up to roundoff.  No option selects any of this: the matrices
-decide.
+reversal of the basis index) into two half-size blocks.  A dense merge
+runs by sectors when its three eigensystems split and, if lossless, both
+blocks' operators are exactly even, as every leaf and lossless dense
+merge of such a model is.  The dense power of stage (4) is the oracle's
+too, by the same halves when the merged operator is even up to roundoff.
+No option selects any of this: the matrices decide.
 
 The per-merge tolerance d0 is chosen so the powered error meets the
 requested target; for power-law pairwise models the Hamiltonian is first
@@ -46,8 +44,8 @@ from .expsum import ExpSumApprox, approximate_hamiltonian
 from .model import HamiltonianSpec, Interval, boundary_bound, \
     extensivity_constant, restrict, spec_digest
 from .oracle import DEFAULT_DENSE_CAP, Eigensystem, dense_power, \
-    eigensystem, exp_of_eigensystem, exp_with_spectrum, kron_product, \
-    relative_error, schatten_errors
+    eigensystem, exp_of_eigensystem, exp_with_spectrum, relative_error, \
+    schatten_errors
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, CompressionPolicy, hamiltonian_mpo
 from .merge import MAX_TAYLOR_ORDER, build_merge_mpo, certified_step, \
@@ -297,11 +295,10 @@ def merge_layer(layer: list[Block], run_spec: HamiltonianSpec,
     otherwise).  A joined block of at most ``dense_cap`` states has its
     merge operator evaluated densely, in the eigensystems of the halves
     (read from the blocks, which are within the cap too) and of the joined
-    block (computed here, once per block).  Under a lossless policy it
-    multiplies the Kronecker product of the halves' dense operators, which
-    are leaves or lossless dense merges themselves, by reflection halves
-    when all three are exactly even
-    (:func:`~gibbsmpo.oracle.kron_product`); under a lossy one it is
+    block (computed here, once per block).  Under a lossless policy the
+    same call takes the halves' dense operators X_A and X_B (leaves or
+    lossless dense merges themselves) and returns the joined block
+    Psi~ (X_A (x) X_B); under a lossy one the merge operator is
     refactorized exactly, compressed by the policy and multiplied into the
     blocks' MPOs by :func:`~gibbsmpo.mpo.product`.  Either way the merge
     consumes its halves: it drops their dense operators and eigensystems,
@@ -328,9 +325,10 @@ def merge_layer(layer: list[Block], run_spec: HamiltonianSpec,
         else:
             ms.require_window()
             eig = eigensystem(ms.spec_ab, cap=dense_cap)
-            dense = truncated_merge_dense(ms, spectra=(eig, a.eig, b.eig))
-            if policy.lossless:  # the joined block itself, multiplied densely
-                dense = kron_product(dense, a.dense, b.dense)
+            # lossless: the joined block itself, Psi~ (X_A (x) X_B)
+            dense = truncated_merge_dense(
+                ms, spectra=(eig, a.eig, b.eig),
+                blocks=(a.dense, b.dense) if policy.lossless else None)
             a.dense = a.eig = b.dense = b.eig = None
             if policy.lossless:
                 nxt.append(Block(joined, mpo_ops.from_dense(dense, n, d),

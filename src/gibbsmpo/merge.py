@@ -32,14 +32,14 @@ the divided-difference form of a function of two matrices (Higham,
 Functions of Matrices, SIAM 2008, ch. 3).  The exact Psi is the same with
 expm1.  It costs three eigendecompositions (a build already holds them)
 plus m0 elementwise Horner steps, whatever the order, and its products.
-When all three Hamiltonians are split by the spin flip J (see
-:mod:`~gibbsmpo.oracle`), J = J_A (x) J_B makes M block-diagonal by
-parity, so M, Z, the Horner steps and the products run on the two
-half-size sectors (:func:`_sectors`): per sector one half-size product
-with its eigenvectors and two with each of its two column blocks' factors,
-in place of one full product and two with the halves' full eigenvectors.
-The sectors are joined in the end, and any other triple is the one
-sector of the full eigensystems.  The individual order terms come from a
+A lossless merge's joined block Psi~ (X_A (x) X_B) is the same evaluation:
+X_A and X_B ride in the right factors (U_A^H X_A) (x) (U_B^H X_B), and the
+1 becomes X_A (x) X_B.  When all three Hamiltonians are split by the spin
+flip J (see :mod:`~gibbsmpo.oracle`) and both operators are exactly even,
+J = J_A (x) J_B makes M block-diagonal by parity, so M, Z, the Horner
+steps and the products run on two half-size sectors (:func:`_sectors`),
+joined in the end; anything else is the one sector of the full
+eigensystems.  The individual order terms come from a
 two-product-per-order recurrence instead, which keeps each to full
 relative precision.  The MPO assembly applies Horner's rule in
 H_AB, which keeps its exact bonds far below those of the order-term
@@ -56,7 +56,7 @@ import numpy as np
 
 from .model import HamiltonianSpec, Interval, dense_matrix, \
     extensivity_constant, restrict
-from .oracle import Eigensystem, _join_reflection_halves, eigensystem
+from .oracle import Eigensystem, eigensystem, join_halves, split_halves
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, BondCapError, CompressionPolicy, \
     hamiltonian_mpo
@@ -175,9 +175,11 @@ def _kron_right(x: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     return np.matmul(ua.T, y).reshape(rows, ua.shape[1] * ub.shape[1])
 
 
-def _sectors(spectra):
-    """The spin-flip sectors of the merge kernel, as (d, u, blocks) with
-    blocks a list of column blocks (a, ua, b, ub).
+def _sectors(spectra, blocks=None):
+    """The spin-flip sectors of the merge kernel, as (d, u, columns) with
+    columns a list of column blocks (a, ua, b, ub, xa, xb): xa and xb are
+    the parts of ``blocks`` = (X_A, X_B) that the right factors ua^H xa
+    and ub^H xb act on, None without operators.
 
     With J = J_A (x) J_B, M = U^H (U_A (x) U_B) is block-diagonal by
     parity when all three eigensystems are split (see
@@ -185,18 +187,21 @@ def _sectors(spectra):
     columns (A sa) (x) (B sb) with sa xor sb = s.  In reflection
     coordinates (the top half of the rows) those columns are H_A's sector
     eigenvectors (x) H_B's full columns, so H_AB's and H_A's sectors are
-    taken as they are and H_B's columns from its full V.  Any other triple
-    is the one sector of the full eigensystems.
+    taken as they are, H_B's columns from its full V, X_A by its halves
+    and X_B whole.  Any other triple, or operators that are not both
+    exactly even, is the one sector of the full eigensystems.
     """
     joined, left, right = spectra
-    if not all(len(eig.sectors) == 2 for eig in spectra):
+    xa, xb = blocks or (None, None)
+    halves = [(x, x) if x is None else split_halves(x) for x in (xa, xb)]
+    if any(len(p) == 1 for p in (*halves, *(e.sectors for e in spectra))):
         (d, u), (a, ua), (b, ub) = (eig.full() for eig in spectra)
-        return [(d, u, [(a, ua, b, ub)])]
+        return [(d, u, [(a, ua, b, ub, xa, xb)])]
     b, vb = right.full()
     m = len(b) // 2
     columns = ((b[:m], vb[:, :m]), (b[m:], vb[:, m:]))
-    return [(d, u, [(a, ua, *columns[sa ^ s])
-                    for sa, (a, ua) in enumerate(left.sectors)])
+    return [(d, u, [(a, ua, *columns[sa ^ s], x, xb) for sa, ((a, ua), x)
+                    in enumerate(zip(left.sectors, halves[0]))])
             for s, (d, u) in enumerate(joined.sectors)]
 
 
@@ -210,9 +215,9 @@ def _eigenbasis_kernel(sector, beta0: complex):
     binomial theorem, 1 + phi_m0(Z), and the exact product is e^Z.
     """
     d, u, blocks = sector
-    m = [_kron_right(u.conj().T, ua, ub) for _, ua, _, ub in blocks]
+    m = [_kron_right(u.conj().T, ua, ub) for _, ua, _, ub, *_ in blocks]
     z = np.add.outer(-beta0 * d, beta0 * np.concatenate(
-        [np.add.outer(a, b).ravel() for a, _, b, _ in blocks]))
+        [np.add.outer(a, b).ravel() for a, _, b, *_ in blocks]))
     return (m[0] if len(m) == 1 else np.concatenate(m, axis=1)), z
 
 
@@ -226,30 +231,40 @@ def _expm1_taylor(z: np.ndarray, order: int) -> np.ndarray:
     return phi
 
 
-def _merge_from_eigenbasis(spectra, beta0: complex, f) -> np.ndarray:
-    """1 + U (M o f(Z)) (U_A (x) U_B)^H for f = phi_m0 (the truncated merge)
-    or expm1 (the exact one); see :func:`_eigenbasis_kernel`.  Per sector
-    one product with its eigenvectors and two with each column block's
-    factors; two sectors are joined by
-    :func:`~gibbsmpo.oracle._join_reflection_halves`."""
+def _merge_from_eigenbasis(spectra, beta0: complex, f,
+                           blocks=None) -> np.ndarray:
+    """X_A (x) X_B + U (M o f(Z)) ((U_A^H X_A) (x) (U_B^H X_B)) with
+    ``blocks`` = (X_A, X_B), else identities, for f = phi_m0 (the truncated
+    merge) or expm1 (the exact one); see :func:`_eigenbasis_kernel`.  Per
+    sector one product with its eigenvectors and two with each column
+    block's right factors; then X_A (x) X_B is added, on two sectors as the
+    halves of X_A's top rows (x) X_B, and they are joined."""
     results = []
-    for sector in _sectors(spectra):
-        _, u, blocks = sector
+    for sector in _sectors(spectra, blocks):
+        _, u, columns = sector
         m, z = _eigenbasis_kernel(sector, beta0)
         weights = m * f(z)
         del m, z  # free before the products
         parts, start = [], 0
-        for _, ua, _, ub in blocks:
+        for _, ua, _, ub, xa, xb in columns:
             width = ua.shape[1] * ub.shape[1]
-            parts.append(_kron_right(weights[:, start:start + width],
-                                     ua.conj().T, ub.conj().T))
+            ra, rb = (v.conj().T if x is None else v.conj().T @ x
+                      for v, x in ((ua, xa), (ub, xb)))
+            parts.append(_kron_right(weights[:, start:start + width], ra, rb))
             start += width
         del weights
-        out = u @ functools.reduce(np.add, parts)
-        out.flat[::out.shape[0] + 1] += 1
-        results.append(out)
-    return (results[0] if len(results) == 1
-            else _join_reflection_halves(*results))
+        results.append(u @ functools.reduce(np.add, parts))
+        del parts  # free before the identity term
+    if blocks is None:
+        for out in results:
+            out.flat[::out.shape[0] + 1] += 1
+    else:
+        xa, xb = blocks
+        ones = (split_halves(np.kron(xa[:len(xa) // 2], xb))
+                if len(results) == 2 else (np.kron(xa, xb),))
+        for out, one in zip(results, ones):
+            out += one
+    return join_halves(results)
 
 
 def _order_terms(h_ab: np.ndarray, h_a: np.ndarray, h_b: np.ndarray,
@@ -281,9 +296,12 @@ def merge_operator_dense(ms: MergeOperatorSpec) -> np.ndarray:
 
 def truncated_merge_dense(ms: MergeOperatorSpec,
                           spectra: tuple[Eigensystem, ...] | None = None,
+                          blocks: tuple[np.ndarray, np.ndarray] | None = None,
                           ) -> np.ndarray:
     """Dense order-m0 truncated merge operator
-    1 + U (M o phi_m0(Z)) (U_A (x) U_B)^H.
+    Psi~ = 1 + U (M o phi_m0(Z)) (U_A (x) U_B)^H, or with ``blocks`` =
+    (X_A, X_B), the halves' dense operators, the joined block
+    Psi~ (X_A (x) X_B) (see :func:`_merge_from_eigenbasis`).
 
     ``spectra`` are the eigensystems of H_AB, H_A and H_B as
     :func:`merge_spectra` returns them; a build passes the ones it already
@@ -292,7 +310,8 @@ def truncated_merge_dense(ms: MergeOperatorSpec,
     if spectra is None:
         spectra = merge_spectra(ms)
     return _merge_from_eigenbasis(spectra, ms.beta0,
-                                  lambda z: _expm1_taylor(z, ms.order))
+                                  lambda z: _expm1_taylor(z, ms.order),
+                                  blocks)
 
 
 def merge_order_term_dense(ms: MergeOperatorSpec, m: int) -> np.ndarray:

@@ -417,8 +417,10 @@ def power_law_pairwise(n: int, alpha: float, channels, coupling: float = 1.0,
 
     ``channels`` lists (op, op', weight) entries of the pairwise coupling
     matrix; ``fields`` lists optional (op, coefficient) on-site terms
-    applied to every site.
+    applied to every site.  ``alpha`` must be finite (``ValueError``).
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     chan = tuple((str(a), str(b), float(w)) for a, b, w in channels)
     terms = _pairwise_terms(n, chan, lambda r: coupling * r ** (-alpha))
     for op, coeff in fields:

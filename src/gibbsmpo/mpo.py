@@ -516,23 +516,27 @@ def mpo_to_bytes(a: MPO) -> bytes:
 
 
 def mpo_from_bytes(data: bytes) -> MPO:
+    """Inverse of :func:`mpo_to_bytes`; anything else, truncated or padded
+    containers included, raises ``ValueError`` before it is read."""
+    if len(data) < _HEADER.size:
+        raise ValueError("truncated MPO container")
     magic, version, n, d, scalar = _HEADER.unpack_from(data, 0)
     if magic != _MAGIC:
         raise ValueError("not an MPO container")
     if version != 1 or scalar != 1:
         raise ValueError(f"unsupported container version {version}/scalar {scalar}")
-    off = _HEADER.size
-    profile = struct.unpack_from(f"<{n + 1}Q", data, off)
-    off += 8 * (n + 1)
+    off = _HEADER.size + 8 * (n + 1)
+    if len(data) < off:
+        raise ValueError("truncated MPO container")
+    profile = struct.unpack_from(f"<{n + 1}Q", data, _HEADER.size)
+    counts = [profile[j] * d * d * profile[j + 1] for j in range(n)]
+    if off + 16 * sum(counts) != len(data):
+        raise ValueError("MPO container size does not match its bond profile")
     cores = []
-    for j in range(n):
-        shape = (profile[j], d, d, profile[j + 1])
-        count = int(np.prod(shape))
+    for j, count in enumerate(counts):
         core = np.frombuffer(data, dtype=np.complex128, count=count, offset=off)
-        cores.append(core.reshape(shape).copy())
+        cores.append(core.reshape(profile[j], d, d, profile[j + 1]).copy())
         off += count * 16
-    if off != len(data):
-        raise ValueError("trailing bytes in MPO container")
     return MPO(cores)
 
 

@@ -16,19 +16,19 @@ Q = [[1, 1], [J, -J]] / sqrt(2),
 
 (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976); the sector
 method of Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  The split is
-detected on the matrix itself, never declared: :func:`decompose` takes it
-when the dimension is even and H = JHJ holds exactly, and any other
-matrix goes to ``np.linalg.eigh`` as it is.  What runs by halves:
+detected on the matrix itself, never declared: :func:`split_halves` takes
+it when the dimension is even and H = JHJ holds exactly, and gives any
+other matrix back as it is; :func:`join_halves` is its inverse.  What
+runs by halves:
 
 * eigensystems (:func:`decompose`), held as their two sectors with no
   full-size V (:class:`Eigensystem`), and, with no eigenvectors, the
   eigenvalues of :func:`partition_function`;
 * exponentials (:func:`exp_of_eigensystem`), one half-size product per
   sector;
-* the dense merge operator, whose eigenbasis kernel runs by the sectors
-  of three split eigensystems (:mod:`~gibbsmpo.merge`);
-* the lossless product m (a (x) b) of a dense merge
-  (:func:`kron_product`), when all three factors are exactly even;
+* the dense merge, whose eigenbasis kernel runs by the sectors of three
+  split eigensystems, and with it a lossless merge's product with the
+  halves' operators when both are exactly even (:mod:`~gibbsmpo.merge`);
 * measurement (:func:`schatten_errors`) and powering
   (:func:`dense_power`), by the halves of the reflection-even part when
   the odd part is small enough.
@@ -69,27 +69,31 @@ class Eigensystem:
         return np.concatenate((w_plus, w_minus)), v
 
 
-def _reflection_halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The blocks A + BJ and A - BJ of the reflection-even part
-    (x + JxJ)/2 = [[A, B], [JBJ, JAJ]] of ``x`` (even dimension), and the
-    Frobenius norm of its odd part (x - JxJ)/2.
+def split_halves(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The halves A + BJ and A - BJ of x = [[A, B], [JBJ, JAJ]], else
+    ``(x,)``: the module's one split that is not measured.
 
-    The even part is Q diag(A + BJ, A - BJ) Q^H; for x = JxJ the blocks
-    are A + BJ and A - BJ of x itself, bit for bit, and the odd norm is 0.
+    A square ``x`` splits when its dimension is even and x = JxJ holds
+    exactly (its bottom rows are its top rows reversed); a wide one
+    (m x 2m) is read as the top rows [A, B] of an exactly even matrix.
     """
-    m = len(x) // 2
-    top, low = x[:m], x[m:][::-1, ::-1]  # [A, B] and [JDJ, JCJ]
-    odd = float(np.linalg.norm(top - low)) / 2 ** 0.5
-    even = top + low
-    even /= 2
-    return (*_even_halves(even), odd)
+    m = x.shape[1] // 2
+    if len(x) == x.shape[1]:
+        if len(x) % 2 or not np.array_equal(x[:m], x[m:][::-1, ::-1]):
+            return (x,)
+        x = x[:m]
+    a, bj = x[:, :m], x[:, m:][:, ::-1]
+    return a + bj, a - bj
 
 
-def _join_reflection_halves(x_plus: np.ndarray,
-                           x_minus: np.ndarray) -> np.ndarray:
-    """Q diag(x_plus, x_minus) Q^H = [[S, DJ], [JD, JSJ]] with
+def join_halves(parts) -> np.ndarray:
+    """The inverse of :func:`split_halves`: the one part itself, or
+    Q diag(x_plus, x_minus) Q^H = [[S, DJ], [JD, JSJ]] with
     S = (x_plus + x_minus)/2 and D = (x_plus - x_minus)/2, formed in the
     result's own blocks."""
+    if len(parts) == 1:
+        return parts[0]
+    x_plus, x_minus = parts
     m = len(x_plus)
     out = np.empty((2 * m, 2 * m), dtype=np.result_type(x_plus, x_minus))
     s, d = out[:m, :m], out[m:, :m][::-1]  # S, and JD seen row-reversed
@@ -102,39 +106,29 @@ def _join_reflection_halves(x_plus: np.ndarray,
     return out
 
 
-def _is_even(x: np.ndarray) -> bool:
-    """True when ``x`` has even dimension and x = JxJ holds exactly (its
-    bottom rows are its top rows reversed): the test that decides every
-    split of this module that is not measured."""
+def _reflection_halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The halves (:func:`split_halves`) of the reflection-even part
+    (x + JxJ)/2 of ``x`` (even dimension), and the Frobenius norm of its
+    odd part (x - JxJ)/2: for x = JxJ, x's own halves bit for bit and 0."""
     m = len(x) // 2
-    return len(x) % 2 == 0 and np.array_equal(x[:m], x[m:][::-1, ::-1])
-
-
-def _even_halves(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A + BJ and A - BJ from the top rows [A, B] of an exactly even
-    matrix, such as the even part that :func:`_reflection_halves` forms."""
-    m = len(top)
-    a, bj = top[:, :m], top[:, m:][:, ::-1]
-    return a + bj, a - bj
-
-
-def _blocks(h: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The halves A + BJ and A - BJ of an exactly even ``h``
-    (:func:`_is_even`, :func:`_even_halves`), else ``(h,)``."""
-    return _even_halves(h[:len(h) // 2]) if _is_even(h) else (h,)
+    top, low = x[:m], x[m:][::-1, ::-1]  # [A, B] and [JDJ, JCJ]
+    odd = float(np.linalg.norm(top - low)) / 2 ** 0.5
+    even = top + low
+    even /= 2
+    return (*split_halves(even), odd)
 
 
 def decompose(h: np.ndarray) -> Eigensystem:
     """Eigensystem of the Hermitian matrix ``h``; the package's one
     eigendecomposition.
 
-    One ``np.linalg.eigh`` per block of :func:`_blocks`: the two half-size
-    blocks A +- BJ when the dimension is even and h = JhJ holds exactly (a
-    quarter of the flops), else ``h`` itself, unchanged.  A split ``h`` is
-    released before its halves are decomposed when the caller holds no
-    reference to it.
+    One ``np.linalg.eigh`` per block of :func:`split_halves`: the two
+    half-size blocks A +- BJ when the dimension is even and h = JhJ holds
+    exactly (a quarter of the flops), else ``h`` itself, unchanged.  A
+    split ``h`` is released before its halves are decomposed when the
+    caller holds no reference to it.
     """
-    blocks = _blocks(h)
+    blocks = split_halves(h)
     del h
     return Eigensystem(tuple(np.linalg.eigh(x) for x in blocks))
 
@@ -146,22 +140,18 @@ def eigensystem(spec: HamiltonianSpec,
     return decompose(dense_matrix(spec, cap=cap))
 
 
-def _exp(w: np.ndarray, v: np.ndarray, factor: complex) -> np.ndarray:
-    return (v * np.exp(factor * w)) @ v.conj().T
-
-
 def exp_of_eigensystem(eig: Eigensystem, factor: complex) -> np.ndarray:
     """exp(factor * H) from H's :class:`Eigensystem`.
 
     One product u e^{factor w} u^H per sector; a split eigensystem's two
-    half-size results are joined (:func:`_join_reflection_halves`) in
-    place of one full-size product.  One eigenbasis serves both real and
-    imaginary factors, so thermal and real-time propagators share this
-    path.  A real H takes a real ``eigh``; its eigenvectors are real
-    whatever the factor, and the result is real when the factor is.
+    half-size results are joined (:func:`join_halves`) in place of one
+    full-size product.  One eigenbasis serves both real and imaginary
+    factors, so thermal and real-time propagators share this path.  A real
+    H takes a real ``eigh``; its eigenvectors are real whatever the factor,
+    and the result is real when the factor is.
     """
-    parts = [_exp(w, u, factor) for w, u in eig.sectors]
-    return parts[0] if len(parts) == 1 else _join_reflection_halves(*parts)
+    return join_halves([(u * np.exp(factor * w)) @ u.conj().T
+                        for w, u in eig.sectors])
 
 
 def exp_with_spectrum(eig: Eigensystem,
@@ -196,29 +186,10 @@ def dense_power(m: np.ndarray, steps: int) -> np.ndarray:
     if len(m) % 2 == 0:
         plus, minus, odd = _reflection_halves(m)  # odd: ||m - JmJ||_F / 2
         if 2.0 * odd <= 1e-13 * np.linalg.norm(m):
-            return _join_reflection_halves(
-                np.linalg.matrix_power(plus, steps),
-                np.linalg.matrix_power(minus, steps))
+            return join_halves([np.linalg.matrix_power(x, steps)
+                                for x in (plus, minus)])
         del plus, minus
     return np.linalg.matrix_power(m, steps)
-
-
-def kron_product(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """m @ (a (x) b), by reflection halves when all three are exactly even.
-
-    J = J_a (x) J_b, so a (x) b is even too, and its top rows are
-    a's top rows (x) b; its halves a+ (x) bP+ + a- (x) bP- and
-    a+ (x) bP- + a- (x) bP+ (a+- the halves of a, bP+- = (b +- bJ)/2) are
-    read from those rows (:func:`_even_halves`).  Each is multiplied by
-    the same half of m and the two products are joined: neither the full
-    Kronecker product nor a full-size product is formed.  Any other
-    triple is multiplied whole.
-    """
-    if not (_is_even(m) and _is_even(a) and _is_even(b)):
-        return m @ np.kron(a, b)
-    return _join_reflection_halves(*(
-        x @ k for x, k in zip(_even_halves(m[:len(m) // 2]),
-                              _even_halves(np.kron(a[:len(a) // 2], b)))))
 
 
 def gibbs_dense(spec: HamiltonianSpec, beta: complex,
@@ -313,5 +284,5 @@ def partition_function(spec: HamiltonianSpec, beta: float,
     alone: ``eigvalsh`` of its two halves when it splits as in
     :func:`decompose`, else of the whole matrix."""
     w = np.concatenate([np.linalg.eigvalsh(x)
-                        for x in _blocks(dense_matrix(spec, cap=cap))])
+                        for x in split_halves(dense_matrix(spec, cap=cap))])
     return float(np.sum(np.exp(-beta * np.sort(w))))

@@ -106,6 +106,11 @@ def test_build_config_error_exit_codes(tmp_path):
     listed = demo_config(mode=["thermal"])
     cfg4 = write_config(tmp_path, listed, "listed.json")
     assert main(["build", "--config", cfg4]) == EXIT_CONFIG
+    for alpha in (math.inf, math.nan):  # json writes Infinity and NaN
+        exponent = demo_config()
+        exponent["model"]["alpha"] = alpha
+        cfg5 = write_config(tmp_path, exponent, "alpha.json")
+        assert main(["build", "--config", cfg5]) == EXIT_CONFIG, alpha
 
 
 def test_build_bad_flag_values_exit_config(tmp_path):
@@ -374,6 +379,10 @@ def test_fit_prints_series(tmp_path, capsys):
 def test_fit_rejects_invalid(capsys):
     assert main(["fit", "--alpha", "3", "--epsilon", "1"]) == EXIT_CONFIG
     assert main(["fit", "--alpha", "1.0", "--epsilon", "1e-3"]) == EXIT_CONFIG
+    # no finite exponent, or (1e308) no finite series half-width
+    for alpha in ("inf", "nan", "1e308"):
+        assert main(["fit", "--alpha", alpha, "--epsilon", "0.01"]) \
+            == EXIT_CONFIG, alpha
 
 
 def test_fit_boundary_alpha_warns(tmp_path, capsys):

@@ -74,6 +74,12 @@ def test_fit_validation():
         fit(3.0, 0.0)
     with pytest.warns(UserWarning):
         fit_kernel(2.5, 1e-2, certify=False)
+    # alpha = 1e308 is finite, but 2*alpha/eps and the half-width are not
+    for alpha in (math.inf, math.nan, 1e308):
+        with pytest.raises(ValueError, match="finite"):
+            fit_kernel(alpha, 1e-2, certify=False)
+    with pytest.raises(ValueError, match="half-width"):
+        kernel_order(1e308, 1e-2)
 
 
 @pytest.mark.parametrize("grid", [

@@ -517,18 +517,18 @@ def test_in_build_merges_match_standalone_merges(monkeypatch):
     merges = []
     original = gibbs_mod.truncated_merge_dense
 
-    def recording(ms, spectra=None):
-        out = original(ms, spectra=spectra)
-        merges.append((ms, spectra, out))
+    def recording(ms, spectra=None, blocks=None):
+        out = original(ms, spectra=spectra, blocks=blocks)
+        merges.append((ms, spectra, blocks, out))
         return out
 
     monkeypatch.setattr(gibbs_mod, "truncated_merge_dense", recording)
     spec = chain(9)
     build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
-    assert [ms.spec_ab.n for ms, _, _ in merges] == [4, 4, 8, 9]
-    for ms, spectra, got in merges:
-        assert spectra is not None
-        want = original(ms)
+    assert [ms.spec_ab.n for ms, _, _, _ in merges] == [4, 4, 8, 9]
+    for ms, spectra, blocks, got in merges:
+        assert spectra is not None and blocks is not None
+        want = original(ms, blocks=blocks)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -537,18 +537,24 @@ def test_lossless_dense_merges_multiply_by_halves_when_even(monkeypatch,
                                                             symmetric):
     # every dense block of a spin-flip symmetric build (leaves and lossless
     # merges alike) is exactly even, so each lossless product runs by
-    # reflection halves, within 1e-13 of dense @ kron(a.dense, b.dense);
-    # the thermal_lfi_a3 model (a Z field) takes that full product
+    # reflection halves; with the thermal_lfi_a3 model (a Z field) none is.
+    # Either way the joined block is within 1e-13 of
+    # dense @ kron(a.dense, b.dense)
     import gibbsmpo.gibbs as gibbs_mod
-    from gibbsmpo.oracle import _is_even
+    from gibbsmpo.oracle import split_halves
+
+    def _is_even(x):
+        return len(split_halves(x)) == 2
+
     spec = chain(9) if symmetric else power_law_pairwise(
         8, 3.0, [("Z", "Z", 1.0)], fields=[("X", 0.5), ("Z", 0.2)])
     merges = []
     original = gibbs_mod.truncated_merge_dense
 
-    def recording(ms, spectra=None):
+    def recording(ms, spectra=None, blocks=None):
+        assert blocks is not None
         merges.append(original(ms, spectra=spectra))
-        return merges[-1]
+        return original(ms, spectra=spectra, blocks=blocks)
 
     monkeypatch.setattr(gibbs_mod, "truncated_merge_dense", recording)
     beta0 = window(spec)
@@ -562,11 +568,8 @@ def test_lossless_dense_merges_multiply_by_halves_when_even(monkeypatch,
         for psi, (xa, xb), block in zip(merges, pairs, layer):
             want = psi @ np.kron(xa, xb)
             assert _is_even(block.dense) == symmetric
-            if symmetric:
-                assert np.abs(block.dense - want).max() \
-                    <= 1e-13 * np.abs(want).max()
-            else:
-                assert np.array_equal(block.dense, want)
+            assert np.abs(block.dense - want).max() \
+                <= 1e-13 * np.abs(want).max()
         joined += len(merges)
     assert joined == (4 if symmetric else 3)
 

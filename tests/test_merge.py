@@ -39,6 +39,9 @@ from gibbsmpo.model import (
     power_law_pairwise,
 )
 from gibbsmpo.mpo import BondCapError, CompressionPolicy
+from gibbsmpo.oracle import join_halves
+
+RNG = np.random.default_rng(2718)
 
 
 def chain(n, alpha=3.0, hx=0.5):
@@ -333,6 +336,41 @@ def test_unsplit_kernel_is_the_full_size_kernel_bit_for_bit(phase):
                           full_merge(spectra, ms.beta0, np.expm1))
     assert truncation_error(ms, spectra) == full_error(spectra, ms.beta0,
                                                         ms.order)
+
+
+def random_operator(dim, even, phase):
+    """A random real (phase 1) or complex operator, exactly even if asked."""
+    def draw(size):
+        x = RNG.standard_normal((size, size))
+        return x if phase == 1.0 else x + 1j * RNG.standard_normal((size, size))
+    return join_halves((draw(dim // 2), draw(dim // 2))) if even else draw(dim)
+
+
+@pytest.mark.parametrize("spec, cut, phase, even", [
+    (chain(8), 4, 1.0, (True, True)), (chain(6), 4, 1.0, (True, True)),
+    (chain(9), 8, 1.0, (True, True)), (chain(8), 4, 1j, (True, True)),
+    (lfi_chain(8), 4, 1.0, (False, False)),
+    (mixed_chain(6), 3, 1.0, (True, True)),
+    (chain(8), 4, 1.0, (True, False))],
+    ids=["4+4", "4+2", "8+1", "4+4-real-time", "lfi", "mixed", "uneven-b"])
+def test_merge_times_blocks_matches_product_with_kronecker(spec, cut, phase,
+                                                           even):
+    # Psi~ (X_A (x) X_B) with X_A and X_B in the right factors: by sectors
+    # when the triple splits and both operators are exactly even, else as
+    # one sector (an unsplit or mixed triple, or an X_B that is not exactly
+    # even, whose even part alone would be wrong by its odd part)
+    ms = merge_spec_for(spec, Interval(1, cut), Interval(cut + 1, spec.n),
+                        phase * window(spec), 6)
+    spectra = merge_spectra(ms)
+    xa, xb = (random_operator(2 ** n, e, phase)
+              for n, e in ((cut, even[0]), (spec.n - cut, even[1])))
+    if not even[1]:
+        xb[0, 1] += 1e-3
+    got = truncated_merge_dense(ms, spectra, blocks=(xa, xb))
+    want = truncated_merge_dense(ms) @ np.kron(xa, xb)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    split = all(even) and all(len(eig.sectors) == 2 for eig in spectra)
+    assert np.array_equal(got, got[::-1, ::-1]) == split
 
 
 # ---------------------------------------------------------------------------

@@ -512,3 +512,14 @@ def test_serialization_rejects_garbage():
     blob = mpo_to_bytes(identity_mpo(2, 2))
     with pytest.raises(ValueError):
         mpo_from_bytes(blob + b"\x00")
+    # truncated inside the header, the bond profile and the cores
+    for cut in (0, 3, 19, 20, 27, 43, 44, 107, len(blob) - 1):
+        with pytest.raises(ValueError, match="truncated|does not match"):
+            mpo_from_bytes(blob[:cut])
+    # a profile entry of 2**63 or a site count of 2**32 - 1 describes more
+    # data than any container holds
+    for fmt, offset, value in (("<Q", 28, 2 ** 63), ("<I", 8, 2 ** 32 - 1)):
+        oversized = bytearray(blob)
+        struct.pack_into(fmt, oversized, offset, value)
+        with pytest.raises(ValueError):
+            mpo_from_bytes(bytes(oversized))

@@ -15,18 +15,18 @@ from gibbsmpo.model import (
 )
 from gibbsmpo.oracle import (
     Eigensystem,
-    _join_reflection_halves,
     _reflection_halves,
     dense_exp,
     eigensystem,
     exp_of_eigensystem,
     exp_with_spectrum,
     gibbs_dense,
-    kron_product,
+    join_halves,
     partition_function,
     relative_error,
     schatten_errors,
     schatten_norm,
+    split_halves,
 )
 
 RNG = np.random.default_rng(90210)
@@ -331,14 +331,26 @@ def test_partition_function_takes_eigenvalues_only(monkeypatch, symmetric):
 def random_even(dim):
     """A random real matrix with x = JxJ exactly."""
     half = dim // 2
-    return _join_reflection_halves(RNG.standard_normal((half, half)),
-                                   RNG.standard_normal((half, half)))
+    return join_halves((RNG.standard_normal((half, half)),
+                        RNG.standard_normal((half, half))))
 
 
-KRON_SHAPES = [(256, 2), (16, 16), (4, 8), (2, 2)]
+def test_split_and_join_halves_are_inverses():
+    # a square matrix splits only when exactly even, and its top rows give
+    # the same halves; joining them gives the matrix back
+    x = random_even(16)
+    plus, minus = split_halves(x)
+    assert all(np.array_equal(got, want) for got, want in
+               zip(split_halves(x[:8]), (plus, minus)))
+    assert np.abs(join_halves((plus, minus)) - x).max() \
+        <= 1e-15 * np.abs(x).max()
+    x[0, 1] += 1e-3
+    assert len(split_halves(x)) == 1 and split_halves(x)[0] is x
+    odd = random_matrix(5).real
+    assert split_halves(odd)[0] is odd and join_halves((odd,)) is odd
 
 
-@pytest.mark.parametrize("na, nb", KRON_SHAPES)
+@pytest.mark.parametrize("na, nb", [(256, 2), (16, 16), (4, 8), (2, 2)])
 def test_kronecker_halves_identity(na, nb):
     # with J = J_a (x) J_b, the halves of a (x) b are a+ (x) bP+ + a- (x) bP-
     # and a+ (x) bP- + a- (x) bP+, where bP+- = (b +- bJ)/2
@@ -354,20 +366,3 @@ def test_kronecker_halves_identity(na, nb):
                       (np.kron(a_plus, b_minus) + np.kron(a_minus, b_plus),
                        minus)):
         assert np.abs(got - want).max() <= 1e-15 * scale
-
-
-@pytest.mark.parametrize("na, nb", KRON_SHAPES)
-def test_kron_product_by_halves_matches_full_product(na, nb):
-    # three exactly even factors: an exactly even result within 1e-13 of
-    # m @ (a (x) b)
-    m, a, b = random_even(na * nb), random_even(na), random_even(nb)
-    want = m @ np.kron(a, b)
-    got = kron_product(m, a, b)
-    assert np.array_equal(got, got[::-1, ::-1])
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-
-def test_kron_product_of_an_uneven_triple_is_the_full_product():
-    m, a, b = random_even(32), random_even(8), random_even(4)
-    a[0, 1] += 1e-3  # no longer even
-    assert np.array_equal(kron_product(m, a, b), m @ np.kron(a, b))
