@@ -5,7 +5,8 @@ tables printed to stdout are a convenience view.  Exit codes:
 
     0  success
     2  usage or configuration error
-    3  no admissible error budget (for example beta >= n)
+    3  no admissible error budget (for example beta >= n, or a power-law
+       model whose kernel series cannot be formed)
     4  dense or bond-dimension cap exceeded
     5  a measured bound or verification check failed
 """
@@ -44,7 +45,7 @@ _TOP_KEYS = {"format", "model", "run", "verify", "sweep"}
 # every key of the run, verify and sweep sections and what its value must
 # be: float (any JSON number), int, another type, a collection of the
 # allowed values (a range holds ints), or [kind] for a list of such values
-_TWO_LOCAL, _ORDER = ("auto", "on", "off"), range(MAX_TAYLOR_ORDER + 1)
+_TWO_LOCAL, _ORDER = ("auto", "off"), range(MAX_TAYLOR_ORDER + 1)
 _CHECK_NAMES = [tuple(verify_mod.ALL_CHECKS)]
 _SECTION_KEYS = {
     "run": {"mode": tuple(_MODE_EXCLUDED_KEYS), "beta": float,
@@ -198,6 +199,8 @@ def _cmd_verify(args) -> int:
     expect_fail = set(vcfg.get("expect_fail", verify_mod.DEFAULT_EXPECT_FAIL))
     fast = args.fast or vcfg.get("fast", False)
     seed = args.seed if args.seed is not None else vcfg.get("seed")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"verify seed must be non-negative, got {seed}")
     results = verify_mod.run_checks(names, fast=fast, seed=seed)
     all_ok = True
     for res in results:

@@ -9,10 +9,10 @@ giving a finite series  sum_s w_s * exp(-rate_s * r)  with
 node spacing  x = 2*pi / (ln 3 + alpha*ln(1/cos 1) + ln(1/eps))  and
 truncation half-width  m = ceil((2/x) * ln(2*alpha/eps)).  The sup error
 over r >= 1 is then about a small constant times eps.  ``fit_kernel``
-certifies a series on a dense grid over r in [1, r_max] (the ``fit``
-command and the ``kernel_certification`` check report that number).
-Both certificates are read from one evaluator, ``_sup_error``.  Per
-chunk of points it skips the terms with rate * min(r) > 800: their
+certifies every series it returns on a grid {1, 1+step, ..., r_max}: the
+dense default grid for the ``fit`` command and the ``kernel_certification``
+check, the chain's distances for a build.  Its evaluator, ``_sup_error``,
+per chunk of points skips the terms with rate * min(r) > 800: their
 exp(-rate * r) underflows to exactly 0.0 (below about exp(-745)) on the
 whole chunk.  ``fit_kernel`` also stops the scan early.  The weights and
 rates are positive, so r**-alpha and the series are both positive and
@@ -24,11 +24,13 @@ bit-exact per point: the shorter dot product rounds in another order, so a
 certificate can move in its last digits (``fit_kernel(3.0, 1e-2,
 r_max=1.0)`` gives 6.986724372946007e-4, all terms 6.986724372948228e-4).
 
-Replacing r**-alpha by the series turns a power-law pairwise Hamiltonian
-into one whose MPO needs only one decay channel per series term.  A chain
-of n sites uses the kernel only at r = 1..n-1, so ``approximate_hamiltonian``
-certifies the series exactly on those n-1 distances and refits with a
-tighter target until the error meets the pair allowance.
+Replacing r**-alpha by the series (the kernel surrogate) turns a
+power-law pairwise Hamiltonian into one whose MPO needs only one decay
+channel per series term.  ``approximate_hamiltonian`` alone decides which
+specs get it.  A chain of n sites uses the kernel only at r = 1..n-1, so it
+fits on the grid r_max = n-1, grid_step = 1, which certifies the series
+exactly on those n-1 distances, and refits with a tighter target until the
+error meets the pair allowance.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import HamiltonianSpec, LocalTerm, _pairwise_terms
+from .model import HamiltonianSpec, _pairwise_terms
 
 # Worst measured grid ratio sup_err/eps, doubled for safety, over
 # eps in [1e-2, 1e-6] on the default grid (r in [1, 2^16], step 2^-4):
@@ -102,8 +104,7 @@ class ExpSumApprox:
     m: int                        # half-width; indices s in [-m, m]
     weights: np.ndarray
     rates: np.ndarray
-    certified_sup_error: float    # max deviation on {1, 1+grid_step, ..., r_max};
-                                  # nan when uncertified
+    certified_sup_error: float    # max deviation on {1, 1+grid_step, ..., r_max}
     r_max: float = _DEFAULT_R_MAX
     grid_step: float = _DEFAULT_GRID_STEP
 
@@ -144,8 +145,7 @@ class ExpSumApprox:
 
 
 def fit_kernel(alpha: float, eps: float, *, r_max: float = _DEFAULT_R_MAX,
-               grid_step: float = _DEFAULT_GRID_STEP,
-               certify: bool = True) -> ExpSumApprox:
+               grid_step: float = _DEFAULT_GRID_STEP) -> ExpSumApprox:
     """Fit the exponential series for r**-alpha with target error eps.
 
     Args:
@@ -154,9 +154,9 @@ def fit_kernel(alpha: float, eps: float, *, r_max: float = _DEFAULT_R_MAX,
             warning since the long-range machinery degrades near 2.
         eps: target kernel error in (0, 1).
         r_max, grid_step: certification grid r in {1, 1+step, ..., r_max};
-            r_max >= 1 and grid_step > 0 must be finite.
-        certify: measure the sup error on the grid (skip for order-only
-            use, or when the caller certifies the series on its own points).
+            r_max >= 1 and grid_step > 0 must be finite.  A chain of n
+            sites certifies its distances r = 1..n-1 with r_max = n-1 and
+            grid_step = 1 (:func:`approximate_hamiltonian`).
 
     Returns:
         The series with certified sup error over the grid: the max over all
@@ -205,8 +205,6 @@ def fit_kernel(alpha: float, eps: float, *, r_max: float = _DEFAULT_R_MAX,
     series = ExpSumApprox(alpha=alpha, epsilon=eps, x=x, m=m, weights=weights,
                           rates=rates, certified_sup_error=math.nan,
                           r_max=r_max, grid_step=grid_step)
-    if not certify:
-        return series
     worst = 0.0
     npts = int(round((r_max - 1.0) / grid_step)) + 1
     for start in range(0, npts, _GRID_CHUNK):
@@ -215,7 +213,7 @@ def fit_kernel(alpha: float, eps: float, *, r_max: float = _DEFAULT_R_MAX,
         if _ROUNDING_FACTOR * reach <= worst:
             break  # no point from r[0] on can raise the max
         worst = max(worst, _sup_error(series, r))
-    return _dc_replace(series, certified_sup_error=worst)
+    return replace(series, certified_sup_error=worst)
 
 
 def _sup_error(series: ExpSumApprox, r: np.ndarray) -> float:
@@ -245,46 +243,48 @@ def approximate_hamiltonian(spec: HamiltonianSpec, eps_ham: float,
                             ) -> tuple[HamiltonianSpec, ExpSumApprox | None]:
     """Replace power-law pair couplings by an exponential-series kernel.
 
-    Each of the < n**2 pair terms moves by at most J-bar times the kernel
-    error at its distance, so a kernel error of at most
-    eps_ham / (J-bar * n**2) on the chain's distances r = 1..n-1 bounds the
-    operator-norm change of the full Hamiltonian by eps_ham.  The first fit
-    targets that allowance divided by the frozen ``kernel_error_constant``;
-    the series is then certified exactly on r = 1..n-1, and the target is
-    halved and the series refitted until the certificate holds.
-    Non-pairwise terms (fields, explicit short-range terms) are kept
-    verbatim.
+    This is the one place that decides whether a spec gets the kernel
+    surrogate and certifies it.  Each of the < n**2 pair terms moves by at
+    most J-bar times the kernel error at its distance, so a kernel error of
+    at most eps_ham / (J-bar * n**2) on the chain's distances r = 1..n-1
+    bounds the operator-norm change of the full Hamiltonian by eps_ham.
+    The first fit targets that allowance divided by the frozen
+    ``kernel_error_constant``; :func:`fit_kernel` certifies each series on
+    the grid r_max = n-1, grid_step = 1, which is exactly those distances,
+    and the target is halved and the series refitted until the certificate
+    holds.  Non-pairwise terms (fields, explicit short-range terms) are
+    kept verbatim.
 
-    Returns the rewritten spec and the series, or ``(spec, None)`` when the
-    spec has no power-law pairwise content.  The series records the exact
-    distance error as ``certified_sup_error``, with ``r_max = n-1`` and
-    ``grid_step = 1``.
+    Returns the rewritten spec and the series, or ``(spec, None)`` when
+    there is nothing to rewrite: no power-law pair channels (or a single
+    site), channels already in exponential form, or zero pair weight
+    J-bar.  Raises ``ValueError`` for a spec that declares power-law
+    channels but cannot be rewritten: locality k > 2, an alpha without a
+    float64 series (below 2, or so large that the weights overflow), pair
+    terms off the declared profile, or an eps_ham that is not finite and
+    positive or too loose for a kernel target below 1.
     """
+    jbar = spec.pair_weight_sum()
+    if (spec.alpha is None or spec.pair_channels is None or spec.n < 2
+            or spec.exp_channels is not None or jbar == 0.0):
+        return spec, None
     if spec.k > 2:
         raise ValueError(f"pairwise path requires locality k <= 2, got k={spec.k}")
-    if spec.alpha is None or spec.pair_channels is None:
-        return spec, None
-    if spec.exp_channels is not None:
-        return spec, None  # already in exponential form
     if not eps_ham > 0.0 or not math.isfinite(eps_ham):
         raise ValueError(f"Hamiltonian error target must be finite and positive, "
                          f"got {eps_ham}")
-    jbar = spec.pair_weight_sum()
     zc = kernel_error_constant(spec.alpha)
     eps_kernel = eps_ham / (jbar * zc * spec.n ** 2)
     if eps_kernel >= 1.0:
         raise ValueError(f"eps_ham={eps_ham} is too loose: implied kernel target "
                          f"{eps_kernel} must be < 1")
     pair_tol = eps_ham / (jbar * spec.n ** 2)
-    distances = np.arange(1.0, spec.n)
     while True:
-        series = fit_kernel(spec.alpha, eps_kernel, certify=False)
-        err = _sup_error(series, distances)
-        if err <= pair_tol:
+        series = fit_kernel(spec.alpha, eps_kernel, r_max=float(spec.n - 1),
+                            grid_step=1.0)
+        if series.certified_sup_error <= pair_tol:
             break
         eps_kernel /= 2.0
-    series = _dc_replace(series, certified_sup_error=err,
-                         r_max=float(spec.n - 1), grid_step=1.0)
     scale = 1.0 if spec.coupling is None else spec.coupling
     pair_terms = _pairwise_terms(
         spec.n, spec.pair_channels,
@@ -294,7 +294,7 @@ def approximate_hamiltonian(spec: HamiltonianSpec, eps_ham: float,
     weight_of = {(op1, op2): w for op1, op2, w in spec.pair_channels}
     other = []
     for t in spec.terms:
-        if len(t.sites) == 2 and _is_channel_term(spec, t):
+        if len(t.sites) == 2 and t.ops in weight_of:
             # only terms that actually follow the declared profile may be
             # replaced; anything else would be silently corrupted
             r = t.sites[1] - t.sites[0]
@@ -306,18 +306,12 @@ def approximate_hamiltonian(spec: HamiltonianSpec, eps_ham: float,
                     f"({expected}); cannot rewrite this model")
         else:
             other.append(t)
-    other = tuple(other)
     new_spec = HamiltonianSpec(
         n=spec.n, d=spec.d, k=spec.k,
-        terms=other + tuple(pair_terms),
+        terms=tuple(other) + tuple(pair_terms),
         alpha=spec.alpha, coupling=spec.coupling,
         pair_channels=spec.pair_channels,
         exp_channels=tuple((float(w), float(lam))
                            for w, lam in zip(series.weights, series.rates)),
     )
     return new_spec, series
-
-
-def _is_channel_term(spec: HamiltonianSpec, term: LocalTerm) -> bool:
-    """True when the 2-site term matches one of the spec's pair channels."""
-    return any(term.ops == (op1, op2) for op1, op2, _ in spec.pair_channels)

@@ -145,9 +145,14 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
 
         d0 = |b0| * eps_mpo / (5 * |beta| * a2 * n^log2(2*a1))
 
-    whose powered error lands at eps_mpo by construction.  On the pairwise
-    power-law path the Hamiltonian is replaced first (tolerance eps/(6*beta),
-    MPO stage budgeted eps/3) so the composed error stays below eps.
+    whose powered error lands at eps_mpo by construction.  Under
+    ``two_local="auto"`` the plan asks
+    :func:`~gibbsmpo.expsum.approximate_hamiltonian` for the kernel
+    surrogate (tolerance eps/(6*beta)); when it returns a series, the MPO
+    stage is budgeted eps/3 so the composed error stays below eps, else
+    the input Hamiltonian runs with the whole eps.  A model that declares
+    power-law channels but has no surrogate raises ``BudgetError``.
+    ``two_local="off"`` always runs the input Hamiltonian.
 
     Returns (budget, run spec, kernel series or None).  The run spec is the
     Hamiltonian the pipeline actually exponentiates, and its boundary bound
@@ -165,25 +170,21 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
     if beta_abs >= spec.n:
         raise BudgetError(f"budget requires |beta| < n, got |beta|={beta_abs} "
                           f"with n={spec.n}")
-    if two_local not in ("auto", "on", "off"):
-        raise ValueError(f"two_local must be auto/on/off, got {two_local!r}")
-    use_pairwise = spec.two_local_pairwise() and spec.alpha is not None \
-        and spec.exp_channels is None
-    if two_local == "on" and not use_pairwise:
-        raise BudgetError("pairwise fast path requested but the model has no "
-                          "power-law pairwise structure")
-    if two_local == "off":
-        use_pairwise = False
+    if two_local not in ("auto", "off"):
+        raise ValueError(f"two_local must be auto/off, got {two_local!r}")
 
     beta_c = 1j * beta if real_time else float(beta)
-    if use_pairwise:
-        ham_tol = epsilon / (6.0 * beta_abs)
-        run_spec, series = approximate_hamiltonian(spec, ham_tol)
-        mpo_target = epsilon / 3.0
+    ham_tol = epsilon / (6.0 * beta_abs)
+    run_spec, series = spec, None
+    if two_local == "auto":
+        try:
+            run_spec, series = approximate_hamiltonian(spec, ham_tol)
+        except ValueError as exc:
+            raise BudgetError(f"no kernel series for this model: {exc}") from exc
+    if series is None:
+        ham_tol, mpo_target = 0.0, epsilon
     else:
-        run_spec, series = spec, None
-        ham_tol = 0.0
-        mpo_target = epsilon
+        mpo_target = epsilon / 3.0
 
     g = extensivity_constant(run_spec)
     gtilde = boundary_bound(run_spec)
@@ -224,7 +225,7 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
         boundary_norm=gtilde, locality=k, tail_prefactor=c0, merge_gain=a1,
         merge_offset=a2, high_temp_error=high_temp_error,
         powered_error=powered_error, total_predicted=total_predicted,
-        two_local_path=use_pairwise, real_time=real_time, ham_bond=d_h,
+        two_local_path=series is not None, real_time=real_time, ham_bond=d_h,
         merge_bond_ledger=merge_ledger,
         high_temp_bond_ledger=high_temp_ledger,
         final_bond_ledger=high_temp_ledger ** steps,

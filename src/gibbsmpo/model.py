@@ -177,10 +177,6 @@ class HamiltonianSpec:
                 if name not in basis:
                     raise ValueError(f"unknown operator {name!r} for d={self.d}")
 
-    def two_local_pairwise(self) -> bool:
-        """True when the long-range content is given by pairwise channels."""
-        return self.k <= 2 and self.pair_channels is not None
-
     def pair_weight_sum(self) -> float:
         """Sum of |J * weight| over the pairwise channels (J-bar)."""
         if self.pair_channels is None:

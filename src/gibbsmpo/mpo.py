@@ -108,6 +108,8 @@ class MPO:
         for j, c in enumerate(cores):
             if c.ndim != 4 or c.shape[1] != d or c.shape[2] != d:
                 raise ValueError(f"core {j} has invalid shape {c.shape}")
+        if d < 1:
+            raise ValueError(f"physical dimension must be >= 1, got {d}")
         if cores[0].shape[0] != 1 or cores[-1].shape[3] != 1:
             raise ValueError("boundary bonds must have dimension 1")
         for j in range(len(cores) - 1):

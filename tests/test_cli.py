@@ -91,6 +91,32 @@ def test_build_budget_error_exit_code(tmp_path):
                      str(tmp_path / "x")]) == EXIT_BUDGET, run
 
 
+@pytest.mark.parametrize("alpha", [1.5, 50.0, 1e308])
+def test_build_without_kernel_series_exit_budget(tmp_path, alpha):
+    # no float64 series exists below alpha = 2; at 50 its weights and at
+    # 1e308 its half-width overflow
+    payload = demo_config()
+    payload["model"]["alpha"] = alpha
+    cfg = write_config(tmp_path, payload)
+    with pytest.warns(UserWarning):  # the uncalibrated error constant
+        code = main(["build", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == EXIT_BUDGET
+
+
+def test_build_zero_coupling_runs_the_input_hamiltonian(tmp_path):
+    # zero pair weight leaves no kernel to replace: the build runs the
+    # input Hamiltonian and meets its target
+    payload = demo_config()
+    payload["model"]["coupling"] = 0
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["build", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["budget"]["two_local_path"] is False
+    assert report["measured"]
+    assert all(v <= 0.01 for v in report["measured"].values())
+
+
 def test_build_config_error_exit_codes(tmp_path):
     bad = demo_config()
     bad["run"]["mystery"] = 1
@@ -205,6 +231,13 @@ def test_verify_expected_fail_marker(tmp_path):
         "verify": {"checks": ["decoupled_identity"],
                    "expect_fail": ["decoupled_identity"]}}, "c2.json")
     assert main(["verify", "--config", cfg2]) == EXIT_VERIFY
+
+
+def test_verify_negative_seed_exits_config(tmp_path):
+    assert main(["verify", "--fast", "--seed", "-1"]) == EXIT_CONFIG
+    cfg = write_config(tmp_path, {"format": 1, "verify": {
+        "checks": ["kernel_order_scaling"], "seed": -3}})
+    assert main(["verify", "--config", cfg]) == EXIT_CONFIG
 
 
 def test_verify_unknown_check_rejected(tmp_path):
@@ -330,6 +363,8 @@ MALFORMED_VALUES = {
     "order-fraction": ("build", {"beta_steps": 2, "override_order": 2.5}),
     "order-bool": ("build", {"beta_steps": 2, "override_order": True}),
     "two_local": ("build", {"beta_steps": 2, "two_local": "maybe"}),
+    "two_local-on": ("build", {"beta_steps": 2, "two_local": "on"}),
+    "sweep-two_local-on": ("sweep", {"kind": "steps", "two_local": "on"}),
     "beta_steps": ("build", {"beta_steps": "x"}),
     "beta": ("build", {"beta": "x"}),
     "time": ("build", {"mode": "real_time", "time": "x"}),

@@ -17,7 +17,8 @@ from gibbsmpo.expsum import (
 )
 from gibbsmpo import expsum, gibbs, verify
 from gibbsmpo.gibbs import build_gibbs_mpo, plan_budget
-from gibbsmpo.model import dense_matrix, nearest_neighbor_ising, power_law_ising
+from gibbsmpo.model import HamiltonianSpec, LocalTerm, dense_matrix, \
+    nearest_neighbor_ising, power_law_ising
 
 
 def spacing_mp(alpha, eps):
@@ -73,11 +74,11 @@ def test_fit_validation():
     with pytest.raises(ValueError):
         fit(3.0, 0.0)
     with pytest.warns(UserWarning):
-        fit_kernel(2.5, 1e-2, certify=False)
+        fit_kernel(2.5, 1e-2)
     # alpha = 1e308 is finite, but 2*alpha/eps and the half-width are not
     for alpha in (math.inf, math.nan, 1e308):
         with pytest.raises(ValueError, match="finite"):
-            fit_kernel(alpha, 1e-2, certify=False)
+            fit_kernel(alpha, 1e-2)
     with pytest.raises(ValueError, match="half-width"):
         kernel_order(1e308, 1e-2)
 
@@ -87,11 +88,10 @@ def test_fit_validation():
     {"grid_step": -1.0}, {"grid_step": 0.0}, {"grid_step": math.inf},
     {"grid_step": math.nan}, {"r_max": 1e300, "grid_step": 1e-300},
 ])
-@pytest.mark.parametrize("certify", [True, False])
-def test_fit_rejects_grids_that_certify_nothing(grid, certify):
+def test_fit_rejects_grids_that_certify_nothing(grid):
     # an empty, unbounded or endless grid has no certificate to offer
     with pytest.raises(ValueError, match="certification grid"):
-        fit(3.0, 1e-2, certify=certify, **grid)
+        fit(3.0, 1e-2, **grid)
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +246,15 @@ def test_plan_certifies_kernel_on_chain_distances():
 
 
 def test_build_certifies_kernel_without_grid(monkeypatch):
+    # one fit, certified on the chain's distances r = 1..n-1, not on the
+    # default grid of about a million points
     fits, returned = [], []
     fit_original = expsum.fit_kernel
     approx_original = gibbs.approximate_hamiltonian
 
-    def recording_fit(*args, certify=True, **kwargs):
-        fits.append(certify)
-        return fit_original(*args, certify=certify, **kwargs)
+    def recording_fit(*args, **kwargs):
+        fits.append(kwargs)
+        return fit_original(*args, **kwargs)
 
     def recording_approx(*args, **kwargs):
         out = approx_original(*args, **kwargs)
@@ -264,7 +266,7 @@ def test_build_certifies_kernel_without_grid(monkeypatch):
     n = 6
     spec = power_law_ising(n, 3.0)
     build_gibbs_mpo(spec, verify.base_step(spec), 1e-2)
-    assert fits == [False]
+    assert fits == [{"r_max": n - 1, "grid_step": 1.0}]
     (series,) = returned
     assert series.r_max == n - 1 and series.grid_step == 1.0
     r = np.arange(1, n, dtype=float)
@@ -280,17 +282,23 @@ def test_replacement_rejects_silly_tolerances():
 
 
 def test_replacement_passthrough_without_long_range():
-    spec = nearest_neighbor_ising(5)
-    same, series = approximate_hamiltonian(spec, 1e-2)
-    assert series is None
-    assert same is spec
+    # nothing to rewrite: no pair channels (a 3-local model included), a
+    # single site, or pair channels of zero weight J-bar
+    for spec in (nearest_neighbor_ising(5),
+                 HamiltonianSpec(n=4, d=2, k=3, terms=(
+                     LocalTerm((1, 2, 3), 1.0, ("Z", "Z", "Z")),)),
+                 power_law_ising(1, 3.0),
+                 power_law_ising(5, 3.0, coupling=0.0)):
+        same, series = approximate_hamiltonian(spec, 1e-2)
+        assert series is None
+        assert same is spec
 
 
 def test_replacement_rejects_beyond_pairwise():
-    from gibbsmpo.model import HamiltonianSpec, LocalTerm
     spec = HamiltonianSpec(
-        n=4, d=2, k=3, terms=(LocalTerm((1, 2, 3), 1.0, ("Z", "Z", "Z")),))
-    with pytest.raises(ValueError):
+        n=4, d=2, k=3, terms=(LocalTerm((1, 2, 3), 1.0, ("Z", "Z", "Z")),),
+        alpha=3.0, coupling=1.0, pair_channels=(("Z", "Z", 1.0),))
+    with pytest.raises(ValueError, match="k <= 2"):
         approximate_hamiltonian(spec, 1e-2)
 
 

@@ -143,9 +143,14 @@ def test_budget_generic_path_opt_out():
                                            two_local="off")
     assert series is None and run_spec is spec
     assert budget.ham_tol == 0.0 and budget.mpo_target == 1e-2
-    with pytest.raises(BudgetError):
-        plan_budget(HamiltonianSpec(n=4, d=2, k=2, terms=()), 0.5, 1e-2,
-                    two_local="on")
+
+
+def test_two_local_accepts_auto_or_off():
+    spec = power_law_ising(4, 3.0)
+    with pytest.raises(ValueError, match="auto/off"):
+        plan_budget(spec, window(spec), 1e-2, two_local="on")
+    with pytest.raises(ValueError, match="auto/off"):
+        build_gibbs_mpo(spec, window(spec), 1e-2, two_local="on")
 
 
 def test_power_law_build_runs_the_zeta_check(monkeypatch):

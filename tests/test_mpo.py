@@ -64,6 +64,8 @@ def test_core_shape_validation():
         MPO([np.zeros((2, 2, 2, 1))])  # boundary bond must be 1
     with pytest.raises(ValueError):
         MPO([np.zeros((1, 2, 2, 3)), np.zeros((2, 2, 2, 1))])  # bond mismatch
+    with pytest.raises(ValueError, match="physical dimension"):
+        MPO([np.zeros((1, 0, 0, 1))])  # no local states
 
 
 def test_bond_profile_reports_actual_shapes():
@@ -523,3 +525,7 @@ def test_serialization_rejects_garbage():
         struct.pack_into(fmt, oversized, offset, value)
         with pytest.raises(ValueError):
             mpo_from_bytes(bytes(oversized))
+    # one site of physical dimension 0: a consistent size, no operator
+    empty = struct.pack("<4sIIII2Q", b"GMPO", 1, 1, 0, 1, 1, 1)
+    with pytest.raises(ValueError, match="physical dimension"):
+        mpo_from_bytes(empty)
