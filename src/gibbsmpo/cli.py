@@ -5,8 +5,8 @@ tables printed to stdout are a convenience view.  Exit codes:
 
     0  success
     2  usage or configuration error
-    3  no admissible error budget (for example beta >= n, or a power-law
-       model whose kernel series cannot be formed)
+    3  no admissible error budget (for example beta >= n, or, beyond the
+       dense cap, a power-law model whose kernel series cannot be formed)
     4  dense or bond-dimension cap exceeded
     5  a measured bound or verification check failed
 """
@@ -40,24 +40,23 @@ _MODE_EXCLUDED_KEYS = {"thermal": {"time"},
                        "real_time": {"beta", "beta_steps"}}
 _SWEEP_KIND_KEYS = {"order": {"orders"}, "epsilon": {"epsilons", "beta_steps"},
                     "steps": {"max_steps", "epsilon", "beta_steps",
-                              "override_order", "two_local"}}
+                              "override_order"}}
 _TOP_KEYS = {"format", "model", "run", "verify", "sweep"}
 # every key of the run, verify and sweep sections and what its value must
 # be: float (any JSON number), int, another type, a collection of the
 # allowed values (a range holds ints), or [kind] for a list of such values
-_TWO_LOCAL, _ORDER = ("auto", "off"), range(MAX_TAYLOR_ORDER + 1)
+_ORDER = range(MAX_TAYLOR_ORDER + 1)
 _CHECK_NAMES = [tuple(verify_mod.ALL_CHECKS)]
 _SECTION_KEYS = {
     "run": {"mode": tuple(_MODE_EXCLUDED_KEYS), "beta": float,
             "beta_steps": float, "time": float, "epsilon": float,
             "compress": str, "dense_cap": int,
-            "max_bond": int, "two_local": _TWO_LOCAL, "override_order": _ORDER},
+            "max_bond": int, "override_order": _ORDER},
     "verify": {"checks": _CHECK_NAMES, "fast": bool,
                "expect_fail": _CHECK_NAMES, "seed": int},
     "sweep": {"kind": tuple(_SWEEP_KIND_KEYS), "orders": [int],
               "epsilons": [float], "beta_steps": float, "max_steps": int,
-              "epsilon": float, "override_order": _ORDER,
-              "two_local": _TWO_LOCAL},
+              "epsilon": float, "override_order": _ORDER},
 }
 
 
@@ -153,13 +152,8 @@ def _cmd_build(args) -> int:
     if dense_cap < 1 or max_bond < 1:
         raise ConfigError(f"dense_cap and max_bond must be >= 1, got "
                           f"{dense_cap} and {max_bond}")
-    kwargs = dict(
-        policy=policy,
-        two_local=run.get("two_local", "auto"),
-        dense_cap=dense_cap,
-        max_bond=max_bond,
-        override_order=run.get("override_order"),
-    )
+    kwargs = dict(policy=policy, dense_cap=dense_cap, max_bond=max_bond,
+                  override_order=run.get("override_order"))
     if mode == "real_time":
         if "time" not in run:
             raise ConfigError("real_time run needs a time entry")
@@ -313,15 +307,14 @@ def _sweep_steps(spec, sweep) -> list[dict]:
     max_steps = int(sweep.get("max_steps", 8))
     epsilon = float(sweep.get("epsilon", 1e-2))
     override = sweep.get("override_order")
-    two_local = sweep.get("two_local", "auto")
     # fixed target beta, split ever more finely: the powered error bound is
     # linear in the number of steps
     beta = float(sweep.get("beta_steps", 1)) * verify_mod.base_step(spec)
-    q_min = plan_budget(spec, beta, epsilon, two_local=two_local)[0].steps
+    q_min = plan_budget(spec, beta, epsilon)[0].steps
 
     def evaluate(q):
         report = build_gibbs_mpo(spec, beta, epsilon, override_order=override,
-                                 override_steps=q, two_local=two_local)[1]
+                                 override_steps=q)[1]
         predicted = report.budget.total_predicted
         errors = [report.measured[k] for k in ("p1", "p2", "pinf")
                   if k in report.measured]  # none beyond the dense cap

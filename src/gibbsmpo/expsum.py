@@ -26,11 +26,12 @@ r_max=1.0)`` gives 6.986724372946007e-4, all terms 6.986724372948228e-4).
 
 Replacing r**-alpha by the series (the kernel surrogate) turns a
 power-law pairwise Hamiltonian into one whose MPO needs only one decay
-channel per series term.  ``approximate_hamiltonian`` alone decides which
-specs get it.  A chain of n sites uses the kernel only at r = 1..n-1, so it
-fits on the grid r_max = n-1, grid_step = 1, which certifies the series
-exactly on those n-1 distances, and refits with a tighter target until the
-error meets the pair allowance.
+channel per series term, which matters only to builds beyond the dense
+cap; ``approximate_hamiltonian`` alone decides which specs can have it.  A
+chain of n sites uses the kernel only at r = 1..n-1, so it fits on the
+grid r_max = n-1, grid_step = 1, which certifies the series exactly on
+those n-1 distances, and refits with a tighter target until the error
+meets the pair allowance.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ _DEFAULT_GRID_STEP = 2.0 ** -4
 _GRID_CHUNK = 1 << 12  # grid points per evaluation: a chunk stays in cache
 _UNDERFLOW_EXPONENT = 800.0  # exp(-x) is exactly 0.0 in float64 for x > ~745.1
 _ROUNDING_FACTOR = 2.0  # covers rounding in the chunk bound; see fit_kernel
+_MAX_FIRST_TARGET = 0.5  # fit targets must lie below 1
 
 
 def kernel_error_constant(alpha: float) -> float:
@@ -249,11 +251,12 @@ def approximate_hamiltonian(spec: HamiltonianSpec, eps_ham: float,
     at most eps_ham / (J-bar * n**2) on the chain's distances r = 1..n-1
     bounds the operator-norm change of the full Hamiltonian by eps_ham.
     The first fit targets that allowance divided by the frozen
-    ``kernel_error_constant``; :func:`fit_kernel` certifies each series on
-    the grid r_max = n-1, grid_step = 1, which is exactly those distances,
-    and the target is halved and the series refitted until the certificate
-    holds.  Non-pairwise terms (fields, explicit short-range terms) are
-    kept verbatim.
+    ``kernel_error_constant``, at most 0.5 (a tiny coupling's is loose);
+    :func:`fit_kernel` certifies each series on the grid r_max = n-1,
+    grid_step = 1, which is exactly those distances, and the target is
+    halved and the series refitted until the certificate holds.
+    Non-pairwise terms (fields, explicit short-range terms) are kept
+    verbatim.
 
     Returns the rewritten spec and the series, or ``(spec, None)`` when
     there is nothing to rewrite: no power-law pair channels (or a single
@@ -261,8 +264,7 @@ def approximate_hamiltonian(spec: HamiltonianSpec, eps_ham: float,
     J-bar.  Raises ``ValueError`` for a spec that declares power-law
     channels but cannot be rewritten: locality k > 2, an alpha without a
     float64 series (below 2, or so large that the weights overflow), pair
-    terms off the declared profile, or an eps_ham that is not finite and
-    positive or too loose for a kernel target below 1.
+    terms off the declared profile, or an eps_ham not finite and positive.
     """
     jbar = spec.pair_weight_sum()
     if (spec.alpha is None or spec.pair_channels is None or spec.n < 2
@@ -270,14 +272,13 @@ def approximate_hamiltonian(spec: HamiltonianSpec, eps_ham: float,
         return spec, None
     if spec.k > 2:
         raise ValueError(f"pairwise path requires locality k <= 2, got k={spec.k}")
+    if not spec.alpha >= 2.0:
+        raise ValueError(f"no kernel series for alpha={spec.alpha} < 2")
     if not eps_ham > 0.0 or not math.isfinite(eps_ham):
         raise ValueError(f"Hamiltonian error target must be finite and positive, "
                          f"got {eps_ham}")
-    zc = kernel_error_constant(spec.alpha)
-    eps_kernel = eps_ham / (jbar * zc * spec.n ** 2)
-    if eps_kernel >= 1.0:
-        raise ValueError(f"eps_ham={eps_ham} is too loose: implied kernel target "
-                         f"{eps_kernel} must be < 1")
+    eps_kernel = min(eps_ham / (jbar * kernel_error_constant(spec.alpha)
+                                * spec.n ** 2), _MAX_FIRST_TARGET)
     pair_tol = eps_ham / (jbar * spec.n ** 2)
     while True:
         series = fit_kernel(spec.alpha, eps_kernel, r_max=float(spec.n - 1),

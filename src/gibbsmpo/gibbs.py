@@ -27,9 +27,10 @@ too, by the same halves when the merged operator is even up to roundoff.
 No option selects any of this: the matrices decide.
 
 The per-merge tolerance d0 is chosen so the powered error meets the
-requested target; for power-law pairwise models the Hamiltonian is first
-replaced by its exponential-kernel surrogate and the budget split so the
-combined error still lands below the target.
+requested target.  The dense cap picks the Hamiltonian that runs: the input
+one within it; beyond it, for power-law pairwise models, the exponential-
+kernel surrogate, with the budget split so the combined error still lands
+below the target.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class ErrorBudget:
     merge_tol: float          # per-merge operator-error target d0
     order: int                # Taylor truncation order of each merge
     num_layers: int           # q0, leaf layer included
-    ham_tol: float            # Hamiltonian replacement error (0 = generic path)
+    ham_tol: float            # Hamiltonian replacement error (0 = input H)
     mpo_target: float         # error budgeted to the MPO stage itself
     extensivity: float        # g of the run Hamiltonian
     boundary_norm: float      # uniform boundary bound of the run Hamiltonian
@@ -87,7 +88,7 @@ class ErrorBudget:
     high_temp_error: float    # predicted relative error of the merged operator
     powered_error: float      # predicted relative error after Q-fold powering
     total_predicted: float    # powered error composed with the replacement error
-    two_local_path: bool
+    two_local_path: bool      # the kernel surrogate ran
     real_time: bool
     ham_bond: int             # bond of the run-Hamiltonian MPO
     merge_bond_ledger: int    # (m0+1)^2 * D_H^m0
@@ -116,6 +117,11 @@ def _log10_int(value: int) -> float:
     return math.log10(value >> shift) + shift * math.log10(2.0)
 
 
+def _require_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon <= 1.0:
+        raise BudgetError(f"target error must lie in (0, 1], got {epsilon}")
+
+
 def build_merge_plan(n: int) -> tuple[tuple[Interval, ...], ...]:
     """Layers of the halving tree over two-site leaves, leaves first (q0 of
     them); each tiles the chain, and odd trailing blocks carry up unmerged."""
@@ -134,7 +140,7 @@ def build_merge_plan(n: int) -> tuple[tuple[Interval, ...], ...]:
 
 
 def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
-                real_time: bool = False, two_local: str = "auto",
+                real_time: bool = False,
                 dense_cap: int = DEFAULT_DENSE_CAP,
                 force_steps: int | None = None,
                 ) -> tuple[ErrorBudget, HamiltonianSpec, ExpSumApprox | None]:
@@ -145,23 +151,22 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
 
         d0 = |b0| * eps_mpo / (5 * |beta| * a2 * n^log2(2*a1))
 
-    whose powered error lands at eps_mpo by construction.  Under
-    ``two_local="auto"`` the plan asks
+    whose powered error lands at eps_mpo by construction.  Only a chain of
+    more than ``dense_cap`` states, whose top merge is assembled on MPOs
+    where the Hamiltonian's bond D_H costs, asks
     :func:`~gibbsmpo.expsum.approximate_hamiltonian` for the kernel
-    surrogate (tolerance eps/(6*beta)); when it returns a series, the MPO
-    stage is budgeted eps/3 so the composed error stays below eps, else
-    the input Hamiltonian runs with the whole eps.  A model that declares
-    power-law channels but has no surrogate raises ``BudgetError``.
-    ``two_local="off"`` always runs the input Hamiltonian.
+    surrogate (tolerance eps/(6*beta)); with a series the MPO stage gets
+    eps/3 so the composed error stays below eps, and a power-law model
+    without one raises ``BudgetError``.  Otherwise the input Hamiltonian
+    runs with the whole eps.
 
     Returns (budget, run spec, kernel series or None).  The run spec is the
     Hamiltonian the pipeline actually exponentiates, and its boundary bound
     enters the budget; a replaced Hamiltonian's input spec is bounded too,
     which runs :func:`~gibbsmpo.model.boundary_bound`'s zeta consistency
-    check.  ``dense_cap`` is not read.
+    check.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise BudgetError(f"target error must lie in (0, 1], got {epsilon}")
+    _require_epsilon(epsilon)
     beta_abs = abs(beta)
     if not math.isfinite(beta_abs):
         raise BudgetError(f"evolution parameter must be finite, got {beta}")
@@ -170,21 +175,18 @@ def plan_budget(spec: HamiltonianSpec, beta: float, epsilon: float, *,
     if beta_abs >= spec.n:
         raise BudgetError(f"budget requires |beta| < n, got |beta|={beta_abs} "
                           f"with n={spec.n}")
-    if two_local not in ("auto", "off"):
-        raise ValueError(f"two_local must be auto/off, got {two_local!r}")
 
     beta_c = 1j * beta if real_time else float(beta)
-    ham_tol = epsilon / (6.0 * beta_abs)
+    ham_tol, mpo_target = 0.0, epsilon
     run_spec, series = spec, None
-    if two_local == "auto":
+    if spec.d ** spec.n > dense_cap:
         try:
-            run_spec, series = approximate_hamiltonian(spec, ham_tol)
+            run_spec, series = approximate_hamiltonian(
+                spec, epsilon / (6.0 * beta_abs))
         except ValueError as exc:
             raise BudgetError(f"no kernel series for this model: {exc}") from exc
-    if series is None:
-        ham_tol, mpo_target = 0.0, epsilon
-    else:
-        mpo_target = epsilon / 3.0
+        if series is not None:
+            ham_tol, mpo_target = epsilon / (6.0 * beta_abs), epsilon / 3.0
 
     g = extensivity_constant(run_spec)
     gtilde = boundary_bound(run_spec)
@@ -272,7 +274,7 @@ class LayerDiagnostics:
     errors: list[float] = field(default_factory=list)       # max rel S2 error
     bond_profiles: list[list[int]] = field(default_factory=list)
     discarded_weight: float = 0.0
-    top_eig: Eigensystem | None = None  # the top block's, if it holds one
+    top_eig: Eigensystem | None = None  # the top block's, within the cap
 
 
 def _merges_densely(policy: CompressionPolicy, dim: int,
@@ -430,7 +432,6 @@ class ErrorReport:
 def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
                     policy: CompressionPolicy | None = None, *,
                     real_time: bool = False,
-                    two_local: str = "auto",
                     dense_cap: int = DEFAULT_DENSE_CAP,
                     max_bond: int = DEFAULT_MAX_BOND,
                     override_order: int | None = None,
@@ -442,25 +443,27 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
     error of the budget; the relative Schatten-1, -2 and -inf errors against
     the dense oracle (:func:`~gibbsmpo.oracle.schatten_errors`), and on a
     thermal run the relative trace error, are measured whenever the chain
-    fits the dense cap (beyond it the report keeps predictions only).  The
-    reference reuses the top block's eigensystem when the run Hamiltonian
-    is the input one.  Truncating policies merge and power on MPOs; their
-    predictions are heuristic and flagged.  The report's ``engine`` is
-    "dense" when the top merge ran densely (see :func:`merge_layer`), else
-    "mpo".
+    fits the dense cap (beyond it the report keeps predictions only);
+    such a chain runs the input Hamiltonian (:func:`plan_budget` gets the
+    same cap), so the reference reuses the top block's eigensystem.
+    Truncating policies merge and power on MPOs; their predictions are
+    heuristic and flagged.  The report's ``engine`` is "dense" when the top
+    merge ran densely (see :func:`merge_layer`), else "mpo".
     """
     t_start = time.perf_counter()
     policy = policy or CompressionPolicy()
+    _require_epsilon(epsilon)
+    if override_order is not None \
+            and not 0 <= override_order <= MAX_TAYLOR_ORDER:
+        raise ValueError(f"override order {override_order} out of range")
     if beta == 0.0:  # trivial evolution: exp(0) is the identity
         return _trivial_identity_run(spec, epsilon, real_time, policy)
     budget, run_spec, _series = plan_budget(
-        spec, beta, epsilon, real_time=real_time, two_local=two_local,
+        spec, beta, epsilon, real_time=real_time, dense_cap=dense_cap,
         force_steps=override_steps)
     notes: list[str] = []
     certified = True
     if override_order is not None:
-        if not 0 <= override_order <= MAX_TAYLOR_ORDER:
-            raise ValueError(f"override order {override_order} out of range")
         if override_order < budget.order:
             certified = False
             notes.append(f"order forced to {override_order} below the "
@@ -478,7 +481,7 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
     t_merge = time.perf_counter()
     m_base, diag = build_high_temp_mpo(run_spec, budget, policy,
                                        dense_cap=dense_cap, max_bond=max_bond)
-    top_eig, diag.top_eig = diag.top_eig if run_spec is spec else None, None
+    top_eig, diag.top_eig = diag.top_eig, None
     t_power = time.perf_counter()
     m_final, extra_discard = _power_step(m_base, budget.steps, policy,
                                          dense_cap, max_bond)
@@ -487,8 +490,7 @@ def build_gibbs_mpo(spec: HamiltonianSpec, beta: float, epsilon: float,
 
     measured: dict[str, float] = {}
     if spec.d ** spec.n <= dense_cap:
-        reference, ref_sv = exp_with_spectrum(
-            top_eig or eigensystem(spec, cap=dense_cap), -budget.beta)
+        reference, ref_sv = exp_with_spectrum(top_eig, -budget.beta)
         del top_eig
         measured = schatten_errors(reference, ref_sv,
                                    m_final.densify(cap=dense_cap))
@@ -541,7 +543,8 @@ def _trivial_identity_run(spec, epsilon, real_time, policy):
         per_layer_error=[0.0], per_layer_max_bond=[[1]],
         bond_profile=list(ident.bond_profile), discarded_weight=0.0,
         certified=True, notes=["zero evolution parameter: exact identity"],
-        timings={"total_s": 0.0})
+        timings=dict.fromkeys(
+            ("plan_s", "merge_s", "power_s", "measure_s", "total_s"), 0.0))
     return ident, report
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -82,9 +83,11 @@ def test_build_budget_error_exit_code(tmp_path):
     cfg = write_config(tmp_path, payload, "over.json")
     assert main(["build", "--config", cfg, "--out", str(tmp_path / "x")]) \
         == EXIT_BUDGET
-    # json reads NaN, and a NaN step meets neither budget comparison
+    # json reads NaN, and a NaN step meets neither budget comparison; the
+    # identity of a zero beta still needs an admissible target
     for run in ({"mode": "thermal", "beta": math.nan, "epsilon": 0.01},
-                {"mode": "real_time", "time": math.nan, "epsilon": 0.01}):
+                {"mode": "real_time", "time": math.nan, "epsilon": 0.01},
+                {"mode": "thermal", "beta": 0, "epsilon": 5}):
         payload["run"] = run
         cfg = write_config(tmp_path, payload, "nan.json")
         assert main(["build", "--config", cfg, "--out",
@@ -93,14 +96,48 @@ def test_build_budget_error_exit_code(tmp_path):
 
 @pytest.mark.parametrize("alpha", [1.5, 50.0, 1e308])
 def test_build_without_kernel_series_exit_budget(tmp_path, alpha):
+    # beyond the dense cap a power-law build runs the kernel surrogate, and
     # no float64 series exists below alpha = 2; at 50 its weights and at
-    # 1e308 its half-width overflow
+    # 1e308 its half-width overflow.  Below 2 the refusal comes before the
+    # error constant is read, so it does not warn that it is uncalibrated.
     payload = demo_config()
     payload["model"]["alpha"] = alpha
     cfg = write_config(tmp_path, payload)
-    with pytest.warns(UserWarning):  # the uncalibrated error constant
-        code = main(["build", "--config", cfg, "--out", str(tmp_path / "o")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["build", "--config", cfg, "--cap-dense", "4",
+                     "--out", str(tmp_path / "o")])
     assert code == EXIT_BUDGET
+    uncalibrated = [w for w in caught if "not calibrated" in str(w.message)]
+    assert bool(uncalibrated) == (alpha > 2.0)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 50.0])
+def test_build_in_cap_needs_no_kernel_series(tmp_path, alpha):
+    # within the dense cap the input Hamiltonian runs, series or not
+    payload = demo_config()
+    payload["model"]["alpha"] = alpha
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["build", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["budget"]["two_local_path"] is False
+    assert all(v <= 0.01 for v in report["measured"].values())
+
+
+@pytest.mark.parametrize("coupling", [0, 1e-9])
+def test_build_beyond_cap_with_tiny_coupling(tmp_path, coupling):
+    # zero pair weight leaves no kernel to replace; a tiny one makes the
+    # pair allowance so loose that the first fit target is clamped below 1.
+    # A lossless merge assembly at this cap would exceed the bond cap.
+    payload = demo_config()
+    payload["model"]["coupling"] = coupling
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["build", "--config", cfg, "--cap-dense", "4",
+                 "--compress", "tol=1e-10", "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["budget"]["two_local_path"] is (coupling != 0)
 
 
 def test_build_zero_coupling_runs_the_input_hamiltonian(tmp_path):
@@ -186,8 +223,7 @@ def test_build_cap_error_exit_code(tmp_path):
 def test_build_missed_target_exit_code(tmp_path):
     # an identity-only merge cascade at a tight target must miss and say so
     cfg = write_config(tmp_path, demo_config(
-        n=6, beta_steps=8, epsilon=1e-6, override_order=0,
-        two_local="off"))
+        n=6, beta_steps=8, epsilon=1e-6, override_order=0))
     assert main(["build", "--config", cfg, "--out", str(tmp_path / "m")]) \
         == EXIT_VERIFY
     report = json.loads((tmp_path / "m" / "report.json").read_text())
@@ -306,8 +342,7 @@ def test_sweep_steps_measured_below_prediction(tmp_path):
     cfg = write_config(tmp_path, {
         "format": 1,
         "model": {"name": "power_law_ising", "n": 4, "alpha": 3.0},
-        "sweep": {"kind": "steps", "max_steps": 4, "epsilon": 0.01,
-                  "two_local": "off"}})
+        "sweep": {"kind": "steps", "max_steps": 4, "epsilon": 0.01}})
     out = tmp_path / "sws"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
     rows = read_rows(out / "sweep.jsonl")
@@ -362,9 +397,13 @@ MALFORMED_VALUES = {
     "order-too-high": ("build", {"beta_steps": 2, "override_order": 100}),
     "order-fraction": ("build", {"beta_steps": 2, "override_order": 2.5}),
     "order-bool": ("build", {"beta_steps": 2, "override_order": True}),
+    # two_local is no key at all: the dense cap picks the run Hamiltonian
     "two_local": ("build", {"beta_steps": 2, "two_local": "maybe"}),
     "two_local-on": ("build", {"beta_steps": 2, "two_local": "on"}),
+    "two_local-auto": ("build", {"beta_steps": 2, "two_local": "auto"}),
+    "two_local-off": ("build", {"beta_steps": 2, "two_local": "off"}),
     "sweep-two_local-on": ("sweep", {"kind": "steps", "two_local": "on"}),
+    "sweep-two_local-off": ("sweep", {"kind": "steps", "two_local": "off"}),
     "beta_steps": ("build", {"beta_steps": "x"}),
     "beta": ("build", {"beta": "x"}),
     "time": ("build", {"mode": "real_time", "time": "x"}),
@@ -393,7 +432,7 @@ def test_malformed_config_values_exit_config(tmp_path, command, section):
 
 def test_null_config_values_mean_the_default(tmp_path):
     cfg = write_config(tmp_path, demo_config(override_order=None,
-                                             two_local=None, epsilon=None))
+                                             epsilon=None))
     out = tmp_path / "o"
     assert main(["build", "--config", cfg, "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "report.json").read_text())

@@ -19,6 +19,7 @@ from gibbsmpo import expsum, gibbs, verify
 from gibbsmpo.gibbs import build_gibbs_mpo, plan_budget
 from gibbsmpo.model import HamiltonianSpec, LocalTerm, dense_matrix, \
     nearest_neighbor_ising, power_law_ising
+from gibbsmpo.mpo import CompressionPolicy
 
 
 def spacing_mp(alpha, eps):
@@ -239,7 +240,8 @@ def test_plan_certifies_kernel_on_chain_distances():
     # the first 25-term fit misses the pair allowance on r = 1..7
     # (8.28e-3 > 8.24e-3), so the plan must refit
     spec = power_law_ising(8, 3.0)
-    budget, _, series = plan_budget(spec, 4 * verify.base_step(spec), 10 ** (-4 / 3))
+    budget, _, series = plan_budget(spec, 4 * verify.base_step(spec),
+                                    10 ** (-4 / 3), dense_cap=16)
     r = np.arange(1, 8, dtype=float)
     err = np.max(np.abs(r ** -3.0 - series.kernel(r)))
     assert err <= budget.ham_tol / (spec.pair_weight_sum() * 64)
@@ -247,7 +249,8 @@ def test_plan_certifies_kernel_on_chain_distances():
 
 def test_build_certifies_kernel_without_grid(monkeypatch):
     # one fit, certified on the chain's distances r = 1..n-1, not on the
-    # default grid of about a million points
+    # default grid of about a million points; the chain exceeds the dense
+    # cap, so the build runs the surrogate
     fits, returned = [], []
     fit_original = expsum.fit_kernel
     approx_original = gibbs.approximate_hamiltonian
@@ -265,7 +268,8 @@ def test_build_certifies_kernel_without_grid(monkeypatch):
     monkeypatch.setattr(gibbs, "approximate_hamiltonian", recording_approx)
     n = 6
     spec = power_law_ising(n, 3.0)
-    build_gibbs_mpo(spec, verify.base_step(spec), 1e-2)
+    build_gibbs_mpo(spec, verify.base_step(spec), 1e-2,
+                    CompressionPolicy.parse("tol=1e-10"), dense_cap=16)
     assert fits == [{"r_max": n - 1, "grid_step": 1.0}]
     (series,) = returned
     assert series.r_max == n - 1 and series.grid_step == 1.0
@@ -275,10 +279,22 @@ def test_build_certifies_kernel_without_grid(monkeypatch):
 
 def test_replacement_rejects_silly_tolerances():
     spec = power_law_ising(6, 3.0)
-    with pytest.raises(ValueError):
-        approximate_hamiltonian(spec, math.inf)
-    with pytest.raises(ValueError):
-        approximate_hamiltonian(spec, 1e6)  # implied kernel target >= 1
+    for eps_ham in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            approximate_hamiltonian(spec, eps_ham)
+
+
+@pytest.mark.parametrize("spec, eps_ham", [
+    (power_law_ising(6, 3.0), 1e6),
+    (power_law_ising(4, 3.0, coupling=1e-9), 0.04),
+], ids=["loose-allowance", "tiny-coupling"])
+def test_replacement_clamps_a_loose_first_target(spec, eps_ham):
+    # an implied kernel target >= 1 is clamped to the fit's range, and the
+    # series is still certified within the pair allowance
+    _, series = approximate_hamiltonian(spec, eps_ham)
+    assert series.epsilon <= 0.5
+    assert series.certified_sup_error \
+        <= eps_ham / (spec.pair_weight_sum() * spec.n ** 2)
 
 
 def test_replacement_passthrough_without_long_range():

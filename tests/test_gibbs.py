@@ -39,7 +39,7 @@ from gibbsmpo.model import (
 from gibbsmpo import mpo as mpo_module
 from gibbsmpo.mpo import DEFAULT_MAX_BOND, BondCapError, CompressionPolicy
 from gibbsmpo.oracle import DEFAULT_DENSE_CAP, dense_exp, eigensystem, \
-    partition_function, relative_error
+    gibbs_dense, partition_function, relative_error
 from gibbsmpo.verify import base_step
 
 
@@ -82,11 +82,11 @@ def test_plan_tiles_chain_and_doubles_blocks():
 def test_budget_steps_at_window_boundary():
     spec = chain(6)
     beta0 = window(spec)
-    budget, _, _ = plan_budget(spec, beta0, 1e-2, two_local="off")
+    budget, _, _ = plan_budget(spec, beta0, 1e-2)
     assert budget.steps == 1 and budget.beta0 == pytest.approx(beta0)
-    budget10, _, _ = plan_budget(spec, 10 * beta0, 1e-2, two_local="off")
+    budget10, _, _ = plan_budget(spec, 10 * beta0, 1e-2)
     assert budget10.steps == 10
-    budget_frac, _, _ = plan_budget(spec, 10.3 * beta0, 1e-2, two_local="off")
+    budget_frac, _, _ = plan_budget(spec, 10.3 * beta0, 1e-2)
     assert budget_frac.steps == 11
 
 
@@ -102,17 +102,18 @@ def test_budget_validations():
         plan_budget(spec, 0.01, 0.0)
     with pytest.raises(BudgetError):
         plan_budget(spec, 0.01, 1e-2, force_steps=1)  # below the minimum split
-    for two_local in ("auto", "off"):  # pairwise and generic paths
+    for dense_cap in (4, DEFAULT_DENSE_CAP):  # surrogate and input paths
         for real_time in (False, True):
             with pytest.raises(BudgetError):
-                plan_budget(spec, math.nan, 1e-2, two_local=two_local,
+                plan_budget(spec, math.nan, 1e-2, dense_cap=dense_cap,
                             real_time=real_time)
 
 
 def test_budget_constants_and_tolerance_formula():
+    # a dense cap below the chain's 256 states runs the kernel surrogate
     spec = chain(8)
     beta = 4 * window(spec)
-    budget, run_spec, series = plan_budget(spec, beta, 1e-2)
+    budget, run_spec, series = plan_budget(spec, beta, 1e-2, dense_cap=16)
     g, gt, k = budget.extensivity, budget.boundary_norm, budget.locality
     assert g == pytest.approx(extensivity_constant(run_spec))
     assert gt == pytest.approx(boundary_bound(run_spec))
@@ -138,19 +139,28 @@ def test_budget_constants_and_tolerance_formula():
 
 
 def test_budget_generic_path_opt_out():
+    # within the dense cap a power-law chain runs its input Hamiltonian
     spec = chain(6)
-    budget, run_spec, series = plan_budget(spec, window(spec), 1e-2,
-                                           two_local="off")
+    budget, run_spec, series = plan_budget(spec, window(spec), 1e-2)
     assert series is None and run_spec is spec
     assert budget.ham_tol == 0.0 and budget.mpo_target == 1e-2
 
 
-def test_two_local_accepts_auto_or_off():
-    spec = power_law_ising(4, 3.0)
-    with pytest.raises(ValueError, match="auto/off"):
-        plan_budget(spec, window(spec), 1e-2, two_local="on")
-    with pytest.raises(ValueError, match="auto/off"):
-        build_gibbs_mpo(spec, window(spec), 1e-2, two_local="on")
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_dense_cap_picks_the_run_hamiltonian(n):
+    # the surrogate runs exactly when the chain exceeds the cap, where the
+    # top merge assembles the Hamiltonian's MPO
+    spec = chain(n)
+    beta = 4 * window(spec)
+    for dense_cap in (DEFAULT_DENSE_CAP, 2 ** n):
+        budget, run_spec, series = plan_budget(spec, beta, 1e-2,
+                                               dense_cap=dense_cap)
+        assert series is None and run_spec is spec
+        assert not budget.two_local_path
+    budget, run_spec, series = plan_budget(spec, beta, 1e-2,
+                                           dense_cap=2 ** n - 1)
+    assert series is not None and run_spec.exp_channels is not None
+    assert budget.two_local_path and budget.mpo_target == 1e-2 / 3
 
 
 def test_power_law_build_runs_the_zeta_check(monkeypatch):
@@ -161,7 +171,9 @@ def test_power_law_build_runs_the_zeta_check(monkeypatch):
     calls = []
     _count_calls(monkeypatch, model_mod, "power_law_boundary_bound", calls)
     spec = power_law_ising(6, 3)
-    _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
+    _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2,
+                                CompressionPolicy.parse("tol=1e-10"),
+                                dense_cap=16)
     assert report.budget.two_local_path
     assert len(calls) >= 1
 
@@ -169,7 +181,7 @@ def test_power_law_build_runs_the_zeta_check(monkeypatch):
 def test_budget_layer_count_matches_plan():
     for n in (2, 3, 4, 5, 6, 8, 11):
         spec = chain(n)
-        budget, _, _ = plan_budget(spec, window(spec), 1e-1, two_local="off")
+        budget, _, _ = plan_budget(spec, window(spec), 1e-1)
         assert budget.num_layers == len(build_merge_plan(n))
 
 
@@ -316,9 +328,11 @@ def test_lossy_report_counts_every_product_weight(monkeypatch):
 def test_lossy_build_eigendecomposes_each_block_once(monkeypatch):
     # a lossy in-cap merge reads its halves' eigensystems from the blocks
     # and each layer's reference reads the blocks' own: one decomposition
-    # per block plus the power-law reference (17 when each lossy merge
-    # computed all three and each measured layer its MPO blocks' again),
-    # each spin-flip symmetric and so two half-size eigh
+    # per block (17 when each lossy merge computed all three and each
+    # measured layer its MPO blocks' again), each spin-flip symmetric and
+    # so two half-size eigh.  The chain fits the cap, so the input
+    # Hamiltonian runs and the final reference reuses the top block's
+    # eigensystem (one more full-size decomposition for the surrogate)
     sizes = []
     eigh = np.linalg.eigh
 
@@ -330,9 +344,9 @@ def test_lossy_build_eigendecomposes_each_block_once(monkeypatch):
     spec = chain(8)
     _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2,
                                 CompressionPolicy.parse("tol=1e-10"))
-    assert report.engine == "mpo" and report.budget.two_local_path
+    assert report.engine == "mpo" and not report.budget.two_local_path
     assert len(report.per_layer_error) == 3  # every layer measured
-    assert sizes == [2] * 8 + [8] * 4 + [128] * 4
+    assert sizes == [2] * 8 + [8] * 4 + [128] * 2
 
 
 @pytest.mark.parametrize("policy, dense_cap", [
@@ -382,8 +396,7 @@ def test_engines_agree_at_forced_low_order():
     # cross-check runs one merge at a deliberately small order; a dense cap
     # below the joined block sends it to MPO arithmetic
     spec = chain(4)
-    budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2,
-                                      two_local="off")
+    budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2)
     small = replace(budget, order=2)
     m_dense, _ = build_high_temp_mpo(run_spec, small)
     m_mpo, _ = build_high_temp_mpo(run_spec, small, dense_cap=4)
@@ -397,8 +410,7 @@ def test_merge_layer_dense_blocks_match_mpo_blocks():
     # only the blocks' MPOs; the exact assembly's bonds grow like D_H^m0,
     # so the pair is merged at a small order.
     spec = chain(4)
-    budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2,
-                                      two_local="off")
+    budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2)
     (ref,), _ = merge_layer(leaf_ops(run_spec, budget.beta0), run_spec,
                             budget.beta0, 2)
     assert ref.interval == Interval(1, 4)
@@ -422,7 +434,7 @@ def test_dense_engine_refactorizes_each_block_once(monkeypatch):
         calls.clear()
         spec = chain(n)
         _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
-        assert report.engine == "dense" and report.budget.steps == 5
+        assert report.engine == "dense" and report.budget.steps == 4
         assert len(calls) == expected
 
 
@@ -437,15 +449,16 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 def test_dense_build_eigendecomposes_each_hamiltonian_once(monkeypatch):
-    # n=8 dense build: 4 leaves, 2 + 1 joined blocks and the final
-    # reference.  The leaves are exact (layer error 0), a joined block's
-    # eigensystem serves its merge and its layer references, a merge reads
-    # its halves' eigensystems from their blocks, and the final reference's
-    # singular values come from its eigenvalues.  n=9 adds a trailing leaf
-    # that passes through two layers, keeping its eigensystem: 5 leaves,
-    # 2 + 1 + 1 joined blocks, and 3 + 2 + 1 layer references.  Every
-    # Hamiltonian is spin-flip symmetric, so each decomposition is two
-    # half-size eigh.
+    # n=8 dense build: 4 leaves and 2 + 1 joined blocks.  The leaves are
+    # exact (layer error 0), a joined block's eigensystem serves its merge
+    # and its layer references, a merge reads its halves' eigensystems from
+    # their blocks, and the chain fits the cap, so the input Hamiltonian
+    # runs and the final reference is the top block's eigensystem, its
+    # singular values from its eigenvalues (one more decomposition when the
+    # kernel surrogate ran).  n=9 adds a trailing leaf that passes through
+    # two layers, keeping its eigensystem: 5 leaves, 2 + 1 + 1 joined
+    # blocks, and 3 + 2 + 1 layer references.  Every Hamiltonian is
+    # spin-flip symmetric, so each decomposition is two half-size eigh.
     import gibbsmpo.gibbs as gibbs_mod
     import gibbsmpo.merge as merge_mod
     import gibbsmpo.oracle as oracle_mod
@@ -460,7 +473,7 @@ def test_dense_build_eigendecomposes_each_hamiltonian_once(monkeypatch):
     # (n, decompositions, exp_of_eigensystem, dense_matrix); the merges
     # build no dense Hamiltonian (n=8 read 14 when each merge built its own
     # H_AB and H_A + H_B)
-    for n, n_eig, n_exp, n_dense in ((8, 8, 7, 8), (9, 10, 11, 10)):
+    for n, n_eig, n_exp, n_dense in ((8, 7, 7, 7), (9, 9, 11, 9)):
         for calls in (eighs, decompositions, block_exps, dense_matrices):
             calls.clear()
         spec = chain(n)
@@ -491,13 +504,51 @@ def test_generic_build_eigendecomposes_the_chain_once(monkeypatch):
     assert sizes == [2] * 8 + [8] * 4 + [128] * 2
 
 
+def test_in_cap_power_law_build_fits_no_kernel(monkeypatch):
+    # within the dense cap no merge reads the Hamiltonian's MPO bond, so a
+    # power-law build runs its input Hamiltonian: no kernel fit, and the
+    # full chain is decomposed once, by the top merge, whose eigensystem
+    # also gives the final reference
+    import gibbsmpo.expsum as expsum_mod
+
+    fits, sizes = [], []
+    _count_calls(monkeypatch, expsum_mod, "fit_kernel", fits)
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    spec = chain(8)
+    _, report = build_gibbs_mpo(spec, 4 * window(spec), 1e-2)
+    assert not report.budget.two_local_path and report.engine == "dense"
+    assert fits == []
+    assert sizes == [2] * 8 + [8] * 4 + [128] * 2
+
+
+def test_surrogate_build_beyond_the_cap_meets_the_input_oracle():
+    # beyond the cap the kernel surrogate runs and the build measures
+    # nothing; densified, it meets the target against the input
+    # Hamiltonian's exact operator, replacement error included
+    spec = chain(6)
+    beta = 4 * window(spec)
+    m, report = build_gibbs_mpo(spec, beta, 1e-2,
+                                CompressionPolicy.parse("tol=1e-10"),
+                                dense_cap=16)
+    assert report.budget.two_local_path and report.measured == {}
+    ref, approx = gibbs_dense(spec, beta), m.densify()
+    for p in (1, 2, math.inf):
+        assert relative_error(ref, approx, p) <= 1e-2
+
+
 @pytest.mark.parametrize("case", ["dense_n9", "lossy_tfi_a3"])
 def test_layer_bond_maxima_are_pinned(case):
     # the integers a build reports per layer: the leaves' exact bonds, each
     # layer's refactorized blocks (an odd trailing leaf keeps its bond 1)
     if case == "dense_n9":
         spec, policy = chain(9), CompressionPolicy()
-        layers = [[4, 4, 4, 4, 1], [10, 10, 1], [21, 1], [21]]
+        layers = [[4, 4, 4, 4, 1], [11, 11, 1], [22, 1], [22]]
         profile, engine = [1, 4, 12, 20, 31, 36, 26, 13, 4, 1], "dense"
     else:
         path = Path(__file__).resolve().parents[1] / "configs" \
@@ -511,7 +562,7 @@ def test_layer_bond_maxima_are_pinned(case):
     assert report.bond_profile == profile
     assert report.engine == engine
     if case == "dense_n9":
-        assert report.budget.order == 29 and report.budget.steps == 5
+        assert report.budget.order == 27 and report.budget.steps == 4
         assert report.per_layer_error[0] == 0.0
 
 
@@ -643,10 +694,9 @@ def test_high_temp_diagnostics_layers():
 
 def test_build_single_step_equals_high_temp():
     spec = chain(4)
-    budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2,
-                                      two_local="off")
+    budget, run_spec, _ = plan_budget(spec, window(spec), 1e-2)
     base, _ = build_high_temp_mpo(run_spec, budget)
-    full, report = build_gibbs_mpo(spec, window(spec), 1e-2, two_local="off")
+    full, report = build_gibbs_mpo(spec, window(spec), 1e-2)
     assert report.budget.steps == budget.steps == 1
     assert np.abs(full.densify() - base.densify()).max() < 1e-12
 
@@ -741,6 +791,22 @@ def test_zero_evolution_returns_identity():
         m, report = builder(spec, arg, 1e-2)
         assert np.abs(m.densify() - np.eye(16)).max() == 0.0
         assert report.measured["pinf"] == 0.0
+        assert set(report.timings) == {"plan_s", "merge_s", "power_s",
+                                       "measure_s", "total_s"}
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"epsilon": 5.0}, BudgetError), ({"epsilon": -1.0}, BudgetError),
+    ({"epsilon": math.nan}, BudgetError),
+    ({"epsilon": 1e-2, "override_order": 999}, ValueError),
+], ids=["eps-5", "eps-negative", "eps-nan", "order-999"])
+def test_zero_evolution_validates_like_any_other(kwargs, error):
+    spec = chain(4)
+    for builder in (build_gibbs_mpo, build_real_time_mpo):
+        with pytest.raises(error):
+            builder(spec, 0.0, **kwargs)
+        with pytest.raises(error):
+            builder(spec, window(spec), **kwargs)
 
 
 BUDGET_KEYS = {
@@ -875,7 +941,8 @@ def test_chain_straddling_the_dense_cap_merges_on_mpos_from_there(
     # tol=0 is lossless: at n=6 with a dense cap of 16 states the 4-site
     # merge runs densely and only the top merge (64 states) on MPOs.  The
     # top merge takes the MPOs its layer recorded: 3 leaves and the 4-site
-    # block are refactorized once each, and nothing after them
+    # block are refactorized once each, and nothing after them.  Beyond
+    # the cap the kernel surrogate runs; the reference builds it densely
     import gibbsmpo.gibbs as gibbs_mod
 
     calls, refactorizations = [], []
@@ -890,7 +957,9 @@ def test_chain_straddling_the_dense_cap_merges_on_mpos_from_there(
     assert len(refactorizations) == 4
     assert report.engine == "mpo"
     assert tuple(m.bond_profile) == (1, 4, 13, 20, 13, 4, 1)
-    ref = build_gibbs_mpo(spec, beta, 1e-2, override_order=2)[0].densify()
+    run_spec = plan_budget(spec, beta, 1e-2, dense_cap=16)[1]
+    ref = build_gibbs_mpo(run_spec, beta, 1e-2,
+                          override_order=2)[0].densify()
     assert np.linalg.norm(m.densify() - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
