@@ -60,6 +60,7 @@ _GRID_CHUNK = 1 << 12  # grid points per evaluation: a chunk stays in cache
 _UNDERFLOW_EXPONENT = 800.0  # exp(-x) is exactly 0.0 in float64 for x > ~745.1
 _ROUNDING_FACTOR = 2.0  # covers rounding in the chunk bound; see fit_kernel
 _MAX_FIRST_TARGET = 0.5  # fit targets must lie below 1
+_CALIBRATED_MAX_ALPHA = 6.0  # the error constant is extrapolated beyond
 
 
 def kernel_error_constant(alpha: float) -> float:
@@ -70,15 +71,12 @@ def kernel_error_constant(alpha: float) -> float:
     so a ratio that does not hold (see ``KERNEL_ERROR_CONSTANTS``) costs a
     refit, not the certificate.  Calibrated values exist for the bundled
     exponents; elsewhere in 2 <= alpha <= 6 the ceiling is 1.0, and beyond
-    alpha = 6 it is extrapolated.
+    alpha = 6 it is the extrapolated ceiling 2.0, of which
+    ``approximate_hamiltonian`` warns once its series is certified.
     """
     if alpha in KERNEL_ERROR_CONSTANTS:
         return KERNEL_ERROR_CONSTANTS[alpha]
-    if 2.0 <= alpha <= 6.0:
-        return 1.0
-    warnings.warn(f"kernel error constant not calibrated for alpha={alpha}; "
-                  "using the extrapolated ceiling 2.0")
-    return 2.0
+    return 1.0 if 2.0 <= alpha <= _CALIBRATED_MAX_ALPHA else 2.0
 
 
 def node_spacing(alpha: float, eps: float) -> float:
@@ -265,6 +263,8 @@ def approximate_hamiltonian(spec: HamiltonianSpec, eps_ham: float,
     channels but cannot be rewritten: locality k > 2, an alpha without a
     float64 series (below 2, or so large that the weights overflow), pair
     terms off the declared profile, or an eps_ham not finite and positive.
+    An alpha beyond the calibrated constants warns, after every refusal,
+    so a refused spec exits without a warning.
     """
     jbar = spec.pair_weight_sum()
     if (spec.alpha is None or spec.pair_channels is None or spec.n < 2
@@ -307,6 +307,10 @@ def approximate_hamiltonian(spec: HamiltonianSpec, eps_ham: float,
                     f"({expected}); cannot rewrite this model")
         else:
             other.append(t)
+    if spec.alpha > _CALIBRATED_MAX_ALPHA:  # after every refusal
+        warnings.warn(f"kernel error constant not calibrated for "
+                      f"alpha={spec.alpha}; the first fit target used the "
+                      "extrapolated ceiling 2.0")
     new_spec = HamiltonianSpec(
         n=spec.n, d=spec.d, k=spec.k,
         terms=tuple(other) + tuple(pair_terms),

@@ -300,20 +300,25 @@ def dense_matrix(spec: HamiltonianSpec,
     """Dense d**n x d**n matrix of the spec (oracle support).
 
     Each term is assembled from the nonzero pattern of its site operators
-    rather than a chain of full-size Kronecker products: the row index,
-    column index and value of every nonzero entry are folded site by site
-    (at most d**n entries per term for this basis) and scattered into the
-    output once.  Values are multiplied in the Kronecker chain's order, so
-    the result equals that chain's exactly.  It is float64 when no entry
-    has a nonzero imaginary part (Y (x) Y terms included), else complex128.
-    The assembly runs in float64 up to the first term with a nonzero
-    imaginary value, so a real Hamiltonian peaks at its own size.
+    rather than a chain of full-size Kronecker products, and every entry
+    receives its terms in term order, so the result equals the sum of
+    those chains exactly.  It is float64 when no entry has a nonzero
+    imaginary part (Y (x) Y terms included), else complex128.
+
+    A qubit term is a Pauli string (:func:`_pauli_matrix`).  For any
+    other d the row index, column index and value of every nonzero entry
+    are folded site by site (at most d**n entries per term for this
+    basis) and scattered into the output once; the assembly runs in
+    float64 up to the first term with a nonzero imaginary value, so a
+    real Hamiltonian peaks at its own size.
 
     Raises :class:`DenseCapError` beyond ``cap`` states.
     """
     dim = spec.d ** spec.n
     if dim > cap:
         raise DenseCapError(f"dense dimension {dim} exceeds cap {cap}")
+    if spec.d == 2:
+        return _pauli_matrix(spec)
     pattern = _site_pattern(spec.d)
     out = np.zeros((dim, dim))
     for t in spec.terms:
@@ -335,6 +340,40 @@ def dense_matrix(spec: HamiltonianSpec,
         out.reshape(-1)[rows * dim + cols] += vals
     if out.dtype == complex and not out.imag.any():  # complex parts cancelled
         return out.real.copy()
+    return out
+
+
+def _pauli_matrix(spec: HamiltonianSpec) -> np.ndarray:
+    """:func:`dense_matrix` of a qubit spec by bit arithmetic.
+
+    With site s on bit n - s of the basis index, a Pauli string's entry in
+    row i sits in column i ^ f, f the bits of its X and Y sites, and is
+    c (-i)^{#Y} (-1)^{popcount(i & g)}, g the bits of its Y and Z sites:
+    a real or an imaginary +-c, exactly the Kronecker chain's product.
+    Terms with the same f fill the same entries; their real and imaginary
+    parts are summed row by row in term order and scattered once per f.
+    """
+    n, dim = spec.n, 2 ** spec.n
+    rows = np.arange(dim)
+    sign = np.ones(1)  # (-1)^popcount(i) for i < dim
+    for _ in range(n):
+        sign = np.concatenate([sign, -sign])
+    parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for t in spec.terms:
+        flip = phase = ny = 0
+        for s, name in zip(t.sites, t.ops):
+            bit = 1 << (n - s)
+            flip |= bit if name in ("X", "Y") else 0
+            phase |= bit if name in ("Y", "Z") else 0
+            ny += name == "Y"
+        # (-i)^ny is 1, -i, -1, i: a real or imaginary unit of sign +-1
+        c = -t.coefficient if (ny + 1) // 2 % 2 else t.coefficient
+        part = parts.setdefault(flip, (np.zeros(dim), np.zeros(dim)))[ny % 2]
+        part += c * sign[rows & phase]
+    imag = any(im.any() for _, im in parts.values())
+    out = np.zeros((dim, dim), dtype=complex if imag else float)
+    for flip, (re, im) in parts.items():
+        out[rows, rows ^ flip] = re + 1j * im if imag else re
     return out
 
 

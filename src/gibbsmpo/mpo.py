@@ -20,6 +20,7 @@ import numpy as np
 
 from .model import DEFAULT_DENSE_CAP, DenseCapError, HamiltonianSpec, \
     site_basis
+from .oracle import is_even
 
 DEFAULT_MAX_BOND = 4096
 
@@ -192,22 +193,76 @@ def from_dense(op: np.ndarray, n: int, d: int) -> MPO:
     numerical-zero threshold of M's shape is kept, so the result
     reproduces the operator to machine precision with bonds equal to the
     true cut ranks.
+
+    An exactly even operator, X = JXJ with J the reversal of the basis
+    index (:func:`~gibbsmpo.oracle.is_even`), is factored by its
+    conjugation-parity sectors (Singh, Pfeifer & Vidal, PRB 83, 115125
+    (2011)).  Conjugation by J reverses each site's interleaved operator
+    index s -> d^2 - 1 - s, so with a parity p_b = +-1 on each bond the
+    remainder obeys rest[b, s, c] = p_b rest[b, d^2-1-s, C-1-c], and every
+    unfolding is block-diagonal: with T its rows (b, s < d^2/2), sector
+    c = +-1 is M_c = T_1 + c T_2 J, T_1 the first half of T's columns and
+    T_2 J the second half reversed.  Each sector takes the QR and SVD
+    above on half the rows and half the columns.  Its left vectors u make
+    bonds of parity c, with core entries u/sqrt2 at s and c p_b u/sqrt2 at
+    d^2 - 1 - s, still left-orthonormal, and u^H M_c / sqrt2 is the next
+    remainder's rows s < d^2/2, which are all the sweep holds: it reads
+    only op[:dim/2].  The rank rule is the full unfolding's, with the
+    largest singular value of either sector.  Any other operator is the
+    one sector M itself.
     """
     dim = d ** n
     if op.shape != (dim, dim):
         raise ValueError(f"expected shape {(dim, dim)}, got {op.shape}")
+    even = is_even(op)
+    rows = d * d // 2 if even else d * d  # operator indices held per bond
+
+    def put(core, cols, half, signs):
+        """Write columns of a (left, d^2, right) core from its rows
+        s < d^2/2, or from all of them when ``op`` is not even."""
+        core[:, :rows, cols] = half
+        if even:
+            core[:, rows:, cols] = signs[:, None, None] * half[:, ::-1]
+
     perm = [ax for j in range(n) for ax in (j, n + j)]
-    rest = op.reshape((d,) * (2 * n)).transpose(perm).reshape(d * d, -1)
+    rest = op[:dim * rows // (d * d)].reshape((rows // d,) + (d,) * (2 * n - 1))
+    rest = rest.transpose(perm).reshape(rows, -1)
     cores = []
-    left = 1
-    for j in range(n - 1):
-        r = np.linalg.qr(rest.T, mode="r")
-        u, s, _ = np.linalg.svd(r.T, full_matrices=False)
-        keep = _split_rank(s, CompressionPolicy(), rest.shape)[0]
-        cores.append(u[:, :keep].reshape(left, d, d, keep))
-        rest = (u[:, :keep].conj().T @ rest).reshape(keep * d * d, -1)
-        left = keep
-    cores.append(rest.reshape(left, d, d, 1))
+    left, parity = 1, np.ones(1)
+    for _ in range(n - 1):
+        if even:
+            width = rest.shape[1] // 2
+            head, tail = rest[:, :width], rest[:, width:][:, ::-1]
+            sectors = [(1, head + tail), (-1, head - tail)]
+            del head, tail
+        else:
+            sectors = [(1, rest)]
+        del rest
+        spectra = [np.linalg.svd(np.linalg.qr(m.T, mode="r").T,
+                                 full_matrices=False)[:2] for _, m in sectors]
+        # the full unfolding's shape is len(sectors) times a sector's
+        cutoff = (max(s[0] for _, s in spectra)
+                  * (len(sectors) * max(sectors[0][1].shape)) * _EPS)
+        keeps = [int(np.count_nonzero(s > cutoff)) for _, s in spectra]
+        if not any(keeps):  # a zero remainder keeps one bond
+            keeps[int(np.argmax([s[0] for _, s in spectra]))] = 1
+        dtype = spectra[0][0].dtype
+        core = np.empty((left, d * d, sum(keeps)), dtype=dtype)
+        rest = np.empty((sum(keeps), sectors[0][1].shape[1]), dtype=dtype)
+        signs = []
+        for (c, m), (u, _), keep in zip(sectors, spectra, keeps):
+            u = u[:, :keep] * 2 ** -0.5 if even else u[:, :keep]
+            np.matmul(u.conj().T, m, out=rest[len(signs):len(signs) + keep])
+            put(core, slice(len(signs), len(signs) + keep),
+                u.reshape(left, rows, keep), c * parity)
+            signs += [c] * keep
+        del sectors, m
+        cores.append(core.reshape(left, d, d, -1))
+        left, parity = len(signs), np.array(signs)
+        rest = rest.reshape(left * rows, -1)
+    core = np.empty((left, d * d, 1), dtype=rest.dtype)
+    put(core, slice(None), rest.reshape(left, rows, 1), parity)
+    cores.append(core.reshape(left, d, d, 1))
     return MPO(cores)
 
 

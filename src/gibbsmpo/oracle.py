@@ -17,9 +17,9 @@ Q = [[1, 1], [J, -J]] / sqrt(2),
 (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976); the sector
 method of Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  The split is
 detected on the matrix itself, never declared: :func:`split_halves` takes
-it when the dimension is even and H = JHJ holds exactly, and gives any
-other matrix back as it is; :func:`join_halves` is its inverse.  What
-runs by halves:
+it when the matrix :func:`is_even` (even dimension, H = JHJ exactly), and
+gives any other matrix back as it is; :func:`join_halves` is its inverse.
+What runs by halves:
 
 * eigensystems (:func:`decompose`), held as their two sectors with no
   full-size V (:class:`Eigensystem`), and, with no eigenvectors, the
@@ -31,7 +31,10 @@ runs by halves:
   halves' operators when both are exactly even (:mod:`~gibbsmpo.merge`);
 * measurement (:func:`schatten_errors`) and powering
   (:func:`dense_power`), by the halves of the reflection-even part when
-  the odd part is small enough.
+  the odd part is small enough;
+* the exact refactorization of an even operator into an MPO
+  (:func:`~gibbsmpo.mpo.from_dense`), by the conjugation-parity sectors
+  of each cut, from the operator's top rows alone.
 """
 
 from __future__ import annotations
@@ -69,17 +72,24 @@ class Eigensystem:
         return np.concatenate((w_plus, w_minus)), v
 
 
+def is_even(x: np.ndarray) -> bool:
+    """Whether x = JxJ holds exactly: x is square, of even dimension, and
+    its bottom rows are its top rows reversed."""
+    m = len(x) // 2
+    return (len(x) == x.shape[1] and len(x) % 2 == 0
+            and np.array_equal(x[:m], x[m:][::-1, ::-1]))
+
+
 def split_halves(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """The halves A + BJ and A - BJ of x = [[A, B], [JBJ, JAJ]], else
     ``(x,)``: the module's one split that is not measured.
 
-    A square ``x`` splits when its dimension is even and x = JxJ holds
-    exactly (its bottom rows are its top rows reversed); a wide one
-    (m x 2m) is read as the top rows [A, B] of an exactly even matrix.
+    A square ``x`` splits when it :func:`is_even`; a wide one (m x 2m) is
+    read as the top rows [A, B] of an exactly even matrix.
     """
     m = x.shape[1] // 2
     if len(x) == x.shape[1]:
-        if len(x) % 2 or not np.array_equal(x[:m], x[m:][::-1, ::-1]):
+        if not is_even(x):
             return (x,)
         x = x[:m]
     a, bj = x[:, :m], x[:, m:][:, ::-1]

@@ -98,8 +98,8 @@ def test_build_budget_error_exit_code(tmp_path):
 def test_build_without_kernel_series_exit_budget(tmp_path, alpha):
     # beyond the dense cap a power-law build runs the kernel surrogate, and
     # no float64 series exists below alpha = 2; at 50 its weights and at
-    # 1e308 its half-width overflow.  Below 2 the refusal comes before the
-    # error constant is read, so it does not warn that it is uncalibrated.
+    # 1e308 its half-width overflow.  The refusal comes before any warning
+    # that the error constant is uncalibrated.
     payload = demo_config()
     payload["model"]["alpha"] = alpha
     cfg = write_config(tmp_path, payload)
@@ -109,7 +109,7 @@ def test_build_without_kernel_series_exit_budget(tmp_path, alpha):
                      "--out", str(tmp_path / "o")])
     assert code == EXIT_BUDGET
     uncalibrated = [w for w in caught if "not calibrated" in str(w.message)]
-    assert bool(uncalibrated) == (alpha > 2.0)
+    assert not uncalibrated
 
 
 @pytest.mark.parametrize("alpha", [1.5, 50.0])

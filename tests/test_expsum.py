@@ -330,6 +330,35 @@ def test_replacement_refuses_off_profile_pair_terms():
         approximate_hamiltonian(tampered, 1e-2)
 
 
+@pytest.mark.parametrize("alpha, match", [
+    (1.5, "alpha=1.5 < 2"), (50.0, "beyond float64 range"),
+    (1e308, "half-width")])
+def test_replacement_refuses_before_it_warns(alpha, match):
+    # a refused alpha raises with warnings as errors: nothing, the
+    # uncalibrated error constant included, warns before the refusal
+    spec = power_law_ising(4, alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            approximate_hamiltonian(spec, 1e-3)
+
+
+def test_uncalibrated_alpha_warns_once_its_series_is_certified():
+    from dataclasses import replace
+    spec = power_law_ising(4, 7.0)
+    # an off-profile pair term is refused after the fit, still unwarned
+    tampered = replace(spec, terms=spec.terms + (
+        LocalTerm((1, 4), 2.0, ("Z", "Z")),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="declared power-law profile"):
+            approximate_hamiltonian(tampered, 1e-3)
+    with pytest.warns(UserWarning, match="not calibrated for alpha=7.0"):
+        approx, series = approximate_hamiltonian(spec, 1e-3)
+    assert series.certified_sup_error <= 1e-3 / (spec.pair_weight_sum() * 16)
+    assert approx.exp_channels is not None
+
+
 def test_replacement_keeps_field_terms():
     spec = power_law_ising(5, 3.0, transverse_field=0.4)
     approx, _ = approximate_hamiltonian(spec, 1e-2)

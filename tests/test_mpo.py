@@ -12,6 +12,7 @@ from gibbsmpo.model import (
     nearest_neighbor_ising,
     power_law_heisenberg,
     power_law_ising,
+    power_law_pairwise,
 )
 from gibbsmpo import mpo as mpo_module
 from gibbsmpo.mpo import (
@@ -36,7 +37,7 @@ from gibbsmpo.mpo import (
     scale,
     zero_mpo,
 )
-from gibbsmpo.oracle import dense_exp
+from gibbsmpo.oracle import dense_exp, is_even
 
 RNG = np.random.default_rng(777)
 
@@ -284,7 +285,7 @@ def test_from_dense_factors_wide_and_tall_cuts(monkeypatch):
     qr = np.linalg.qr
 
     def recording(a, *args, **kwargs):
-        shapes.append(a.T.shape)  # the unfolding of the remainder
+        shapes.append(a.T.shape)  # a parity sector of the unfolding
         return qr(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", recording)
@@ -310,6 +311,121 @@ def test_from_dense_peak_memory_stays_near_the_input():
     finally:
         tracemalloc.stop()
     assert peak - base <= 2.5 * op.nbytes
+
+
+def one_sector_from_dense(op, n, d):
+    """The sweep without parity sectors: QR and SVD of every unfolding."""
+    perm = [ax for j in range(n) for ax in (j, n + j)]
+    rest = op.reshape((d,) * (2 * n)).transpose(perm).reshape(d * d, -1)
+    cores = []
+    left = 1
+    for j in range(n - 1):
+        r = np.linalg.qr(rest.T, mode="r")
+        u, s, _ = np.linalg.svd(r.T, full_matrices=False)
+        keep = max(1, int(np.count_nonzero(
+            s > s[0] * max(rest.shape) * np.finfo(float).eps)))
+        cores.append(u[:, :keep].reshape(left, d, d, keep))
+        rest = (u[:, :keep].conj().T @ rest).reshape(keep * d * d, -1)
+        left = keep
+    cores.append(rest.reshape(left, d, d, 1))
+    return MPO(cores)
+
+
+def count_qr(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    return calls
+
+
+@pytest.mark.parametrize("factor", [-0.5, -1j], ids=["thermal", "real-time"])
+@pytest.mark.parametrize("n", [2, 5, 8, 9])
+def test_from_dense_factors_even_operators_by_sectors(monkeypatch, n, factor):
+    # exp(-b H) of a spin-flip symmetric H is exactly even: two QRs a cut,
+    # each on half the rows of the top half of the unfolding, with the
+    # unsplit sweep's bonds, a round trip as close, and orthonormal cores
+    op = dense_exp(dense_matrix(power_law_ising(n, 3.0)), factor)
+    assert is_even(op)
+    calls = count_qr(monkeypatch)
+    out = from_dense(op, n, 2)
+    monkeypatch.undo()
+    assert len(calls) == 2 * (n - 1)
+    assert all(c == 2 * out.bond_profile[j // 2]
+               for j, (_, c) in enumerate(calls))
+    ref = one_sector_from_dense(op, n, 2)
+    assert out.bond_profile == ref.bond_profile
+    assert np.iscomplexobj(out.cores[0]) == np.iscomplexobj(op)
+    norm = np.linalg.norm(op)
+    # the rank rule drops modes at its threshold in thermal operators at
+    # n >= 8, on either sweep alike (about 1e-12 at n = 9)
+    ref_err = np.linalg.norm(ref.densify() - op) / norm
+    assert np.linalg.norm(out.densify() - op) / norm <= 1e-13 + ref_err
+    for core in out.cores[:-1]:
+        mat = core.reshape(-1, core.shape[3])
+        gram = mat.conj().T @ mat
+        assert np.abs(gram - np.eye(len(gram))).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n, d, make", [
+    (6, 2, "random"), (6, 2, "lfi"), (5, 2, "odd-bit"), (3, 3, "random"),
+    (4, 3, "random")])
+def test_from_dense_keeps_the_unsplit_sweep_for_other_operators(
+        monkeypatch, n, d, make):
+    # not exactly even (or of odd dimension): the one-sector sweep, byte
+    # for byte
+    rng = np.random.default_rng(n * d)
+    dim = d ** n
+    if make == "random":
+        op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    elif make == "lfi":  # a Z field breaks the spin flip
+        op = dense_exp(dense_matrix(power_law_pairwise(
+            n, 3.0, [("Z", "Z", 1.0)], fields=[("X", 0.5), ("Z", 0.2)])),
+            -0.5)
+    else:  # even but for one entry's last bit
+        op = dense_exp(dense_matrix(power_law_ising(n, 3.0)), -0.5)
+        op[0, 1] = np.nextafter(op[0, 1], 1.0)
+    assert not is_even(op)
+    calls = count_qr(monkeypatch)
+    out = from_dense(op, n, d)
+    monkeypatch.undo()
+    assert len(calls) == n - 1
+    ref = one_sector_from_dense(op, n, d)
+    assert [c.tobytes() for c in out.cores] == [c.tobytes() for c in ref.cores]
+
+
+@pytest.mark.parametrize("fields, even, bound", [
+    ([("X", 0.5)], True, 1.25), ([("X", 0.5), ("Z", 0.2)], False, 2.5)],
+    ids=["even", "not-even"])
+def test_from_dense_peak_memory_by_sectors(fields, even, bound):
+    # under tracemalloc an even sweep reads only op[:dim/2], so it peaks at
+    # that transposed copy plus the first cut's two sector matrices (a
+    # quarter of the input each); any other input keeps the unsplit
+    # sweep's bound
+    import tracemalloc
+    op = dense_exp(dense_matrix(power_law_pairwise(
+        9, 3.0, [("Z", "Z", 1.0)], fields=fields)), -0.1)
+    assert is_even(op) == even
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        from_dense(op, 9, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= bound * op.nbytes
+
+
+def test_from_dense_of_an_even_zero_or_identity():
+    # a zero remainder keeps one bond; the identity has bond 1 everywhere
+    for op in (np.zeros((16, 16)), np.eye(16)):
+        out = from_dense(op, 4, 2)
+        assert out.bond_profile == (1, 1, 1, 1, 1)
+        assert np.abs(out.densify() - op).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
