@@ -23,8 +23,9 @@ reversal of the basis index) into two half-size blocks.  A dense merge
 runs by sectors when its three eigensystems split and, if lossless, both
 blocks' operators are exactly even, as every leaf and lossless dense
 merge of such a model is.  The dense power of stage (4) is the oracle's
-too, by the same halves when the merged operator is even up to roundoff.
-No option selects any of this: the matrices decide.
+too, by the same halves when the merged operator is exactly even, as a
+lossless merge of such a model is.  No option selects any of this: the
+matrices decide.
 
 The per-merge tolerance d0 is chosen so the powered error meets the
 requested target.  The dense cap picks the Hamiltonian that runs: the input
@@ -554,8 +555,9 @@ def _power_step(m_base: MPO, steps: int, policy: CompressionPolicy,
 
     The merge rule (:func:`_merges_densely`) applied to the whole chain
     picks the arithmetic: a dense matrix power
-    (:func:`~gibbsmpo.oracle.dense_power`, by reflection halves when the
-    operator is even) and one refactorization, else the square-and-multiply
+    (:func:`~gibbsmpo.oracle.dense_power`, by the halves of
+    :func:`~gibbsmpo.oracle.split_halves` when the densified operator is
+    exactly even) and one refactorization, else the square-and-multiply
     :func:`~gibbsmpo.mpo.power`.
     """
     if steps > 1 and _merges_densely(policy, m_base.d ** m_base.n, dense_cap):

@@ -56,7 +56,8 @@ import numpy as np
 
 from .model import HamiltonianSpec, Interval, dense_matrix, \
     extensivity_constant, restrict
-from .oracle import Eigensystem, eigensystem, join_halves, split_halves
+from .oracle import Eigensystem, eigensystem, is_even, join_halves, \
+    split_halves
 from . import mpo as mpo_ops
 from .mpo import DEFAULT_MAX_BOND, MPO, BondCapError, CompressionPolicy, \
     hamiltonian_mpo
@@ -193,15 +194,16 @@ def _sectors(spectra, blocks=None):
     """
     joined, left, right = spectra
     xa, xb = blocks or (None, None)
-    halves = [(x, x) if x is None else split_halves(x) for x in (xa, xb)]
-    if any(len(p) == 1 for p in (*halves, *(e.sectors for e in spectra))):
+    halves = (xa, xa) if xa is None else split_halves(xa)
+    if (len(halves) == 1 or not (xb is None or is_even(xb))
+            or any(len(e.sectors) == 1 for e in spectra)):
         (d, u), (a, ua), (b, ub) = (eig.full() for eig in spectra)
         return [(d, u, [(a, ua, b, ub, xa, xb)])]
     b, vb = right.full()
     m = len(b) // 2
     columns = ((b[:m], vb[:, :m]), (b[m:], vb[:, m:]))
     return [(d, u, [(a, ua, *columns[sa ^ s], x, xb) for sa, ((a, ua), x)
-                    in enumerate(zip(left.sectors, halves[0]))])
+                    in enumerate(zip(left.sectors, halves))])
             for s, (d, u) in enumerate(joined.sectors)]
 
 

@@ -189,10 +189,13 @@ def from_dense(op: np.ndarray, n: int, d: int) -> MPO:
     At each cut the unfolding M of the remainder is M = R^T Q^T, with R
     the R factor of a QR of M^T, so the SVD of the small R^T gives M's
     singular values and left singular vectors u at the cost of M's thin
-    side; u^H M is the next remainder.  Every singular value above the
-    numerical-zero threshold of M's shape is kept, so the result
-    reproduces the operator to machine precision with bonds equal to the
-    true cut ranks.
+    side; u^H M is the next remainder.  At each cut the singular values up
+    to s_0 max(M.shape) eps are dropped, s_0 the largest, and every other
+    one is kept.  That threshold grows with the unfolding (65536 eps, about
+    1.5e-11 s_0, at n=9's first cut), so the result reproduces the
+    operator to that level, not to machine precision: a thermal
+    ``power_law_ising(9, 3)`` operator round-trips at about 1e-12
+    relative Frobenius error, a full-rank real-time one at about 2e-15.
 
     An exactly even operator, X = JXJ with J the reversal of the basis
     index (:func:`~gibbsmpo.oracle.is_even`), is factored by its

@@ -19,7 +19,8 @@ method of Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  The split is
 detected on the matrix itself, never declared: :func:`split_halves` takes
 it when the matrix :func:`is_even` (even dimension, H = JHJ exactly), and
 gives any other matrix back as it is; :func:`join_halves` is its inverse.
-What runs by halves:
+It is the package's one split rule, and no tolerance enters it.  What
+runs by halves:
 
 * eigensystems (:func:`decompose`), held as their two sectors with no
   full-size V (:class:`Eigensystem`), and, with no eigenvectors, the
@@ -29,9 +30,10 @@ What runs by halves:
 * the dense merge, whose eigenbasis kernel runs by the sectors of three
   split eigensystems, and with it a lossless merge's product with the
   halves' operators when both are exactly even (:mod:`~gibbsmpo.merge`);
-* measurement (:func:`schatten_errors`) and powering
-  (:func:`dense_power`), by the halves of the reflection-even part when
-  the odd part is small enough;
+* measurement (:func:`schatten_errors`), the eigenvalues or singular
+  values of an exactly even difference taken from its two halves, and
+  powering (:func:`dense_power`), two half-size powers of an exactly even
+  operator;
 * the exact refactorization of an even operator into an MPO
   (:func:`~gibbsmpo.mpo.from_dense`), by the conjugation-parity sectors
   of each cut, from the operator's top rows alone.
@@ -82,7 +84,7 @@ def is_even(x: np.ndarray) -> bool:
 
 def split_halves(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """The halves A + BJ and A - BJ of x = [[A, B], [JBJ, JAJ]], else
-    ``(x,)``: the module's one split that is not measured.
+    ``(x,)``: the module's one split.
 
     A square ``x`` splits when it :func:`is_even`; a wide one (m x 2m) is
     read as the top rows [A, B] of an exactly even matrix.
@@ -114,18 +116,6 @@ def join_halves(parts) -> np.ndarray:
     out[:m, m:] = d[:, ::-1]
     out[m:, m:] = s[::-1, ::-1]
     return out
-
-
-def _reflection_halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The halves (:func:`split_halves`) of the reflection-even part
-    (x + JxJ)/2 of ``x`` (even dimension), and the Frobenius norm of its
-    odd part (x - JxJ)/2: for x = JxJ, x's own halves bit for bit and 0."""
-    m = len(x) // 2
-    top, low = x[:m], x[m:][::-1, ::-1]  # [A, B] and [JDJ, JCJ]
-    odd = float(np.linalg.norm(top - low)) / 2 ** 0.5
-    even = top + low
-    even /= 2
-    return (*split_halves(even), odd)
 
 
 def decompose(h: np.ndarray) -> Eigensystem:
@@ -185,21 +175,14 @@ def dense_exp(ham: np.ndarray, factor: complex) -> np.ndarray:
 
 
 def dense_power(m: np.ndarray, steps: int) -> np.ndarray:
-    """m^steps, by reflection halves when m's odd part is roundoff.
+    """m^steps, one ``matrix_power`` per block of :func:`split_halves`.
 
-    An operator built from a spin-flip symmetric Hamiltonian is even,
-    m = JmJ, up to roundoff (||m - JmJ||_F about 1e-15 ||m||_F on every
-    bundled model).  When ||m - JmJ||_F <= 1e-13 ||m||_F the halves of its
-    even part are powered and joined, two half-size powers in place of
-    one full-size one; any other m is powered whole.
+    An operator a spin-flip symmetric build powers is exactly even,
+    m = JmJ, so its two halves are powered and joined in place
+    of one full-size power; any other m is powered whole.
     """
-    if len(m) % 2 == 0:
-        plus, minus, odd = _reflection_halves(m)  # odd: ||m - JmJ||_F / 2
-        if 2.0 * odd <= 1e-13 * np.linalg.norm(m):
-            return join_halves([np.linalg.matrix_power(x, steps)
-                                for x in (plus, minus)])
-        del plus, minus
-    return np.linalg.matrix_power(m, steps)
+    return join_halves([np.linalg.matrix_power(x, steps)
+                        for x in split_halves(m)])
 
 
 def gibbs_dense(spec: HamiltonianSpec, beta: complex,
@@ -254,35 +237,28 @@ def schatten_errors(reference: np.ndarray, ref_sv: np.ndarray,
 
     ``ref_sv`` are the reference's singular values in descending order, as
     :func:`exp_with_spectrum` gives them.  The difference D is written into
-    ``approx``, which is consumed.  Write D = E + O + A with A its
-    anti-Hermitian part and O the reflection-odd part (of even dimension)
-    of its Hermitian part (see the module docstring).  When r = ||A||_F
-    obeys r <= 1e-12 ||ref||_inf and sqrt(dim) r <= 1e-12 ||ref||_1, D is
-    measured by ``eigvalsh`` of its Hermitian part; when r = ||A||_F +
-    ||O||_F does, by ``eigvalsh`` of the two half-size blocks of E.  Either
-    way every ratio is then within 1e-12 of an SVD's (Weyl); any other
-    difference takes the SVD.
+    ``approx``, which is consumed.  Write D = S + A with S its Hermitian
+    and A its anti-Hermitian part.  When r = ||A||_F obeys
+    r <= 1e-12 ||ref||_inf and sqrt(dim) r <= 1e-12 ||ref||_1, D is
+    measured by ``eigvalsh`` of S, and every ratio is then within 1e-12 of
+    an SVD's (Weyl); any other difference takes a values-only SVD.  Either
+    runs per block of :func:`split_halves`: the eigenvalues or singular
+    values of an exactly even matrix are those of its two halves together,
+    so an even difference takes two half-size calls and any other one
+    full-size call.
     """
     # a real approx of a complex reference (the real MPO of a zero
     # Hamiltonian's real-time step) is promoted; otherwise no copy
     approx = approx.astype(np.result_type(reference, approx), copy=False)
     diff = np.subtract(reference, approx, out=approx)
     floor = 1e-12 * min(ref_sv[0], ref_sv.sum() / len(diff) ** 0.5)
-    asym = np.linalg.norm(diff - diff.conj().T) / 2.0
-    if asym <= floor:
+    hermitian = np.linalg.norm(diff - diff.conj().T) / 2.0 <= floor
+    if hermitian:
         diff += diff.conj().T  # twice the Hermitian part, in place
-        eigs = None
-        if len(diff) % 2 == 0:
-            plus, minus, odd = _reflection_halves(diff)  # odd: 2 ||O||_F
-            if asym + odd / 2.0 <= floor:
-                eigs = np.concatenate([np.linalg.eigvalsh(x)
-                                       for x in (plus, minus)])
-            del plus, minus
-        if eigs is None:
-            eigs = np.linalg.eigvalsh(diff)
-        diff_sv = np.sort(np.abs(eigs))[::-1] / 2.0
-    else:
-        diff_sv = np.linalg.svd(diff, compute_uv=False)
+    diff_sv = np.sort(np.concatenate([
+        np.abs(np.linalg.eigvalsh(x)) / 2.0 if hermitian
+        else np.linalg.svd(x, compute_uv=False)
+        for x in split_halves(diff)]))[::-1]
     return {key: schatten_from_spectrum(diff_sv, p)
             / schatten_from_spectrum(ref_sv, p)
             for key, p in (("p1", 1), ("p2", 2), ("pinf", np.inf))}

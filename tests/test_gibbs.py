@@ -39,7 +39,7 @@ from gibbsmpo.model import (
 from gibbsmpo import mpo as mpo_module
 from gibbsmpo.mpo import DEFAULT_MAX_BOND, BondCapError, CompressionPolicy
 from gibbsmpo.oracle import DEFAULT_DENSE_CAP, dense_exp, eigensystem, \
-    gibbs_dense, partition_function, relative_error
+    gibbs_dense, is_even, partition_function, relative_error
 from gibbsmpo.verify import base_step
 
 
@@ -566,6 +566,46 @@ def test_layer_bond_maxima_are_pinned(case):
         assert report.per_layer_error[0] == 0.0
 
 
+@pytest.mark.parametrize("case", ["ising_n9", "heisenberg_n6",
+                                  "real_time_n6", "lfi_a3"])
+def test_lossless_builds_power_and_measure_exactly_even_operators(
+        monkeypatch, case):
+    # the oracle powers and measures by split_halves, so a spin-flip
+    # symmetric lossless build runs by halves only while the densified
+    # merged chain and the densified final MPO stay exactly even; a Z
+    # field breaks the symmetry and both are powered and measured whole
+    import gibbsmpo.gibbs as gibbs_mod
+    beta, real_time, symmetric = None, False, True
+    if case == "ising_n9":
+        spec = chain(9)
+    elif case == "heisenberg_n6":
+        spec = power_law_heisenberg(6, 3.0)
+    elif case == "real_time_n6":
+        spec, beta, real_time = chain(6), 0.5, True
+    else:
+        path = Path(__file__).resolve().parents[1] / "configs" \
+            / "thermal_lfi_a3.json"
+        spec = spec_from_config(json.loads(path.read_text())["model"])
+        symmetric = False
+    evens = []
+
+    def recording(name, arg):
+        original = getattr(gibbs_mod, name)
+
+        def wrapper(*args):
+            evens.append((name, is_even(args[arg])))
+            return original(*args)
+
+        monkeypatch.setattr(gibbs_mod, name, wrapper)
+
+    recording("dense_power", 0)
+    recording("schatten_errors", 2)
+    build_gibbs_mpo(spec, beta or 4 * base_step(spec), 1e-2,
+                    real_time=real_time)
+    assert evens == [("dense_power", symmetric),
+                     ("schatten_errors", symmetric)]
+
+
 def test_in_build_merges_match_standalone_merges(monkeypatch):
     # a build hands each dense merge the eigensystems it already holds;
     # called alone, the merge computes its own
@@ -660,8 +700,9 @@ def test_only_non_hermitian_differences_take_the_svd(monkeypatch, real_time,
                                                      policy, full_svds):
     # a lossless thermal difference is Hermitian up to roundoff and is
     # measured by eigvalsh; a real-time one is not Hermitian and a lossy one
-    # is asymmetric at the truncation level, so each takes one values-only
-    # SVD of the full difference
+    # is asymmetric at the truncation level, so each takes values-only SVDs,
+    # one per block of split_halves: the lossless difference is exactly
+    # even and takes two half-size ones, the lossy one one full-size one
     spec = chain(6)
     dim = 2 ** spec.n
     calls = []
@@ -676,7 +717,8 @@ def test_only_non_hermitian_differences_take_the_svd(monkeypatch, real_time,
                                 CompressionPolicy.parse(policy),
                                 real_time=real_time)
     assert report.measured
-    assert calls.count(((dim, dim), False)) == full_svds
+    blocks = [(dim // 2, dim // 2)] * 2 if policy == "none" else [(dim, dim)]
+    assert [shape for shape, uv in calls if not uv] == blocks * full_svds
 
 
 def test_high_temp_diagnostics_layers():

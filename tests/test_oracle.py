@@ -15,12 +15,12 @@ from gibbsmpo.model import (
 )
 from gibbsmpo.oracle import (
     Eigensystem,
-    _reflection_halves,
     dense_exp,
     eigensystem,
     exp_of_eigensystem,
     exp_with_spectrum,
     gibbs_dense,
+    is_even,
     join_halves,
     partition_function,
     relative_error,
@@ -310,6 +310,29 @@ def test_schatten_errors_by_halves_match_svd(monkeypatch, even):
         assert abs(got[key] - relative_error(reference, kept, p)) <= 1e-12
 
 
+def test_schatten_errors_measure_a_roundoff_scale_odd_part(monkeypatch):
+    # a Hermitian difference of about 1e-14 ||ref|| whose reflection-odd
+    # part is as large as its even part is not exactly even: one full-size
+    # eigvalsh measures all of it, and every ratio is the SVD's (the even
+    # part's halves alone would read about 30% low)
+    reference, ref_sv = exp_with_spectrum(eigensystem(power_law_ising(6, 3.0)),
+                                          -0.8)
+    reference = (reference + reference.T) / 2  # exactly symmetric and even
+    pert = RNG.standard_normal(reference.shape)
+    pert = pert + pert.T
+    pert = sum(x * (1e-14 * ref_sv[0] / np.linalg.norm(x))
+               for x in (pert + pert[::-1, ::-1], pert - pert[::-1, ::-1]))
+    approx = reference + pert  # the difference is exactly symmetric
+    kept = approx.copy()
+    sizes = record_sizes(monkeypatch, "eigvalsh")
+    got = schatten_errors(reference, ref_sv, approx)
+    monkeypatch.undo()
+    assert sizes == [64]
+    for key, p in (("p1", 1), ("p2", 2), ("pinf", np.inf)):
+        assert got[key] == pytest.approx(relative_error(reference, kept, p),
+                                         rel=1e-6)
+
+
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_partition_function_takes_eigenvalues_only(monkeypatch, symmetric):
     # no eigenvectors: eigvalsh of the two halves of a spin-flip symmetric
@@ -355,11 +378,11 @@ def test_kronecker_halves_identity(na, nb):
     # with J = J_a (x) J_b, the halves of a (x) b are a+ (x) bP+ + a- (x) bP-
     # and a+ (x) bP- + a- (x) bP+, where bP+- = (b +- bJ)/2
     a, b = random_even(na), random_even(nb)
-    a_plus, a_minus, odd = _reflection_halves(a)
-    assert odd == 0.0
+    a_plus, a_minus = split_halves(a)
     b_plus, b_minus = (b + b[:, ::-1]) / 2, (b - b[:, ::-1]) / 2
-    plus, minus, odd = _reflection_halves(np.kron(a, b))
-    assert odd == 0.0
+    ab = np.kron(a, b)
+    assert is_even(ab)
+    plus, minus = split_halves(ab)
     scale = np.abs(a).max() * np.abs(b).max()
     for got, want in ((np.kron(a_plus, b_plus) + np.kron(a_minus, b_minus),
                        plus),
