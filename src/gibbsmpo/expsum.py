@@ -30,8 +30,8 @@ channel per series term, which matters only to builds beyond the dense
 cap; ``approximate_hamiltonian`` alone decides which specs can have it.  A
 chain of n sites uses the kernel only at r = 1..n-1, so it fits on the
 grid r_max = n-1, grid_step = 1, which certifies the series exactly on
-those n-1 distances, and refits with a tighter target until the error
-meets the pair allowance.
+those n-1 distances; its first target is 0.5, and it halves the target
+and refits until the error meets the pair allowance.
 """
 
 from __future__ import annotations
@@ -45,38 +45,12 @@ import numpy as np
 
 from .model import HamiltonianSpec, _pairwise_terms
 
-# Worst measured grid ratio sup_err/eps, doubled for safety, over
-# eps in [1e-2, 1e-6] on the default grid (r in [1, 2^16], step 2^-4):
-# measured 0.13 (alpha=2), 0.20 (2.5), 0.15 (3), 0.24 (4).  Outside that
-# range the ratio can exceed the constant: at alpha=3 for targets in about
-# [0.023, 0.029], [0.092, 0.21] and above 0.6, at alpha=2.5 in about
-# [0.40, 0.73].  Builds therefore use the constant only to pick the first
-# fit target and certify each series on the chain's distances.
-KERNEL_ERROR_CONSTANTS = {2.0: 0.30, 2.5: 0.45, 3.0: 0.35, 4.0: 0.55}
-
 _DEFAULT_R_MAX = float(2 ** 16)
 _DEFAULT_GRID_STEP = 2.0 ** -4
 _GRID_CHUNK = 1 << 12  # grid points per evaluation: a chunk stays in cache
 _UNDERFLOW_EXPONENT = 800.0  # exp(-x) is exactly 0.0 in float64 for x > ~745.1
 _ROUNDING_FACTOR = 2.0  # covers rounding in the chunk bound; see fit_kernel
 _MAX_FIRST_TARGET = 0.5  # fit targets must lie below 1
-_CALIBRATED_MAX_ALPHA = 6.0  # the error constant is extrapolated beyond
-
-
-def kernel_error_constant(alpha: float) -> float:
-    """Frozen sup-error/eps ratio for the fitted kernel at this alpha.
-
-    ``approximate_hamiltonian`` divides the pair allowance by it to pick
-    its first fit target, then certifies the series exactly on r = 1..n-1,
-    so a ratio that does not hold (see ``KERNEL_ERROR_CONSTANTS``) costs a
-    refit, not the certificate.  Calibrated values exist for the bundled
-    exponents; elsewhere in 2 <= alpha <= 6 the ceiling is 1.0, and beyond
-    alpha = 6 it is the extrapolated ceiling 2.0, of which
-    ``approximate_hamiltonian`` warns once its series is certified.
-    """
-    if alpha in KERNEL_ERROR_CONSTANTS:
-        return KERNEL_ERROR_CONSTANTS[alpha]
-    return 1.0 if 2.0 <= alpha <= _CALIBRATED_MAX_ALPHA else 2.0
 
 
 def node_spacing(alpha: float, eps: float) -> float:
@@ -248,8 +222,7 @@ def approximate_hamiltonian(spec: HamiltonianSpec, eps_ham: float,
     most J-bar times the kernel error at its distance, so a kernel error of
     at most eps_ham / (J-bar * n**2) on the chain's distances r = 1..n-1
     bounds the operator-norm change of the full Hamiltonian by eps_ham.
-    The first fit targets that allowance divided by the frozen
-    ``kernel_error_constant``, at most 0.5 (a tiny coupling's is loose);
+    The first fit targets 0.5, the loosest target a fit admits;
     :func:`fit_kernel` certifies each series on the grid r_max = n-1,
     grid_step = 1, which is exactly those distances, and the target is
     halved and the series refitted until the certificate holds.
@@ -261,10 +234,9 @@ def approximate_hamiltonian(spec: HamiltonianSpec, eps_ham: float,
     site), channels already in exponential form, or zero pair weight
     J-bar.  Raises ``ValueError`` for a spec that declares power-law
     channels but cannot be rewritten: locality k > 2, an alpha without a
-    float64 series (below 2, or so large that the weights overflow), pair
-    terms off the declared profile, or an eps_ham not finite and positive.
-    An alpha beyond the calibrated constants warns, after every refusal,
-    so a refused spec exits without a warning.
+    float64 series (below 2, or so large that the weights overflow before
+    a series meets the allowance), pair terms off the declared profile,
+    or an eps_ham not finite and positive.
     """
     jbar = spec.pair_weight_sum()
     if (spec.alpha is None or spec.pair_channels is None or spec.n < 2
@@ -277,9 +249,8 @@ def approximate_hamiltonian(spec: HamiltonianSpec, eps_ham: float,
     if not eps_ham > 0.0 or not math.isfinite(eps_ham):
         raise ValueError(f"Hamiltonian error target must be finite and positive, "
                          f"got {eps_ham}")
-    eps_kernel = min(eps_ham / (jbar * kernel_error_constant(spec.alpha)
-                                * spec.n ** 2), _MAX_FIRST_TARGET)
     pair_tol = eps_ham / (jbar * spec.n ** 2)
+    eps_kernel = _MAX_FIRST_TARGET
     while True:
         series = fit_kernel(spec.alpha, eps_kernel, r_max=float(spec.n - 1),
                             grid_step=1.0)
@@ -307,10 +278,6 @@ def approximate_hamiltonian(spec: HamiltonianSpec, eps_ham: float,
                     f"({expected}); cannot rewrite this model")
         else:
             other.append(t)
-    if spec.alpha > _CALIBRATED_MAX_ALPHA:  # after every refusal
-        warnings.warn(f"kernel error constant not calibrated for "
-                      f"alpha={spec.alpha}; the first fit target used the "
-                      "extrapolated ceiling 2.0")
     new_spec = HamiltonianSpec(
         n=spec.n, d=spec.d, k=spec.k,
         terms=tuple(other) + tuple(pair_terms),

@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from . import mpo as mpo_ops
-from .expsum import approximate_hamiltonian, fit_kernel, kernel_error_constant, \
-    kernel_order
+from .expsum import approximate_hamiltonian, fit_kernel, kernel_order
 from .gibbs import build_gibbs_mpo, build_real_time_mpo, plan_budget
 from .merge import build_merge_mpo, certified_step, merge_spec_for, \
     merge_spectra, order_term_bound, order_term_norms, truncated_merge_dense, \
@@ -218,20 +217,30 @@ def check_real_time(n: int = 6, times=(0.25, 0.5, 1.0),
 # kernel bounds
 # ---------------------------------------------------------------------------
 
+# Worst measured grid ratio sup_err/eps, doubled for safety, over
+# eps in [1e-2, 1e-6] on the default grid (r in [1, 2^16], step 2^-4):
+# measured 0.13 (alpha=2), 0.20 (2.5), 0.15 (3), 0.24 (4).  Outside that
+# range the ratio can exceed the constant: at alpha=3 for targets in about
+# [0.023, 0.029], [0.092, 0.21] and above 0.6, at alpha=2.5 in about
+# [0.40, 0.73].  Builds do not read it: they certify each series on the
+# chain's own distances.
+KERNEL_ERROR_CONSTANTS = {2.0: 0.30, 2.5: 0.45, 3.0: 0.35, 4.0: 0.55}
+
+
 def check_kernel_certification(alphas=(2.5, 3.0, 4.0),
                                epsilons=(1e-2, 1e-3, 1e-4)) -> dict:
     """Grid sup error of the fitted kernel stays below the frozen constant.
 
-    Only at the listed ``epsilons``: at alpha=3 the constants fail for
-    targets in about [0.023, 0.029] and [0.092, 0.21].  Builds do not rely
-    on them; they certify each series on the chain's own distances.
+    Only at the listed ``epsilons`` and the tabulated ``alphas`` of
+    ``KERNEL_ERROR_CONSTANTS``: at alpha=3 the constants fail for targets
+    in about [0.023, 0.029] and [0.092, 0.21].
     """
     import warnings
 
     rows = []
     ok = True
     for alpha in alphas:
-        zc = kernel_error_constant(alpha)
+        zc = KERNEL_ERROR_CONSTANTS[alpha]
         for eps in epsilons:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -272,7 +281,7 @@ def check_kernel_order_scaling(n: int = 8, exponents=(-8.0, -30.0),
     lo, hi = exponents
     xs, ys = [], []
     for e in np.logspace(lo, hi, points):
-        eps_kernel = e / (1.0 * kernel_error_constant(3.0) * n * n)
+        eps_kernel = e / (KERNEL_ERROR_CONSTANTS[3.0] * n * n)
         m = kernel_order(3.0, eps_kernel)
         xs.append(math.log(math.log(n / e)))
         ys.append(math.log(2 * m + 1))

@@ -94,12 +94,12 @@ def test_build_budget_error_exit_code(tmp_path):
                      str(tmp_path / "x")]) == EXIT_BUDGET, run
 
 
-@pytest.mark.parametrize("alpha", [1.5, 50.0, 1e308])
+@pytest.mark.parametrize("alpha", [1.5, 100.0, 1e308])
 def test_build_without_kernel_series_exit_budget(tmp_path, alpha):
     # beyond the dense cap a power-law build runs the kernel surrogate, and
-    # no float64 series exists below alpha = 2; at 50 its weights and at
-    # 1e308 its half-width overflow.  The refusal comes before any warning
-    # that the error constant is uncalibrated.
+    # no float64 series exists below alpha = 2; at 100 its weights (even at
+    # the first target, 0.5) and at 1e308 its half-width overflow.  The
+    # refusal comes with no warning at all.
     payload = demo_config()
     payload["model"]["alpha"] = alpha
     cfg = write_config(tmp_path, payload)
@@ -108,8 +108,7 @@ def test_build_without_kernel_series_exit_budget(tmp_path, alpha):
         code = main(["build", "--config", cfg, "--cap-dense", "4",
                      "--out", str(tmp_path / "o")])
     assert code == EXIT_BUDGET
-    uncalibrated = [w for w in caught if "not calibrated" in str(w.message)]
-    assert not uncalibrated
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("alpha", [1.5, 50.0])
@@ -128,7 +127,7 @@ def test_build_in_cap_needs_no_kernel_series(tmp_path, alpha):
 @pytest.mark.parametrize("coupling", [0, 1e-9])
 def test_build_beyond_cap_with_tiny_coupling(tmp_path, coupling):
     # zero pair weight leaves no kernel to replace; a tiny one makes the
-    # pair allowance so loose that the first fit target is clamped below 1.
+    # pair allowance so loose that the first fit target, 0.5, meets it.
     # A lossless merge assembly at this cap would exceed the bond cap.
     payload = demo_config()
     payload["model"]["coupling"] = coupling
@@ -138,6 +137,19 @@ def test_build_beyond_cap_with_tiny_coupling(tmp_path, coupling):
                  "--compress", "tol=1e-10", "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["budget"]["two_local_path"] is (coupling != 0)
+
+
+def test_build_beyond_cap_with_steep_alpha(tmp_path):
+    # alpha = 50 has a float64 series at a loose target: halving from 0.5
+    # certifies one before the weights overflow, so the surrogate builds
+    payload = demo_config()
+    payload["model"]["alpha"] = 50.0
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["build", "--config", cfg, "--cap-dense", "4",
+                 "--compress", "tol=1e-10", "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["budget"]["two_local_path"] is True
 
 
 def test_build_zero_coupling_runs_the_input_hamiltonian(tmp_path):

@@ -10,7 +10,6 @@ import pytest
 from gibbsmpo.expsum import (
     approximate_hamiltonian,
     fit_kernel,
-    kernel_error_constant,
     kernel_order,
     node_spacing,
     ExpSumApprox,
@@ -105,7 +104,8 @@ def test_certified_error_below_frozen_constant(alpha, eps):
     series = fit(alpha, eps)
     assert series.m == kernel_order(alpha, eps)
     assert series.num_terms == 2 * series.m + 1
-    assert series.certified_sup_error <= kernel_error_constant(alpha) * eps
+    assert series.certified_sup_error \
+        <= verify.KERNEL_ERROR_CONSTANTS[alpha] * eps
 
 
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
@@ -209,7 +209,7 @@ def test_kernel_values_on_integer_separations():
     series = fit(3.0, 1e-3)
     r = np.arange(1, 50, dtype=float)
     dev = np.abs(r ** -3.0 - series.kernel(r))
-    assert dev.max() <= kernel_error_constant(3.0) * 1e-3
+    assert dev.max() <= verify.KERNEL_ERROR_CONSTANTS[3.0] * 1e-3
 
 
 def test_series_roundtrip_json():
@@ -236,9 +236,7 @@ def test_replacement_norm_bound_dense():
 
 
 def test_plan_certifies_kernel_on_chain_distances():
-    # kernel target 0.0235 at alpha=3 lies where the frozen constant fails:
-    # the first 25-term fit misses the pair allowance on r = 1..7
-    # (8.28e-3 > 8.24e-3), so the plan must refit
+    # the plan's series meets the pair allowance on r = 1..7
     spec = power_law_ising(8, 3.0)
     budget, _, series = plan_budget(spec, 4 * verify.base_step(spec),
                                     10 ** (-4 / 3), dense_cap=16)
@@ -248,9 +246,9 @@ def test_plan_certifies_kernel_on_chain_distances():
 
 
 def test_build_certifies_kernel_without_grid(monkeypatch):
-    # one fit, certified on the chain's distances r = 1..n-1, not on the
-    # default grid of about a million points; the chain exceeds the dense
-    # cap, so the build runs the surrogate
+    # every fit is certified on the chain's distances r = 1..n-1, not on
+    # the default grid of about a million points; the chain exceeds the
+    # dense cap, so the build runs the surrogate
     fits, returned = [], []
     fit_original = expsum.fit_kernel
     approx_original = gibbs.approximate_hamiltonian
@@ -270,7 +268,8 @@ def test_build_certifies_kernel_without_grid(monkeypatch):
     spec = power_law_ising(n, 3.0)
     build_gibbs_mpo(spec, verify.base_step(spec), 1e-2,
                     CompressionPolicy.parse("tol=1e-10"), dense_cap=16)
-    assert fits == [{"r_max": n - 1, "grid_step": 1.0}]
+    assert fits and all(kw == {"r_max": n - 1, "grid_step": 1.0}
+                        for kw in fits)
     (series,) = returned
     assert series.r_max == n - 1 and series.grid_step == 1.0
     r = np.arange(1, n, dtype=float)
@@ -289,12 +288,35 @@ def test_replacement_rejects_silly_tolerances():
     (power_law_ising(4, 3.0, coupling=1e-9), 0.04),
 ], ids=["loose-allowance", "tiny-coupling"])
 def test_replacement_clamps_a_loose_first_target(spec, eps_ham):
-    # an implied kernel target >= 1 is clamped to the fit's range, and the
+    # the first fit target is 0.5, however loose the allowance, and the
     # series is still certified within the pair allowance
     _, series = approximate_hamiltonian(spec, eps_ham)
     assert series.epsilon <= 0.5
     assert series.certified_sup_error \
         <= eps_ham / (spec.pair_weight_sum() * spec.n ** 2)
+
+
+@pytest.mark.parametrize("spec", [
+    *(power_law_ising(n, alpha)
+      for n in (4, 8, 16) for alpha in (2.5, 3.0, 4.0)),
+    power_law_ising(8, 3.0, coupling=1e-9),
+], ids=lambda spec: f"n{spec.n}-a{spec.alpha}-J{spec.coupling}")
+@pytest.mark.parametrize("eps_ham", [1e-2, 1e-5])
+def test_replacement_halves_from_the_first_target(spec, eps_ham):
+    # the target starts at 0.5 and is halved until the certificate on
+    # r = 1..n-1 meets the pair allowance: the series returned is the
+    # first that does, so twice its target (when a fit admits it) misses
+    allowance = eps_ham / (spec.pair_weight_sum() * spec.n ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, series = approximate_hamiltonian(spec, eps_ham)
+    halvings = round(math.log2(0.5 / series.epsilon))
+    assert series.epsilon == 0.5 * 2.0 ** -halvings
+    assert series.certified_sup_error <= allowance
+    if 2.0 * series.epsilon <= 0.5:
+        looser = fit(spec.alpha, 2.0 * series.epsilon,
+                     r_max=float(spec.n - 1), grid_step=1.0)
+        assert looser.certified_sup_error > allowance
 
 
 def test_replacement_passthrough_without_long_range():
@@ -331,11 +353,11 @@ def test_replacement_refuses_off_profile_pair_terms():
 
 
 @pytest.mark.parametrize("alpha, match", [
-    (1.5, "alpha=1.5 < 2"), (50.0, "beyond float64 range"),
+    (1.5, "alpha=1.5 < 2"), (100.0, "beyond float64 range"),
     (1e308, "half-width")])
 def test_replacement_refuses_before_it_warns(alpha, match):
-    # a refused alpha raises with warnings as errors: nothing, the
-    # uncalibrated error constant included, warns before the refusal
+    # a refused alpha raises with warnings as errors: nothing warns before
+    # the refusal; at alpha = 100 even the first target, 0.5, overflows
     spec = power_law_ising(4, alpha)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -343,17 +365,18 @@ def test_replacement_refuses_before_it_warns(alpha, match):
             approximate_hamiltonian(spec, 1e-3)
 
 
-def test_uncalibrated_alpha_warns_once_its_series_is_certified():
+def test_steep_alpha_certifies_without_warning():
+    # the first fit target is 0.5 whatever alpha is, so a steep alpha
+    # certifies without a warning; an off-profile pair term is still
+    # refused after the fit
     from dataclasses import replace
     spec = power_law_ising(4, 7.0)
-    # an off-profile pair term is refused after the fit, still unwarned
     tampered = replace(spec, terms=spec.terms + (
         LocalTerm((1, 4), 2.0, ("Z", "Z")),))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="declared power-law profile"):
             approximate_hamiltonian(tampered, 1e-3)
-    with pytest.warns(UserWarning, match="not calibrated for alpha=7.0"):
         approx, series = approximate_hamiltonian(spec, 1e-3)
     assert series.certified_sup_error <= 1e-3 / (spec.pair_weight_sum() * 16)
     assert approx.exp_channels is not None
@@ -372,7 +395,7 @@ def test_kernel_order_scaling_slope():
     n = 8
     xs, ys = [], []
     for eps_h in np.logspace(-8, -30, 12):
-        eps_kernel = eps_h / (kernel_error_constant(3.0) * n * n)
+        eps_kernel = eps_h / (verify.KERNEL_ERROR_CONSTANTS[3.0] * n * n)
         m = kernel_order(3.0, eps_kernel)
         xs.append(math.log(math.log(n / eps_h)))
         ys.append(math.log(2 * m + 1))

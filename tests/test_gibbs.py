@@ -527,19 +527,26 @@ def test_in_cap_power_law_build_fits_no_kernel(monkeypatch):
     assert sizes == [2] * 8 + [8] * 4 + [128] * 2
 
 
-def test_surrogate_build_beyond_the_cap_meets_the_input_oracle():
+@pytest.mark.parametrize("name", ["thermal_heisenberg_a3", "thermal_lfi_a3",
+                                  "thermal_tfi_a25", "thermal_tfi_a3",
+                                  "thermal_tfi_a4"])
+def test_surrogate_build_beyond_the_cap_meets_the_input_oracle(name):
     # beyond the cap the kernel surrogate runs and the build measures
-    # nothing; densified, it meets the target against the input
-    # Hamiltonian's exact operator, replacement error included
-    spec = chain(6)
-    beta = 4 * window(spec)
-    m, report = build_gibbs_mpo(spec, beta, 1e-2,
+    # nothing; densified, every bundled power-law config meets its target
+    # against the input Hamiltonian's exact operator, replacement error
+    # included
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    config = json.loads(path.read_text())
+    spec = spec_from_config(config["model"])
+    beta = config["run"]["beta_steps"] * base_step(spec)
+    epsilon = config["run"]["epsilon"]
+    m, report = build_gibbs_mpo(spec, beta, epsilon,
                                 CompressionPolicy.parse("tol=1e-10"),
-                                dense_cap=16)
+                                dense_cap=4)
     assert report.budget.two_local_path and report.measured == {}
     ref, approx = gibbs_dense(spec, beta), m.densify()
     for p in (1, 2, math.inf):
-        assert relative_error(ref, approx, p) <= 1e-2
+        assert relative_error(ref, approx, p) <= epsilon
 
 
 @pytest.mark.parametrize("case", ["dense_n9", "lossy_tfi_a3"])
