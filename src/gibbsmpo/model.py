@@ -11,6 +11,7 @@ Sites are 1-indexed.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -299,93 +300,85 @@ def dense_matrix(spec: HamiltonianSpec,
                  cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Dense d**n x d**n matrix of the spec (oracle support).
 
-    Each term is assembled from the nonzero pattern of its site operators
-    rather than a chain of full-size Kronecker products, and every entry
-    receives its terms in term order, so the result equals the sum of
-    those chains exactly.  It is float64 when no entry has a nonzero
-    imaginary part (Y (x) Y terms included), else complex128.
-
-    A qubit term is a Pauli string (:func:`_pauli_matrix`).  For any
-    other d the row index, column index and value of every nonzero entry
-    are folded site by site (at most d**n entries per term for this
-    basis) and scattered into the output once; the assembly runs in
-    float64 up to the first term with a nonzero imaginary value, so a
-    real Hamiltonian peaks at its own size.
+    Each site operator is a sum of shifted diagonals (:func:`_site_shifts`),
+    so a term is a few pairs of a shift pattern c and a real or imaginary
+    value per row: row r's entry sits in column r + sum_s ((r_s + c_s) mod
+    d - r_s) d**(n-s), r_s its digit at site s, and is the coefficient
+    times the site factors in site order.  Pairs with the same pattern
+    fill the same entries: their real and imaginary parts are summed row
+    by row in term order and scattered once per pattern, so the result
+    equals the sum of the terms' Kronecker chains exactly.  It is float64
+    when no entry has a nonzero imaginary part (Y (x) Y terms included),
+    else complex128; a real Hamiltonian peaks at its own size.
 
     Raises :class:`DenseCapError` beyond ``cap`` states.
     """
-    dim = spec.d ** spec.n
+    n, d = spec.n, spec.d
+    dim = d ** n
     if dim > cap:
         raise DenseCapError(f"dense dimension {dim} exceeds cap {cap}")
-    if spec.d == 2:
-        return _pauli_matrix(spec)
-    pattern = _site_pattern(spec.d)
-    out = np.zeros((dim, dim))
+    digits, offsets, diag = _chain_index(d, n)
+    factors = {}  # (site, op) -> (pattern part, phase, value in each row)
+    parts = {}    # shift pattern -> real and imaginary row sums
     for t in spec.terms:
-        names = ["I"] * spec.n
-        for s, name in zip(t.sites, t.ops):
-            names[s - 1] = name
-        rows = cols = np.zeros(1, dtype=np.intp)
-        vals = np.array([t.coefficient], dtype=complex)
-        for name in names:
-            r, c, v = pattern[name]
-            rows = (rows[:, None] * spec.d + r).ravel()
-            cols = (cols[:, None] * spec.d + c).ravel()
-            vals = (vals[:, None] * v).ravel()
-        if not vals.imag.any():
-            vals = vals.real
-        elif out.dtype != complex:  # the first term with complex values
-            out = out.astype(complex)
-        # (row, col) pairs of one term are distinct
-        out.reshape(-1)[rows * dim + cols] += vals
-    if out.dtype == complex and not out.imag.any():  # complex parts cancelled
-        return out.real.copy()
-    return out
-
-
-def _pauli_matrix(spec: HamiltonianSpec) -> np.ndarray:
-    """:func:`dense_matrix` of a qubit spec by bit arithmetic.
-
-    With site s on bit n - s of the basis index, a Pauli string's entry in
-    row i sits in column i ^ f, f the bits of its X and Y sites, and is
-    c (-i)^{#Y} (-1)^{popcount(i & g)}, g the bits of its Y and Z sites:
-    a real or an imaginary +-c, exactly the Kronecker chain's product.
-    Terms with the same f fill the same entries; their real and imaginary
-    parts are summed row by row in term order and scattered once per f.
-    """
-    n, dim = spec.n, 2 ** spec.n
-    rows = np.arange(dim)
-    sign = np.ones(1)  # (-1)^popcount(i) for i < dim
-    for _ in range(n):
-        sign = np.concatenate([sign, -sign])
-    parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for t in spec.terms:
-        flip = phase = ny = 0
-        for s, name in zip(t.sites, t.ops):
-            bit = 1 << (n - s)
-            flip |= bit if name in ("X", "Y") else 0
-            phase |= bit if name in ("Y", "Z") else 0
-            ny += name == "Y"
-        # (-i)^ny is 1, -i, -1, i: a real or imaginary unit of sign +-1
-        c = -t.coefficient if (ny + 1) // 2 % 2 else t.coefficient
-        part = parts.setdefault(flip, (np.zeros(dim), np.zeros(dim)))[ny % 2]
-        part += c * sign[rows & phase]
+        per_site = []
+        for f in zip(t.sites, t.ops):
+            if f not in factors:
+                s, name = f
+                factors[f] = [(((s, c),) if c else (), p, w[digits[s - 1]])
+                              for c, p, w in _site_shifts(d)[name]]
+            per_site.append(factors[f])
+        for pairs in itertools.product(*per_site):
+            key, phase, val = (), 0, t.coefficient
+            for at, p, v in pairs:  # the pair's value is i**phase val
+                key, phase, val = key + at, phase + p, val * v
+            if key not in parts:
+                parts[key] = (np.zeros(dim), np.zeros(dim))
+            acc = parts[key][phase % 2]
+            if phase % 4 < 2:
+                acc += val
+            else:
+                acc -= val
     imag = any(im.any() for _, im in parts.values())
     out = np.zeros((dim, dim), dtype=complex if imag else float)
-    for flip, (re, im) in parts.items():
-        out[rows, rows ^ flip] = re + 1j * im if imag else re
+    for key, (re, im) in parts.items():
+        index = diag + sum(offsets[c - 1, s - 1] for s, c in key)
+        out.reshape(-1)[index] = re + 1j * im if imag else re
     return out
+
+
+@lru_cache(maxsize=16)
+def _chain_index(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``digits[s - 1, r]`` = r_s, ``offsets[c - 1, s - 1, r]`` = ((r_s +
+    c) mod d - r_s) d**(n-s) and ``diag[r]``, the flat index of (r, r)."""
+    digits = np.indices((d,) * n).reshape(n, d ** n)
+    shift = np.arange(1, d)[:, None, None]
+    offsets = (shift - d * (digits >= d - shift)) * d ** np.arange(n)[::-1, None]
+    diag = np.arange(d ** n) * (d ** n + 1)
+    for arr in (digits, offsets, diag):
+        arr.flags.writeable = False
+    return digits, offsets, diag
 
 
 @lru_cache(maxsize=None)
-def _site_pattern(d: int) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Rows, columns and values of each basis operator's nonzero entries."""
+def _site_shifts(d: int) -> dict[str, list[tuple[int, int, np.ndarray]]]:
+    """Each basis operator's nonzero shifted diagonals (c, p, w), w real:
+    op[r, (r + c) mod d] = i**p w[r].  For qubits these are X's flip and
+    Z's phase.  Each is purely real or purely imaginary (checked here),
+    which :func:`dense_matrix`'s real/imaginary split rests on."""
+    rows = np.arange(d)
     out = {}
     for name, op in _site_basis_cached(d):
-        r, c = np.nonzero(op)
-        out[name] = (r, c, op[r, c])
-        for arr in out[name]:
-            arr.flags.writeable = False
+        out[name] = []
+        for c in range(d):
+            v = op[rows, (rows + c) % d]
+            p = int(v.imag.any())
+            if p and v.real.any():
+                raise AssertionError(f"shift {c} of {name} is not real or imaginary")
+            w = (v.imag if p else v.real).copy()
+            w.flags.writeable = False
+            if w.any():
+                out[name].append((c, p, w))
     return out
 
 

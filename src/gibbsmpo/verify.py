@@ -8,6 +8,7 @@ checks take explicit seeds so runs are reproducible.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -487,7 +488,7 @@ def run_checks(names=None, fast: bool = False, seed: int | None = None) -> list[
     results = []
     for name in names:
         kwargs = dict(_FAST_OVERRIDES.get(name, {})) if fast else {}
-        if seed is not None and "seed" in ALL_CHECKS[name].__code__.co_varnames:
+        if seed is not None and "seed" in inspect.signature(ALL_CHECKS[name]).parameters:
             kwargs["seed"] = seed
         results.append(ALL_CHECKS[name](**kwargs))
     return results

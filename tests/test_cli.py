@@ -288,6 +288,22 @@ def test_verify_negative_seed_exits_config(tmp_path):
     assert main(["verify", "--config", cfg]) == EXIT_CONFIG
 
 
+def test_run_checks_passes_seed_only_to_a_seed_parameter(monkeypatch):
+    # a local variable named seed is not a parameter: the check must run
+    # without an unexpected keyword
+    def local_seed_check():
+        seed = 11
+        return {"name": "local_seed", "passed": seed == 11}
+
+    def seeded_check(trials=1, seed=0):
+        return {"name": "seeded", "passed": seed == 3}
+
+    monkeypatch.setitem(gibbsmpo.verify.ALL_CHECKS, "local_seed", local_seed_check)
+    monkeypatch.setitem(gibbsmpo.verify.ALL_CHECKS, "seeded", seeded_check)
+    results = gibbsmpo.verify.run_checks(["local_seed", "seeded"], seed=3)
+    assert [r["passed"] for r in results] == [True, True]
+
+
 def test_verify_unknown_check_rejected(tmp_path):
     cfg = write_config(tmp_path, {"format": 1,
                                   "verify": {"checks": ["nonexistent"]}})

@@ -4,11 +4,13 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from gibbsmpo import model
 from gibbsmpo.model import (
     ConfigError,
     HamiltonianSpec,
@@ -29,7 +31,7 @@ from gibbsmpo.model import (
     spec_from_config,
     subset_hamiltonian,
 )
-from gibbsmpo.oracle import DenseCapError
+from gibbsmpo.oracle import DenseCapError, is_even
 
 
 def zz_chain(n, alpha):
@@ -298,6 +300,14 @@ def kron_chain(spec):
 
 QUTRIT_CHANNELS = [("S01", "S12", 0.7), ("A02", "A02", -0.4),
                    ("D1", "D2", 1.3), ("A01", "S02", 0.2)]
+# d = 4: S01 and A03 sit at shifts 1 and 3, S02 and A13 at shift 2
+QUDIT_CHANNELS = [("S01", "A13", 0.7), ("A03", "S02", -0.4),
+                  ("D3", "S23", 1.1), ("A12", "D1", 0.3)]
+BUNDLED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+def bundled_spec(path):
+    return spec_from_config(json.loads(path.read_text())["model"])
 
 
 @pytest.mark.parametrize("spec", [
@@ -317,13 +327,48 @@ QUTRIT_CHANNELS = [("S01", "S12", 0.7), ("A02", "A02", -0.4),
     HamiltonianSpec(n=1, d=3, k=1, terms=(LocalTerm((1,), 0.5, ("A01",)),)),
     power_law_pairwise(4, 3.0, [("Z", "Z", 1.0), ("X", "Y", 0.5),
                                 ("X", "Y", -0.5)]),
+    power_law_pairwise(3, 3.0, QUDIT_CHANNELS, d=4,
+                       fields=[("D2", 0.3), ("S13", -0.2), ("A01", 0.5)]),
+    *map(bundled_spec, BUNDLED),
 ], ids=["ising", "heisenberg", "nn", "xyz", "qutrit", "single-site",
-        "empty", "n1", "n1-qutrit", "xy-cancelled"])
+        "empty", "n1", "n1-qutrit", "xy-cancelled", "ququart",
+        *(p.stem for p in BUNDLED)])
 def test_dense_matrix_equals_kron_chain(spec):
     got = dense_matrix(spec)
     want = kron_chain(spec)
     assert got.dtype == (complex if want.imag.any() else float)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_bundled_dense_matrix_is_exactly_even(path):
+    # decompose splits by spin-flip sectors only when H is exactly even and
+    # silently falls back to full size otherwise; the longitudinal field of
+    # thermal_lfi_a3 breaks the symmetry
+    assert is_even(dense_matrix(bundled_spec(path))) == (path.stem != "thermal_lfi_a3")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_site_shifts_rebuild_the_basis(d):
+    rows = np.arange(d)
+    for name, op in site_basis(d).items():
+        for c in range(d):  # every shifted diagonal is real or imaginary
+            v = op[rows, (rows + c) % d]
+            assert not (v.real.any() and v.imag.any()), (name, c)
+        shifts = model._site_shifts(d)[name]
+        assert len({c for c, _, _ in shifts}) == len(shifts)
+        rebuilt = np.zeros((d, d), dtype=complex)
+        for c, p, w in shifts:
+            assert p in (0, 1) and w.dtype == float and w.any()
+            rebuilt[rows, (rows + c) % d] += 1j ** p * w
+        assert np.array_equal(rebuilt, op), name
+
+
+def test_site_shifts_refuse_a_mixed_diagonal(monkeypatch):
+    mixed = np.array([[0, 1 + 1j], [1 - 1j, 0]])
+    monkeypatch.setattr(model, "_site_basis_cached", lambda d: (("M", mixed),))
+    with pytest.raises(AssertionError, match="not real or imaginary"):
+        model._site_shifts.__wrapped__(2)
 
 
 def test_real_dense_matrix_peaks_at_its_own_size():
